@@ -17,7 +17,6 @@ from .errors import (
     PointNotOnCurve,
     PreconditionViolated,
     ReducibleModulus,
-    SearchSpaceTooLarge,
     SparseDualsError,
     TooManySubsets,
 )

@@ -61,10 +61,6 @@ class PointNotOnCurve(SparseDualsError):
     """Point does not satisfy the curve equation."""
 
 
-class SearchSpaceTooLarge(SparseDualsError):
-    """Exhaustive isometry-vector search would exceed the candidate cap."""
-
-
 class TooManySubsets(SparseDualsError):
     """Exhaustive subset enumeration refused; use the sampling mode."""
 

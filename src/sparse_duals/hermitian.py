@@ -10,7 +10,6 @@ yields the nested code sequence whose rank-growth orders form W*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -18,12 +17,9 @@ from .errors import (
     FieldTooLarge,
     PointNotOnCurve,
     PreconditionViolated,
-    SearchSpaceTooLarge,
 )
 from .gf import MAX_ORDER, Field, FieldElement
 from .semigroup import NumericalSemigroup
-
-ISOMETRY_SEARCH_CAP = 10_000_000
 
 # Point order over GF(4), frozen: (x, y) encodings with 2 = class of x,
 # 3 = class of x + 1.
@@ -80,12 +76,6 @@ class BasisFunction:
     @property
     def pole_order(self) -> int:
         return self.x_exp * self.q + self.y_exp * (self.q + 1)
-
-    def evaluate(self, point: CurvePoint) -> FieldElement:
-        f = point.x.field
-        return f.element(
-            f.mul(f.pow(point.x.value, self.x_exp), f.pow(point.y.value, self.y_exp))
-        )
 
     def __str__(self) -> str:
         if self.x_exp == 0 and self.y_exp == 0:
@@ -148,22 +138,18 @@ def weierstrass_semigroup(q: int) -> NumericalSemigroup:
 
 @dataclass(frozen=True)
 class CodeSequence:
-    """Rank profile of evaluating the monomial basis at a point set.
+    """Nested code sequence from evaluating the monomial basis at a point set.
 
-    `rows` holds one evaluation row (integer encodings) per scanned basis
-    function and `rank_profile` the rank after that row; `generator_rows`
-    are the n rows at which the rank grew, so the first i of them generate
-    the i-dimensional code of the sequence. `wstar` lists the pole orders
-    of those rank jumps, starting with 0.
+    `generator_rows` are the n evaluation rows (integer encodings) at which
+    the rank grew, so the first i of them generate the i-dimensional code
+    of the sequence. `wstar` lists the pole orders of those rank jumps,
+    starting with 0.
     """
 
     q: int
     genus: int
     field: Field
     points: tuple[CurvePoint, ...]
-    basis: tuple[BasisFunction, ...]
-    rows: tuple[tuple[int, ...], ...]
-    rank_profile: tuple[int, ...]
     wstar: tuple[int, ...]
     generator_rows: tuple[tuple[int, ...], ...]
 
@@ -183,17 +169,32 @@ class CodeSequence:
         }
 
 
-def _echelon_reduce(
+def _echelon_insert(
     row: Sequence[int], echelon: list[tuple[int, list[int]]], field: Field
-) -> list[int]:
-    """Reduce `row` against normalized echelon rows (pivot entries are 1)."""
+) -> bool:
+    """Reduce `row` against normalized echelon rows (pivot entries are 1)
+    and append the result, normalized, unless it is zero. Each appended row
+    is zero at the pivots of the rows before it. Returns whether the rank grew."""
     mul, add = field.mul_table, field.add_table
     r = list(row)
     for piv, erow in echelon:
         if r[piv]:
             f = field.neg(r[piv])
             r = [add[v][mul[f][w]] for v, w in zip(r, erow)]
-    return r
+    piv = next((k for k, v in enumerate(r) if v), None)
+    if piv is None:
+        return False
+    scale = field.inv_table[r[piv]]
+    echelon.append((piv, [mul[scale][v] for v in r]))
+    return True
+
+
+def _dot(u: Sequence[int], v: Sequence[int], field: Field) -> int:
+    mul, add = field.mul_table, field.add_table
+    acc = 0
+    for a, b in zip(u, v):
+        acc = add[acc][mul[a][b]]
+    return acc
 
 
 def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
@@ -212,9 +213,9 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
 
     n = len(points)
     g = curve_genus(q)
-    mul, add, inv = field.mul_table, field.add_table, field.inv_table
+    mul = field.mul_table
     echelon: list[tuple[int, list[int]]] = []
-    basis, rows, profile, wstar, gen_rows = [], [], [], [], []
+    wstar, gen_rows = [], []
     for fn in monomial_basis_iter(q):
         if fn.pole_order > n + 2 * g - 1:
             raise AssertionError("rank must reach n by pole order n + 2g - 1")
@@ -222,16 +223,9 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
             mul[field.pow(pt.x.value, fn.x_exp)][field.pow(pt.y.value, fn.y_exp)]
             for pt in points
         ]
-        basis.append(fn)
-        rows.append(tuple(row))
-        reduced = _echelon_reduce(row, echelon, field)
-        piv = next((k for k, v in enumerate(reduced) if v), None)
-        if piv is not None:
-            scale = inv[reduced[piv]]
-            echelon.append((piv, [mul[scale][v] for v in reduced]))
+        if _echelon_insert(row, echelon, field):
             wstar.append(fn.pole_order)
             gen_rows.append(tuple(row))
-        profile.append(len(echelon))
         if len(echelon) == n:
             break
     return CodeSequence(
@@ -239,9 +233,6 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
         genus=g,
         field=field,
         points=points,
-        basis=tuple(basis),
-        rows=tuple(rows),
-        rank_profile=tuple(profile),
         wstar=tuple(wstar),
         generator_rows=tuple(gen_rows),
     )
@@ -253,40 +244,41 @@ def isometry_dual_criterion(cs: CodeSequence) -> bool:
 
 
 def find_isometry_vector(cs: CodeSequence) -> Optional[tuple[FieldElement, ...]]:
-    """Exhaustive search for an all-nonzero x making the sequence isometry-dual.
+    """The all-nonzero x with x_1 = 1 making the sequence isometry-dual, or None.
 
     x works iff for every i the componentwise product x * C^i equals the
-    dual of C^(n-i). Since the entries of x are nonzero, the dimensions
-    already match, so the subspace equalities reduce to the bilinear
-    conditions sum_k x_k r_a[k] r_b[k] = 0 over all generator pairs with
-    a + b <= n. Solutions are closed under global scaling, so the search
-    fixes x_1 = 1; the first hit (lexicographic in element encodings) is
-    then the lexicographically first solution overall. Returns None when
-    no vector exists.
+    dual of C^(n-i). The first generator row is the constant function, so
+    x * C^1 is the line through x, and it must equal the dual of C^(n-1),
+    which is one-dimensional because the n generator rows are independent.
+    Solutions are closed under global scaling, so fixing x_1 = 1 leaves at
+    most one candidate: the nullspace vector of the first n-1 rows. It
+    works iff it has no zero entry and meets the bilinear conditions
+    sum_k x_k r_a[k] r_b[k] = 0 over all generator pairs with a + b <= n,
+    which suffice because with x all-nonzero the dimensions already match.
     """
     n, field = cs.n, cs.field
-    if (field.q - 1) ** n > ISOMETRY_SEARCH_CAP:
-        raise SearchSpaceTooLarge(
-            f"{field.q - 1}^{n} candidate vectors exceed the cap {ISOMETRY_SEARCH_CAP}"
-        )
-    mul, add = field.mul_table, field.add_table
+    mul, inv = field.mul_table, field.inv_table
     rows = cs.generator_rows
-    pair_products = []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1 - a):
-            ra, rb = rows[a - 1], rows[b - 1]
-            pair_products.append(tuple(mul[ra[k]][rb[k]] for k in range(n)))
-    for tail in product(range(1, field.q), repeat=n - 1):
-        x = (1,) + tail
-        for u in pair_products:
-            acc = 0
-            for k in range(n):
-                acc = add[acc][mul[u[k]][x[k]]]
-            if acc:
-                break
-        else:
-            return tuple(field.element(v) for v in x)
-    return None
+    echelon: list[tuple[int, list[int]]] = []
+    for row in rows[: n - 1]:
+        _echelon_insert(row, echelon, field)
+    # n - 1 pivots in n columns leave one free column. Each echelon row is
+    # zero at the pivots of the rows before it, so solving the rows last to
+    # first reads only entries of x that are already set.
+    pivots = {piv for piv, _ in echelon}
+    x = [0] * n
+    x[next(k for k in range(n) if k not in pivots)] = 1
+    for piv, erow in reversed(echelon):
+        x[piv] = field.neg(_dot(erow, x, field))
+    if 0 in x:
+        return None
+    scale = inv[x[0]]
+    x = [mul[scale][v] for v in x]
+    for a in range(1, n):
+        xa = [mul[v][w] for v, w in zip(x, rows[a - 1])]
+        if any(_dot(xa, rb, field) for rb in rows[: n - a]):
+            return None
+    return tuple(field.element(v) for v in x)
 
 
 def ideal_complement_check(cs: CodeSequence, W: NumericalSemigroup) -> bool:

@@ -11,9 +11,7 @@ Weierstrass semigroup.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
@@ -23,18 +21,6 @@ from .hermitian import compute_wstar, curve_genus, hermitian_points
 from .semigroup import NumericalSemigroup
 
 EXHAUSTIVE_LIMIT = 25  # refuse exhaustive sweeps over more than 2^25 subsets
-
-THREADS_ENV_VAR = "SPARSE_DUALS_THREADS"
-
-
-def worker_count() -> int:
-    """Parallelism cap from the SPARSE_DUALS_THREADS env var (default 1)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 def subset_qualifies(q: int, subset: Sequence[int], points=None) -> bool:
     """Does the punctured sequence on the 1-based point indices qualify?"""
@@ -54,18 +40,12 @@ def qualifying_subsets(q: int, min_size: int = 2) -> list[tuple[int, ...]]:
     n = len(points)
     if n > EXHAUSTIVE_LIMIT:
         raise TooManySubsets(f"refusing to enumerate 2^{n} subsets for q={q}")
-    candidates = [
+    return [
         combo
         for size in range(n, min_size - 1, -1)
         for combo in combinations(range(1, n + 1), size)
+        if subset_qualifies(q, combo, points)
     ]
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flags = list(pool.map(lambda c: subset_qualifies(q, c, points), candidates))
-    else:
-        flags = [subset_qualifies(q, c, points) for c in candidates]
-    return [c for c, ok in zip(candidates, flags) if ok]
 
 
 def sample_qualifying_subsets(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import reduce
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import EmptyGenerators, GcdNotOne
 
@@ -89,12 +89,6 @@ class NumericalSemigroup:
     def members(self, bound: int) -> list[int]:
         """All elements <= bound, in increasing order."""
         return [n for n in range(max(bound, -1) + 1) if self.contains(n)]
-
-    def iter_elements(self) -> Iterator[int]:
-        i = 0
-        while True:
-            yield self.element(i)
-            i += 1
 
     @property
     def frobenius(self) -> int:

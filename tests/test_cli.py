@@ -128,10 +128,16 @@ def test_verify_skip_oracle(capsys):
     assert "SKIP criterion-oracle" in out
 
 
-def test_verify_rejects_huge_q(capsys):
-    code, _, err = run(capsys, "verify", "--q", "9999")
+@pytest.mark.parametrize(
+    "q,message",
+    [("9999", "exceeds the supported order"), ("3", "refusing to enumerate")],
+    ids=["9999", "3"],
+)
+def test_verify_rejects_huge_q(capsys, q, message):
+    code, out, err = run(capsys, "verify", "--q", q)
     assert code == 2
-    assert "exceeds the supported order" in err
+    assert out == ""
+    assert message in err
 
 
 def test_isometry_subset_with_vector(capsys):

@@ -11,7 +11,7 @@ from sparse_duals import (
     verify_inheritance,
     weierstrass_semigroup,
 )
-from sparse_duals.puncturing import node_label, worker_count
+from sparse_duals.puncturing import node_label
 
 
 def _labels(subsets):
@@ -150,12 +150,3 @@ def test_sampling_is_seed_deterministic():
 def test_sampling_q3_includes_full_set():
     found = sample_qualifying_subsets(3, min_size=26, per_size=2, seed=7)
     assert tuple(range(1, 28)) in found
-
-
-def test_worker_env_var_does_not_change_results(monkeypatch):
-    serial = qualifying_subsets(2, min_size=2)
-    monkeypatch.setenv("SPARSE_DUALS_THREADS", "3")
-    assert worker_count() == 3
-    assert qualifying_subsets(2, min_size=2) == serial
-    monkeypatch.setenv("SPARSE_DUALS_THREADS", "not-a-number")
-    assert worker_count() == 1
