@@ -1,7 +1,8 @@
 """Command-line front end: reproducible semigroup and hierarchy reports.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error. Identical
-invocations produce byte-identical output files.
+Exit codes: 0 success, 1 verification failure, 2 usage error (including
+an output file that cannot be written). Identical invocations produce
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the isometry-vector cross-check")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("isometry", help="search an isometry vector for a point subset")
+    p = sub.add_parser("isometry", help="solve for an isometry vector of a point subset")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--points", type=_int_csv, default=None,
                    help="1-based point indices (default: all points)")
@@ -305,7 +306,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SparseDualsError, ValueError) as exc:
+    except (SparseDualsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -218,9 +218,8 @@ class Field:
         return self.add_table[a][self.neg(b)]
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        return _encode([(-d) % self.p for d in _decode(a, self.p, self.m)], self.p)
+        # -1 is the constant p - 1, whose encoding is p - 1.
+        return self.mul_table[a][self.p - 1]
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]

@@ -5,6 +5,12 @@ point at infinity form the semigroup generated by q and q+1, and the
 monomials x^a y^b with b <= q-1 realize every pole order a*q + b*(q+1)
 exactly once. Evaluating those monomials in pole order at a point set
 yields the nested code sequence whose rank-growth orders form W*.
+
+W* is the complement in H = <q, q+1> of the pole orders of functions
+that vanish on the point set. `compute_wstar` finds it point by point:
+it keeps a Groebner basis of that vanishing module over F[x], one
+generator per residue class mod q, and each added point moves exactly
+one pole order from the module into W*.
 """
 
 from __future__ import annotations
@@ -198,7 +204,23 @@ def _dot(u: Sequence[int], v: Sequence[int], field: Field) -> int:
 
 
 def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
-    """Evaluate basis functions in pole order until the code reaches full rank."""
+    """W* and the generator rows of the code sequence, one point at a time.
+
+    The functions with poles only at infinity form the free F[x]-module
+    with basis 1, y, ..., y^(q-1), whose pole orders b(q+1) are distinct
+    mod q. The functions vanishing on the points added so far therefore
+    have a Groebner basis of q generators g_b, one per residue class, and
+    W* is H minus the union of the classes rho_b + qN, where rho_b is the
+    pole order of g_b. Adding a point (alpha, beta) removes exactly one
+    pole order from that union: the generator g_s that is nonzero there
+    with the least rho_s is replaced by (x - alpha) g_s, the other nonzero
+    generators are reduced by g_s without changing their pole orders, and
+    rho_s joins W*. Each g_b is kept only as its values at the points not
+    yet added, so a point costs q vector operations, O(q n^2) in total.
+
+    The generator rows are the monomials x^a y^b with pole order in W*,
+    evaluated at the points in increasing pole order.
+    """
     points = tuple(points)
     if not points:
         raise ValueError("at least one evaluation point is required")
@@ -213,21 +235,48 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
 
     n = len(points)
     g = curve_genus(q)
-    mul = field.mul_table
-    echelon: list[tuple[int, list[int]]] = []
-    wstar, gen_rows = [], []
-    for fn in monomial_basis_iter(q):
-        if fn.pole_order > n + 2 * g - 1:
-            raise AssertionError("rank must reach n by pole order n + 2g - 1")
-        row = [
-            mul[field.pow(pt.x.value, fn.x_exp)][field.pow(pt.y.value, fn.y_exp)]
-            for pt in points
-        ]
-        if _echelon_insert(row, echelon, field):
-            wstar.append(fn.pole_order)
-            gen_rows.append(tuple(row))
-        if len(echelon) == n:
-            break
+    mul, add, inv = field.mul_table, field.add_table, field.inv_table
+    xs = [pt.x.value for pt in points]
+    ys = [pt.y.value for pt in points]
+    y_pows = [[1] * n]
+    for _ in range(q - 1):
+        y_pows.append([mul[v][w] for v, w in zip(y_pows[-1], ys)])
+
+    gens = y_pows[:]  # the generators start as y^b; updates replace, never mutate
+    rho = [b * (q + 1) for b in range(q)]
+    wstar = []
+    for j in range(n):
+        live = [b for b in range(q) if gens[b][0]]
+        if not live:
+            raise AssertionError("every generator vanishes at a new distinct point")
+        s = min(live, key=rho.__getitem__)
+        gs = gens[s]
+        rest = gs[1:]
+        pivot_inv = inv[gs[0]]
+        for b in range(q):
+            gb = gens[b]
+            if b == s:
+                shift = add[field.neg(xs[j])]
+                gens[b] = [mul[shift[x]][v] for x, v in zip(xs[j + 1 :], rest)]
+            elif gb[0]:
+                row = mul[field.neg(mul[gb[0]][pivot_inv])]
+                gens[b] = [add[v][row[w]] for v, w in zip(gb[1:], rest)]
+            else:
+                gens[b] = gb[1:]
+        wstar.append(rho[s])
+        rho[s] += q
+    wstar.sort()
+    if wstar[-1] > n + 2 * g - 1:
+        raise AssertionError("rank must reach n by pole order n + 2g - 1")
+
+    x_pows = [[1] * n]
+    for _ in range(wstar[-1] // q):
+        x_pows.append([mul[v][w] for v, w in zip(x_pows[-1], xs)])
+    gen_rows = []
+    for w in wstar:
+        b = w % q
+        a = (w - b * (q + 1)) // q
+        gen_rows.append(tuple(mul[v][u] for v, u in zip(x_pows[a], y_pows[b])))
     return CodeSequence(
         q=q,
         genus=g,

@@ -8,6 +8,8 @@ by explicit vector enumeration instead of bilinear shortcuts.
 
 from itertools import combinations
 
+from sparse_duals.hermitian import hermitian_field, monomial_basis_iter
+
 # GF(4): 0, 1, 2 = a, 3 = a+1 with a^2 = a+1; addition is XOR.
 GF4_MUL = (
     (0, 0, 0, 0),
@@ -89,11 +91,38 @@ def naive_wstar_q2(coords):
     return jumps
 
 
+# -- from-scratch W* over any Hermitian field --
+
+
+def naive_wstar(points, q):
+    """W* and generator rows by Gaussian elimination of the monomial rows.
+
+    Evaluates x^a y^b in increasing pole order at the points and keeps the
+    rows that grow the rank, until it reaches n: O(n^3), the reference for
+    the library's point-by-point update.
+    """
+    n = len(points)
+    field = hermitian_field(q)
+    echelon, wstar, rows = [], [], []
+    for fn in monomial_basis_iter(q):
+        row = [
+            field.mul(field.pow(pt.x.value, fn.x_exp), field.pow(pt.y.value, fn.y_exp))
+            for pt in points
+        ]
+        before = len(echelon)
+        _rref([row], n, field, echelon)
+        if len(echelon) > before:
+            wstar.append(fn.pole_order)
+            rows.append(tuple(row))
+        if len(echelon) == n:
+            return tuple(wstar), tuple(rows)
+
+
 # -- literal isometry-dual verification over any field of the package --
 
 
-def _rref(rows, n, field):
-    ech = []
+def _rref(rows, n, field, ech=None):
+    ech = [] if ech is None else ech
     for row in rows:
         r = list(row)
         for piv, erow in ech:

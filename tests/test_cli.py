@@ -140,6 +140,20 @@ def test_verify_rejects_huge_q(capsys, q, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("hierarchy", "--q", "2", "--json"), ("semigroup", "--generators", "3,5", "--json")],
+    ids=["hierarchy", "semigroup"],
+)
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing-dir" / "out.json"
+    code, _, err = run(capsys, *argv, str(target))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 def test_isometry_subset_with_vector(capsys):
     code, out, _ = run(capsys, "isometry", "--q", "2", "--points", "1,2,6")
     assert code == 0

@@ -8,6 +8,7 @@ from sparse_duals import (
     FieldMismatch,
     NotPrime,
     ReducibleModulus,
+    hermitian_field,
     make_field,
 )
 
@@ -136,6 +137,14 @@ def test_field_axioms_exhaustive(p, m):
                 assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
                 assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
                 assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_negation_on_every_hermitian_field(q):
+    F = hermitian_field(q)
+    for a in range(F.q):
+        assert F.add(a, F.neg(a)) == 0
+        assert F.sub(a, a) == 0
 
 
 @pytest.mark.parametrize("p,m", SMALL_ORDERS)

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import literal_isometry_check, naive_wstar_q2
+from oracles import literal_isometry_check, naive_wstar, naive_wstar_q2
 from sparse_duals import (
     CurvePoint,
     DuplicatePoints,
@@ -109,6 +109,80 @@ def test_wstar_matches_independent_elimination(q2_points, q2_sequences):
         assert list(cs.wstar) == naive_wstar_q2(coords)
 
 
+def _x_fibres(points):
+    """The x-fibres of a point list (q points over each x value), by x."""
+    fibres: dict[int, list] = {}
+    for p in points:
+        fibres.setdefault(p.x.value, []).append(p)
+    return fibres
+
+
+def _fibre_union_wstar(q, n):
+    """The first n elements of H \\ (n + H), H = <q, q+1>."""
+    H = weierstrass_semigroup(q)
+    out, m = [], 0
+    while len(out) < n:
+        if H.contains(m) and not (m >= n and H.contains(m - n)):
+            out.append(m)
+        m += 1
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_wstar_matches_naive_elimination_sampled(q):
+    pts = hermitian_points(q)
+    fibres = _x_fibres(pts)
+    rng = random.Random(100 + q)
+    inputs = [rng.sample(pts, rng.randint(1, len(pts))) for _ in range(12)]
+    for _ in range(4):
+        chosen = rng.sample(sorted(fibres), rng.randint(1, q * q))
+        inputs.append([p for x in chosen for p in fibres[x]])
+    for chosen in inputs:
+        cs = compute_wstar(chosen, q)
+        assert (cs.wstar, cs.generator_rows) == naive_wstar(chosen, q)
+
+
+@pytest.mark.parametrize("q,walks", [(2, 8), (3, 4), (4, 2)])
+def test_adding_a_point_adds_one_wstar_element(q, walks):
+    pts = hermitian_points(q)
+    rng = random.Random(200 + q)
+    for _ in range(walks):
+        walk = rng.sample(pts, len(pts))
+        prev: set[int] = set()
+        for k in range(1, len(walk) + 1):
+            cur = set(compute_wstar(walk[:k], q).wstar)
+            assert prev < cur and len(cur - prev) == 1
+            prev = cur
+
+
+def _check_fibre_union(q, chosen_points):
+    cs = compute_wstar(chosen_points, q)
+    assert cs.wstar == _fibre_union_wstar(q, cs.n)
+    assert isometry_dual_criterion(cs)
+
+
+def test_x_fibre_unions_closed_form_q2():
+    fibres = _x_fibres(hermitian_points(2))
+    unions = [c for k in range(1, 5) for c in combinations(sorted(fibres), k)]
+    assert len(unions) == 15
+    for chosen in unions:
+        _check_fibre_union(2, [p for x in chosen for p in fibres[x]])
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_x_fibre_unions_closed_form_sampled(q):
+    fibres = _x_fibres(hermitian_points(q))
+    rng = random.Random(300 + q)
+    for k in range(1, q * q + 1):
+        chosen = rng.sample(sorted(fibres), k)
+        _check_fibre_union(q, [p for x in chosen for p in fibres[x]])
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_full_set_closed_form(q):
+    _check_fibre_union(q, hermitian_points(q))
+
+
 def test_wstar_structure(q2_sequences):
     W = weierstrass_semigroup(2)
     for combo, cs in q2_sequences.items():
@@ -210,10 +284,7 @@ def test_criterion_matches_oracle_above_boundary_sampled(q, per_size):
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_x_fibre_unions_get_a_vector_sampled(q):
-    pts = hermitian_points(q)
-    fibres: dict[int, list] = {}
-    for p in pts:
-        fibres.setdefault(p.x.value, []).append(p)
+    fibres = _x_fibres(hermitian_points(q))
     rng = random.Random(q)
     for k in range(1, q * q + 1):
         for _ in range(5):
