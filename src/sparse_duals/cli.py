@@ -13,7 +13,7 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
-from .errors import SparseDualsError, TooManySubsets
+from .errors import PreconditionViolated, SparseDualsError, TooManySubsets
 from .hermitian import (
     compute_wstar,
     curve_genus,
@@ -33,6 +33,20 @@ from .puncturing import (
 )
 from .semigroup import NumericalSemigroup
 from .sparse_ideals import inclusion_report, leader_set, maximum_sparse_from_leader
+
+
+# Largest number of complement elements a semigroup report may hold. A
+# maximum sparse ideal with leader lam has at most lam + 1 of them, so the
+# leaders up to a bound hold at most bound * (bound + 1) / 2 in total.
+MAX_REPORT_ELEMENTS = 10**7
+
+
+def _check_report_size(elements: int, what: str) -> None:
+    if elements > MAX_REPORT_ELEMENTS:
+        raise PreconditionViolated(
+            f"{what} would hold up to {elements} complement elements"
+            f" (limit {MAX_REPORT_ELEMENTS}); refusing"
+        )
 
 
 def _int_csv(text: str) -> list[int]:
@@ -57,6 +71,7 @@ def cmd_semigroup(args: argparse.Namespace) -> int:
         bound = 2 * max(S.conductor, S.multiplicity)
     if bound < S.conductor:
         raise ValueError(f"--bound must be at least the conductor {S.conductor}")
+    _check_report_size(bound * (bound + 1) // 2, f"--bound {bound}")
     leaders = leader_set(S, bound)
     ideals = [maximum_sparse_from_leader(S, S.index_of(lam)) for lam in leaders]
 
@@ -88,6 +103,9 @@ def cmd_semigroup(args: argparse.Namespace) -> int:
 
 def cmd_sparse_ideals(args: argparse.Namespace) -> int:
     S = NumericalSemigroup(args.generators)
+    for flag, value in (("--leader", args.leader), ("--compare", args.compare)):
+        if value is not None:
+            _check_report_size(value + 1, f"{flag} {value}")
     ideal = maximum_sparse_from_leader(S, S.index_of(args.leader))
     out = [
         f"semigroup generated by {', '.join(map(str, S.generators))}",

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .gf import MAX_ORDER, Field, FieldElement
 from .semigroup import NumericalSemigroup
+from .sparse_ideals import division_escape
 
 # Point order over GF(4), frozen: (x, y) encodings with 2 = class of x,
 # 3 = class of x + 1.
@@ -336,9 +337,4 @@ def ideal_complement_check(cs: CodeSequence, W: NumericalSemigroup) -> bool:
         raise PreconditionViolated(
             f"check requires n > 2g + 2 = {2 * cs.genus + 2}, got n = {cs.n}"
         )
-    wstar = set(cs.wstar)
-    for t in cs.wstar:
-        for s in W.members(t):
-            if 0 < s and W.contains(t - s) and (t - s) not in wstar:
-                return False
-    return True
+    return division_escape(W, cs.wstar) is None

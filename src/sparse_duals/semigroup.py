@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import reduce
 from math import gcd
 from typing import Iterable
@@ -77,18 +78,13 @@ class NumericalSemigroup:
             raise ValueError(f"{value} is not an element of {self!r}")
         if value >= self.conductor:
             return len(self._below) + (value - self.conductor)
-        lo, hi = 0, len(self._below)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._below[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_left(self._below, value)
 
     def members(self, bound: int) -> list[int]:
         """All elements <= bound, in increasing order."""
-        return [n for n in range(max(bound, -1) + 1) if self.contains(n)]
+        if bound < self.conductor:
+            return list(self._below[: bisect_right(self._below, bound)])
+        return [*self._below, *range(self.conductor, bound + 1)]
 
     @property
     def frobenius(self) -> int:

@@ -2,7 +2,8 @@
 
 A proper ideal I of S satisfies I + S contained in I; its complement
 T = S \\ I is finite and division-closed: whenever t is in T and t - s is
-an element of S for some element s, t - s is in T as well. The Frobenius
+an element of S for some element s, t - s is in T as well. It suffices to
+test s among the generators (`division_escape`). The Frobenius
 number of any proper ideal is at most 2g - 1 + #T; ideals attaining the
 bound are the maximum sparse ideals, and they are exactly the complements
 of divisor sets D(i) at non-zero elements with no two-gap decomposition
@@ -11,8 +12,9 @@ of divisor sets D(i) at non-zero elements with no two-gap decomposition
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import DifferentParents, NotALeader, NotAnIdeal, NotMaximumSparse, NotProper
 from .semigroup import NumericalSemigroup
@@ -35,13 +37,12 @@ class SemigroupIdeal:
         for t in comp:
             if not self.parent.contains(t):
                 raise NotAnIdeal(f"complement element {t} is not in {self.parent!r}")
-        comp_set = set(comp)
-        for t in comp:
-            for s in self.parent.members(t):
-                if 0 < s and self.parent.contains(t - s) and (t - s) not in comp_set:
-                    raise NotAnIdeal(
-                        f"complement not division-closed: {t} - {s} = {t - s} escapes"
-                    )
+        escape = division_escape(self.parent, comp)
+        if escape is not None:
+            t, a = escape
+            raise NotAnIdeal(
+                f"complement not division-closed: {t} - {a} = {t - a} escapes"
+            )
 
     @property
     def frobenius(self) -> int:
@@ -63,9 +64,6 @@ class SemigroupIdeal:
             return self.frobenius
         return None
 
-    def contains(self, n: int) -> bool:
-        return self.parent.contains(n) and n not in set(self.complement)
-
     def to_json(self) -> dict:
         return {
             "parent_generators": list(self.parent.generators),
@@ -76,6 +74,25 @@ class SemigroupIdeal:
 
     def __repr__(self) -> str:
         return f"SemigroupIdeal({self.parent!r}, complement={list(self.complement)})"
+
+
+def division_escape(
+    S: NumericalSemigroup, complement: Sequence[int]
+) -> Optional[tuple[int, int]]:
+    """First (t, a) with t in `complement`, a a generator of S, and t - a an
+    element of S outside the complement; None if the complement is
+    division-closed.
+
+    Generators suffice: every element of S is a sum of generators, so
+    I + a contained in I for each generator a gives I + S contained in I.
+    O(#complement * #generators).
+    """
+    comp = set(complement)
+    for t in complement:
+        for a in S.generators:
+            if S.contains(t - a) and (t - a) not in comp:
+                return t, a
+    return None
 
 
 def divisor_set(S: NumericalSemigroup, i: int) -> tuple[int, ...]:
@@ -94,8 +111,11 @@ def gap_pair_count(S: NumericalSemigroup, i: int) -> int:
 
 
 def _gap_pairs_at(S: NumericalSemigroup, value: int) -> int:
-    gap_set = set(S.gaps)
-    return sum(1 for a in S.gaps if 2 * a <= value and (value - a) in gap_set)
+    # Only gaps a with value - conductor < a <= value / 2 can pair: then
+    # 1 <= a <= value - a < conductor, so a non-element value - a is a gap.
+    gaps = S.gaps
+    window = gaps[bisect_right(gaps, value - S.conductor):bisect_right(gaps, value // 2)]
+    return sum(1 for a in window if not S.contains(value - a))
 
 
 def is_maximum_sparse(ideal: SemigroupIdeal) -> bool:
@@ -197,12 +217,17 @@ def enumerate_proper_ideals(
     """
     if max_frobenius is None:
         max_frobenius = 3 * S.conductor
+    elements = S.members(max_frobenius)
     divisors = {0: frozenset({0})}
-    for x in S.members(max_frobenius):
-        if x > 0:
-            d = frozenset(y for y in S.members(x) if S.contains(x - y))
-            if len(d) <= max_complement_size:
-                divisors[x] = d
+    for x in elements[1:]:
+        d = []
+        for y in elements:  # walk D(x) up from 0; stop once it is too big
+            if y > x or len(d) > max_complement_size:
+                break
+            if S.contains(x - y):
+                d.append(y)
+        if len(d) <= max_complement_size:
+            divisors[x] = frozenset(d)
     candidates = sorted(divisors)
     seen: set[frozenset[int]] = set()
     frontier: list[frozenset[int]] = [frozenset()]

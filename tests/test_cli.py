@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from conftest import DATA_DIR
+from sparse_duals import cli
 from sparse_duals.cli import main
 
 
@@ -62,6 +64,61 @@ def test_sparse_ideals_rejects_non_leader(capsys):
     assert code == 2 and "decomposition" in err
     code, _, err = run(capsys, "sparse-ideals", "--generators", "2,3", "--leader", "1")
     assert code == 2 and "not an element" in err
+
+
+# Outputs frozen before the semigroup layer moved to generator-only ideal
+# tests: (file stem, argv); each stem has a .txt (stdout) and a .json.
+FROZEN_SEMIGROUP_REPORTS = [
+    ("semigroup_3_5", ("semigroup", "--generators", "3,5")),
+    ("semigroup_4_29", ("semigroup", "--generators", "4,29")),
+    ("semigroup_7_16_20", ("semigroup", "--generators", "7,16,20")),
+    ("sparse_ideals_3_5",
+     ("sparse-ideals", "--generators", "3,5", "--leader", "13", "--compare", "10")),
+    ("sparse_ideals_4_29",
+     ("sparse-ideals", "--generators", "4,29", "--leader", "140", "--compare", "111")),
+    ("sparse_ideals_7_16_20",
+     ("sparse-ideals", "--generators", "7,16,20", "--leader", "92", "--compare", "61")),
+]
+
+
+@pytest.mark.parametrize("stem,argv", FROZEN_SEMIGROUP_REPORTS,
+                         ids=[stem for stem, _ in FROZEN_SEMIGROUP_REPORTS])
+def test_semigroup_reports_byte_identical(capsys, tmp_path, stem, argv):
+    frozen = DATA_DIR / "semigroup_cli"
+    out_json = tmp_path / "out.json"
+    code, out, _ = run(capsys, *argv, "--json", str(out_json))
+    assert code == 0
+    assert out.encode() == (frozen / f"{stem}.txt").read_bytes()
+    assert out_json.read_bytes() == (frozen / f"{stem}.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("semigroup", "--generators", "3,5", "--bound", "100000000"),
+        ("sparse-ideals", "--generators", "3,5", "--leader", "100000000"),
+        ("sparse-ideals", "--generators", "3,5", "--leader", "13",
+         "--compare", "100000000"),
+    ],
+    ids=["semigroup-bound", "sparse-ideals-leader", "sparse-ideals-compare"],
+)
+def test_oversized_semigroup_report_is_refused(capsys, tmp_path, argv):
+    target = tmp_path / "out.json"
+    code, out, err = run(capsys, *argv, "--json", str(target))
+    assert code == 2
+    assert out == ""
+    assert "refusing" in err
+    assert not target.exists()
+
+
+def test_report_budget_boundary(capsys, monkeypatch):
+    # Leaders up to bound 10 hold at most 10 * 11 / 2 = 55 complement elements.
+    monkeypatch.setattr(cli, "MAX_REPORT_ELEMENTS", 55)
+    assert run(capsys, "semigroup", "--generators", "3,5", "--bound", "10")[0] == 0
+    assert run(capsys, "semigroup", "--generators", "3,5", "--bound", "11")[0] == 2
+    argv = ("sparse-ideals", "--generators", "3,5", "--leader")
+    assert run(capsys, *argv, "54")[0] == 0
+    assert run(capsys, *argv, "55")[0] == 2
 
 
 def test_hierarchy_files_and_determinism(capsys, tmp_path):

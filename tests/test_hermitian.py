@@ -1,9 +1,15 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
-from oracles import literal_isometry_check, naive_wstar, naive_wstar_q2
+from oracles import (
+    is_division_closed,
+    literal_isometry_check,
+    naive_wstar,
+    naive_wstar_q2,
+)
 from sparse_duals import (
     CurvePoint,
     DuplicatePoints,
@@ -301,6 +307,32 @@ def test_ideal_complement_check(q2_sequences):
             assert ideal_complement_check(q2_sequences[combo], W)
     with pytest.raises(PreconditionViolated):
         ideal_complement_check(q2_sequences[(1, 2, 3, 4)], W)
+
+
+def test_dual_complement_is_an_ideal_for_every_q2_subset(q2_sequences):
+    """W \\ W* is an ideal of W at every size, not only above the boundary."""
+    W = weierstrass_semigroup(2)
+    assert len(q2_sequences) == 255
+    for cs in q2_sequences.values():
+        assert is_division_closed(W.contains, cs.wstar)
+
+
+def test_ideal_complement_check_matches_definition(q2_sequences):
+    """On the 93 subsets above the boundary, and on each with one W* element
+    dropped (near misses, mostly not ideals), the generator test agrees with
+    the definition."""
+    W = weierstrass_semigroup(2)
+    big = [cs for combo, cs in q2_sequences.items() if len(combo) > 4]
+    assert len(big) == 93
+    rejected = 0
+    for cs in big:
+        assert ideal_complement_check(cs, W)
+        for k in range(len(cs.wstar)):
+            near = replace(cs, wstar=cs.wstar[:k] + cs.wstar[k + 1:])
+            closed = is_division_closed(W.contains, near.wstar)
+            assert ideal_complement_check(near, W) == closed
+            rejected += not closed
+    assert rejected > 0
 
 
 def test_below_boundary_criterion_is_only_necessary(q2_sequences):

@@ -112,6 +112,13 @@ def test_matches_naive_closure(gens):
 
 
 @given(coprime_generators())
+def test_members_at_every_bound(gens):
+    S = NumericalSemigroup(gens)
+    for bound in range(-2, S.conductor + 4):
+        assert S.members(bound) == [n for n in range(bound + 1) if S.contains(n)]
+
+
+@given(coprime_generators())
 def test_additive_closure(gens):
     S = NumericalSemigroup(gens)
     members = S.members(S.conductor)

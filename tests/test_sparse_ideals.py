@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,6 +27,8 @@ from sparse_duals import (
 S23 = NumericalSemigroup([2, 3])
 S35 = NumericalSemigroup([3, 5])
 N0 = NumericalSemigroup([1])
+# Generator lists with redundant entries: <3,5>, <4,6,7> and <2,3>.
+NON_MINIMAL_GENERATORS = [(3, 5, 6, 9, 10), (4, 6, 7, 10, 11, 13), (2, 3, 4, 5, 6)]
 
 
 def test_divisor_set_examples():
@@ -57,12 +61,40 @@ def test_gap_pair_count_matches_naive(gens, i):
 def test_ideal_validation():
     ideal = SemigroupIdeal(S23, (0, 3))
     assert ideal.complement == (0, 3)
-    with pytest.raises(NotAnIdeal):
-        SemigroupIdeal(S23, (3,))  # 3 - 3 = 0 escapes
-    with pytest.raises(NotAnIdeal):
-        SemigroupIdeal(S23, (0, 4))  # 4 - 2 = 2 escapes
+    with pytest.raises(NotAnIdeal, match="3 - 3 = 0 escapes"):
+        SemigroupIdeal(S23, (3,))
+    with pytest.raises(NotAnIdeal, match="4 - 2 = 2 escapes"):
+        SemigroupIdeal(S23, (0, 4))
     with pytest.raises(NotAnIdeal):
         SemigroupIdeal(S23, (1,))  # 1 is a gap, not an element
+
+
+def _accepts(S, complement):
+    try:
+        SemigroupIdeal(S, complement)
+    except NotAnIdeal:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("gens", CORPUS_GENERATORS + NON_MINIMAL_GENERATORS)
+def test_generator_test_is_the_definition(gens):
+    """SemigroupIdeal tests closure on generators only; it must accept exactly
+    the complements the member-by-member definition accepts: enumerated
+    ideals, divisor sets, each with one element dropped, and random subsets."""
+    S = NumericalSemigroup(gens)
+    rng = random.Random(sum(gens))
+    exact = [ideal.complement for ideal in enumerate_proper_ideals(S, 3)]
+    exact += [divisor_set(S, i) for i in range(1, 12)]
+    near = [t[:k] + t[k + 1:] for t in exact for k in range(len(t))]
+    pool = S.members(3 * S.conductor + 6)
+    drawn = [tuple(rng.sample(pool, rng.randint(1, 6))) for _ in range(60)]
+    drawn += [(0,) + t for t in drawn]
+    verdicts = [
+        (_accepts(S, t), is_division_closed(S.contains, t)) for t in exact + near + drawn
+    ]
+    assert all(fast == slow for fast, slow in verdicts)
+    assert any(fast for fast, _ in verdicts) and not all(fast for fast, _ in verdicts)
 
 
 def test_improper_ideal():
@@ -171,8 +203,10 @@ def test_inclusion_report_errors():
 
 
 def test_enumeration_matches_naive_subset_scan():
-    for S, bound in ((S23, 3 * S23.conductor), (S35, 3 * S35.conductor),
-                     (NumericalSemigroup([3, 4]), 24)):
+    cases = [(S23, 3 * S23.conductor), (S35, 3 * S35.conductor),
+             (NumericalSemigroup([3, 4]), 24), (NumericalSemigroup([4, 5, 7]), 20)]
+    cases += [(S, 2 * S.conductor + 2) for S in map(NumericalSemigroup, NON_MINIMAL_GENERATORS)]
+    for S, bound in cases:
         fast = {frozenset(i.complement) for i in enumerate_proper_ideals(S, 4, bound)}
         naive = naive_ideal_complements(S.contains, S.members(bound), 4)
         assert fast == naive
