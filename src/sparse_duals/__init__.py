@@ -16,11 +16,10 @@ from .errors import (
     NotProper,
     PointNotOnCurve,
     PreconditionViolated,
-    ReducibleModulus,
     SparseDualsError,
     TooManySubsets,
 )
-from .gf import Field, FieldElement, make_field
+from .gf import Field, FieldElement
 from .hermitian import (
     BasisFunction,
     CodeSequence,

@@ -65,13 +65,15 @@ def _format_set(values) -> str:
 
 
 def cmd_semigroup(args: argparse.Namespace) -> int:
-    S = NumericalSemigroup(args.generators)
     bound = args.bound
+    if bound is not None:  # refuse before building the semigroup
+        _check_report_size(bound * (bound + 1) // 2, f"--bound {bound}")
+    S = NumericalSemigroup(args.generators)
     if bound is None:
         bound = 2 * max(S.conductor, S.multiplicity)
+        _check_report_size(bound * (bound + 1) // 2, f"--bound {bound}")
     if bound < S.conductor:
         raise ValueError(f"--bound must be at least the conductor {S.conductor}")
-    _check_report_size(bound * (bound + 1) // 2, f"--bound {bound}")
     leaders = leader_set(S, bound)
     ideals = [maximum_sparse_from_leader(S, S.index_of(lam)) for lam in leaders]
 
@@ -102,10 +104,10 @@ def cmd_semigroup(args: argparse.Namespace) -> int:
 
 
 def cmd_sparse_ideals(args: argparse.Namespace) -> int:
-    S = NumericalSemigroup(args.generators)
     for flag, value in (("--leader", args.leader), ("--compare", args.compare)):
         if value is not None:
             _check_report_size(value + 1, f"{flag} {value}")
+    S = NumericalSemigroup(args.generators)
     ideal = maximum_sparse_from_leader(S, S.index_of(args.leader))
     out = [
         f"semigroup generated by {', '.join(map(str, S.generators))}",

@@ -37,10 +37,6 @@ class NotPrime(SparseDualsError):
     """Field characteristic must be prime."""
 
 
-class ReducibleModulus(SparseDualsError):
-    """Field modulus polynomial must be irreducible."""
-
-
 class DivisionByZero(SparseDualsError, ZeroDivisionError):
     """Inversion of the zero field element."""
 

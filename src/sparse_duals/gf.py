@@ -2,16 +2,25 @@
 
 Elements are encoded as integers 0..q-1: the base-p digits of the encoding
 are the coefficients of the residue polynomial, constant term least
-significant. Multiplication runs off log/antilog tables over a fixed
-primitive element, so all operations are table lookups.
+significant. Multiplication runs off log/antilog tables over the class of
+x, so all operations are table lookups.
+
+The modulus is the monic f = x^m + low of smallest encoding `low` in which
+x has multiplicative order q - 1. Field() finds it by walking v <- x*v from
+v = 1 for each candidate in turn: in that encoding, x*v shifts the digits
+of v up by one and adds -(top digit)*low, one add-table lookup. The first
+walk that comes back to 1 after exactly q - 1 steps picks f, and the walk
+itself is the antilog table. This is the smallest irreducible f in which x
+is primitive: a reducible f leaves zero divisors in GF(p)[x]/(f), hence
+fewer than q - 1 units, so x could not have order q - 1 there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import DivisionByZero, FieldMismatch, FieldTooLarge, NotPrime, ReducibleModulus
+from .errors import DivisionByZero, FieldMismatch, FieldTooLarge, NotPrime
 
 MAX_ORDER = 256
 
@@ -27,103 +36,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-# -- polynomial helpers over GF(p); coefficient tuples, constant term first --
-
-
-def _trim(poly: Sequence[int]) -> tuple[int, ...]:
-    coeffs = list(poly)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _poly_mod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[int, ...]:
-    num = list(num)
-    dd = len(den) - 1
-    lead_inv = pow(den[-1], p - 2, p) if p > 2 else den[-1]
-    for i in range(len(num) - 1, dd - 1, -1):
-        if num[i] == 0:
-            continue
-        factor = (num[i] * lead_inv) % p
-        for j in range(dd + 1):
-            num[i - dd + j] = (num[i - dd + j] - factor * den[j]) % p
-    return _trim(num[:dd])
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _monic_polys(degree: int, p: int):
-    for enc in range(p**degree):
-        digits = []
-        v = enc
-        for _ in range(degree):
-            digits.append(v % p)
-            v //= p
-        yield tuple(digits) + (1,)
-
-
-def _is_irreducible(poly: Sequence[int], p: int) -> bool:
-    degree = len(poly) - 1
-    if degree < 1:
-        return False
-    if degree == 1:
-        return True
-    for d in range(1, degree // 2 + 1):
-        for div in _monic_polys(d, p):
-            if not _poly_mod(poly, div, p):
-                return False
-    return True
-
-
-def _encode(digits: Sequence[int], p: int) -> int:
-    value = 0
-    for d in reversed(digits):
-        value = value * p + d
-    return value
-
-
-def _decode(value: int, p: int, m: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(m):
-        digits.append(value % p)
-        value //= p
-    return tuple(digits)
-
-
 class Field:
-    """GF(p^m) with a fixed monic irreducible modulus polynomial.
+    """GF(p^m) = GF(p)[x]/(f), with f the primitive modulus described above.
 
     Value-level arithmetic (add/mul/neg/inv/pow) works on integer
-    encodings; element() wraps an encoding into a FieldElement. When no
-    modulus is given, the canonical choice is the smallest (by encoding)
-    monic irreducible polynomial of degree m for which the residue class
-    of x generates the multiplicative group; for p=2, m=2 this is
-    x^2 + x + 1.
+    encodings; element() wraps an encoding into a FieldElement. The
+    generator is the class of x; for p=2, m=2 the modulus is x^2 + x + 1.
     """
 
-    def __init__(self, p: int, m: int = 1, modulus: Optional[Sequence[int]] = None):
+    def __init__(self, p: int, m: int = 1):
         if not _is_prime(p):
             raise NotPrime(f"characteristic {p} is not prime")
         if m < 1:
@@ -132,82 +53,52 @@ class Field:
         if q > MAX_ORDER:
             raise FieldTooLarge(f"GF({q}) exceeds the supported order {MAX_ORDER}")
 
-        if modulus is None:
-            modulus = self._default_modulus(p, m)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != m + 1 or modulus[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree {m}")
-            if not _is_irreducible(modulus, p):
-                raise ReducibleModulus(f"{list(modulus)} is reducible over GF({p})")
+        # Digit-wise addition mod p, built one base-p digit at a time.
+        add_table = [[(a + b) % p for b in range(p)] for a in range(p)]
+        size = p
+        while size < q:
+            high = [[(ah + bh) % p * size for bh in range(p)] for ah in range(p)]
+            add_table = [
+                [h + s for h in high[ah] for s in add_table[al]]
+                for ah in range(p)
+                for al in range(size)
+            ]
+            size *= p
+
+        # Try f = x^m + low in order; x*v shifts the digits of v up by one,
+        # and the top digit c wraps round as c * x^m = -c * low.
+        top = p ** (m - 1)
+        for low in range(q):
+            multiples = [0]  # c * low for c = 0..p-1
+            for _ in range(p - 1):
+                multiples.append(add_table[multiples[-1]][low])
+            wrap = [multiples[-c] for c in range(p)]  # -c * low = (p - c) * low
+            exp, v = [], 1
+            while True:
+                exp.append(v)
+                hi, lo = divmod(v, top)
+                v = add_table[lo * p][wrap[hi]]
+                if v <= 1 or len(exp) == q - 1:
+                    break
+            if v == 1 and len(exp) == q - 1:
+                break
+
+        log: list[Optional[int]] = [None] * q
+        for k, v in enumerate(exp):
+            log[v] = k
+        exp2 = exp + exp
+        logs = log[1:]
 
         self.p = p
         self.m = m
         self.q = q
-        self.modulus = tuple(modulus)
-        self._build_tables()
-
-    @staticmethod
-    def _default_modulus(p: int, m: int) -> tuple[int, ...]:
-        q = p**m
-        radicals = _prime_factors(q - 1)
-        for poly in _monic_polys(m, p):
-            if not _is_irreducible(poly, p):
-                continue
-            x = _poly_mod((0, 1), poly, p)
-            if _poly_order_is(x, poly, p, q - 1, radicals):
-                return poly
-        raise AssertionError(f"no primitive modulus of degree {m} over GF({p})")
-
-    def _build_tables(self) -> None:
-        p, m, q = self.p, self.m, self.q
-        x_class = _poly_mod((0, 1), self.modulus, p)
-        generator = x_class
-        radicals = _prime_factors(q - 1)
-        if not _poly_order_is(generator, self.modulus, p, q - 1, radicals):
-            generator = next(
-                _trim(_decode(v, p, m))
-                for v in range(1, q)
-                if _poly_order_is(_trim(_decode(v, p, m)), self.modulus, p, q - 1, radicals)
-            )
-        self.generator = _encode(generator, p) if generator else 0
-
-        exp = [0] * (q - 1)
-        log: list[Optional[int]] = [None] * q
-        acc: tuple[int, ...] = (1,)
-        for k in range(q - 1):
-            enc = _encode(acc, p)
-            exp[k] = enc
-            log[enc] = k
-            acc = _poly_mod(_poly_mul(acc, generator, p), self.modulus, p)
-        assert acc == (1,), "generator order mismatch"
+        self.modulus = tuple(low // p**i % p for i in range(m)) + (1,)
+        self.generator = exp[1] if q > 2 else 1  # in GF(2), x = 1
         self._exp = exp
         self._log = log
-
-        if p == 2:
-            add_table = [[a ^ b for b in range(q)] for a in range(q)]
-        else:
-            add_table = [
-                [
-                    _encode(
-                        [(da + db) % p for da, db in zip(_decode(a, p, m), _decode(b, p, m))],
-                        p,
-                    )
-                    for b in range(q)
-                ]
-                for a in range(q)
-            ]
-        mul_table = [[0] * q for _ in range(q)]
-        for a in range(1, q):
-            la = log[a]
-            row = mul_table[a]
-            for b in range(1, q):
-                row[b] = exp[(la + log[b]) % (q - 1)]
         self.add_table = add_table
-        self.mul_table = mul_table
-        self.inv_table: list[Optional[int]] = [None] + [
-            exp[(q - 1 - log[a]) % (q - 1)] for a in range(1, q)
-        ]
+        self.mul_table = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
+        self.inv_table: list[Optional[int]] = [None] + [exp2[q - 1 - la] for la in logs]
 
     # -- value-level arithmetic on encodings --
 
@@ -273,34 +164,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
-
-
-def _poly_order_is(
-    elem: tuple[int, ...], modulus: Sequence[int], p: int, order: int, radicals: list[int]
-) -> bool:
-    """True iff elem has multiplicative order exactly `order` mod modulus."""
-    if not elem:
-        return False
-    if order == 1:
-        return elem == (1,)
-    return all(_poly_pow(elem, order // r, modulus, p) != (1,) for r in radicals)
-
-
-def _poly_pow(
-    base: tuple[int, ...], k: int, modulus: Sequence[int], p: int
-) -> tuple[int, ...]:
-    result: tuple[int, ...] = (1,)
-    while k:
-        if k & 1:
-            result = _poly_mod(_poly_mul(result, base, p), modulus, p)
-        base = _poly_mod(_poly_mul(base, base, p), modulus, p)
-        k >>= 1
-    return result
-
-
-def make_field(p: int, m: int = 1, modulus: Optional[Sequence[int]] = None) -> Field:
-    """Construct GF(p^m); see Field for the default modulus convention."""
-    return Field(p, m, modulus)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Everything here recomputes results along a different route than the
 library: closure by fixpoint iteration instead of dynamic programming,
-hardcoded GF(4) tables instead of generated ones, and subspace equality
-by explicit vector enumeration instead of bilinear shortcuts.
+hardcoded GF(4) tables and polynomial long division instead of generated
+tables, and subspace equality by explicit vector enumeration instead of
+bilinear shortcuts.
 """
 
 from itertools import combinations
@@ -53,6 +54,31 @@ def naive_ideal_complements(contains, elements, max_size):
             if 0 in combo and is_division_closed(contains, combo):
                 found.add(frozenset(combo))
     return found
+
+
+def _digits(value, p):
+    out = []
+    while value:
+        out.append(value % p)
+        value //= p
+    return out
+
+
+def poly_field_mul(a, b, p, modulus):
+    """a * b on integer encodings, by schoolbook product and long division
+    modulo the monic `modulus` (coefficients, constant term first)."""
+    da, db = _digits(a, p), _digits(b, p)
+    prod = [0] * (len(da) + len(db))
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    m = len(modulus) - 1
+    for i in range(len(prod) - 1, m - 1, -1):
+        c = prod[i]
+        if c:
+            for j, f in enumerate(modulus):
+                prod[i - m + j] = (prod[i - m + j] - c * f) % p
+    return sum(c * p**i for i, c in enumerate(prod[:m]))
 
 
 # -- GF(4) linear algebra for the q=2 Hermitian checks --

@@ -102,7 +102,13 @@ def test_semigroup_reports_byte_identical(capsys, tmp_path, stem, argv):
     ],
     ids=["semigroup-bound", "sparse-ideals-leader", "sparse-ideals-compare"],
 )
-def test_oversized_semigroup_report_is_refused(capsys, tmp_path, argv):
+def test_oversized_semigroup_report_is_refused(capsys, monkeypatch, tmp_path, argv):
+    # Refused before the semigroup is built: NumericalSemigroup([2000, 2001])
+    # alone takes seconds and hundreds of MB.
+    def refuse_to_build(generators):
+        raise AssertionError("semigroup built before the budget check")
+
+    monkeypatch.setattr(cli, "NumericalSemigroup", refuse_to_build)
     target = tmp_path / "out.json"
     code, out, err = run(capsys, *argv, "--json", str(target))
     assert code == 2
@@ -236,6 +242,44 @@ def test_isometry_bad_index(capsys):
     code, _, err = run(capsys, "isometry", "--q", "2", "--points", "9")
     assert code == 2
     assert "outside 1..8" in err
+
+
+# q >= 3 outputs frozen before field tables came from the multiply-by-x
+# walk: (file stem, argv); each stem has a .txt holding stdout. They print
+# encodings over GF(9), GF(16) and GF(25).
+FROZEN_HERMITIAN_REPORTS = [
+    ("isometry_q3_fibres", ("isometry", "--q", "3", "--points", "1,2,3,4,5,6,7,8,9")),
+    ("isometry_q3_vector", ("isometry", "--q", "3", "--points", "5,6,9,13,16,27")),
+    ("isometry_q3_none",
+     ("isometry", "--q", "3", "--points", "1,2,4,7,11,15,20,22,27")),
+    ("isometry_q4_fibres",
+     ("isometry", "--q", "4", "--points", ",".join(map(str, range(1, 17))))),
+    ("isometry_q4_vector", ("isometry", "--q", "4", "--points", "7,15,41,42,52")),
+    ("isometry_q5_fibres",
+     ("isometry", "--q", "5", "--points", ",".join(map(str, range(1, 26))))),
+    ("isometry_q5_vector", ("isometry", "--q", "5", "--points", "1,14,49,85,115")),
+]
+
+
+@pytest.mark.parametrize("stem,argv", FROZEN_HERMITIAN_REPORTS,
+                         ids=[stem for stem, _ in FROZEN_HERMITIAN_REPORTS])
+def test_isometry_reports_byte_identical(capsys, stem, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (DATA_DIR / "hermitian_cli" / f"{stem}.txt").read_bytes()
+
+
+def test_sampled_q3_hierarchy_byte_identical(capsys, tmp_path):
+    frozen = DATA_DIR / "hermitian_cli"
+    out_json = tmp_path / "out.json"
+    code, out, _ = run(
+        capsys, "hierarchy", "--q", "3", "--sample", "30", "--seed", "2",
+        "--min-size", "9", "--json", str(out_json),
+    )
+    assert code == 0
+    expected = (frozen / "hierarchy_q3_sample30_seed2.txt").read_text()
+    assert out == expected + f"wrote JSON to {out_json}\n"
+    assert out_json.read_bytes() == (frozen / "hierarchy_q3_sample30_seed2.json").read_bytes()
 
 
 def test_unknown_flag_is_usage_error():

@@ -1,15 +1,18 @@
+import json
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import DATA_DIR
+from oracles import poly_field_mul
 from sparse_duals import (
     DivisionByZero,
     Field,
     FieldMismatch,
     NotPrime,
-    ReducibleModulus,
     hermitian_field,
-    make_field,
 )
 
 SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4)]  # q <= 16
@@ -17,10 +20,9 @@ LARGE_ORDERS = [(5, 2), (3, 3), (2, 5), (7, 2), (2, 6), (3, 4), (11, 2), (5, 3),
 
 
 def test_gf4_is_the_expected_field():
-    F = make_field(2, 2)
+    F = Field(2, 2)
     assert F.q == 4
     assert F.modulus == (1, 1, 1)  # x^2 + x + 1
-    assert make_field(2, 2, [1, 1, 1]) == F  # explicit modulus, same field
     a = F.element(2)  # class of x
     one = F.one
     assert a * a == F.element(3)  # a^2 = a + 1
@@ -31,7 +33,7 @@ def test_gf4_is_the_expected_field():
 
 
 def test_gf2_is_xor_and():
-    F = make_field(2)
+    F = Field(2)
     for x in range(2):
         for y in range(2):
             assert F.add(x, y) == x ^ y
@@ -39,7 +41,7 @@ def test_gf2_is_xor_and():
 
 
 def test_gf9_generator_has_order_eight():
-    F = make_field(3, 2)
+    F = Field(3, 2)
     assert F.q == 9
     g = F.generator
     assert F.pow(g, 8) == 1
@@ -47,41 +49,20 @@ def test_gf9_generator_has_order_eight():
 
 
 def test_element_counts():
-    assert [e.value for e in make_field(2).all_elements()] == [0, 1]
-    assert len(make_field(2, 2).all_elements()) == 4
-    assert len(make_field(3, 2).nonzero_elements()) == 8
+    assert [e.value for e in Field(2).all_elements()] == [0, 1]
+    assert len(Field(2, 2).all_elements()) == 4
+    assert len(Field(3, 2).nonzero_elements()) == 8
 
 
 def test_not_prime():
     with pytest.raises(NotPrime):
-        make_field(4)
+        Field(4)
     with pytest.raises(NotPrime):
-        make_field(1)
-
-
-def test_reducible_modulus():
-    with pytest.raises(ReducibleModulus):
-        make_field(2, 2, [1, 0, 1])  # x^2 + 1 = (x+1)^2
-    with pytest.raises(ValueError):
-        make_field(2, 2, [1, 1])  # wrong degree
-    with pytest.raises(ValueError):
-        make_field(3, 2, [1, 1, 2])  # not monic
-
-
-def test_custom_modulus_with_non_primitive_x():
-    # x^2 + 1 is irreducible over GF(3) but x has order 4; the field must
-    # still pick a genuine generator for its tables.
-    F = Field(3, 2, [1, 0, 1])
-    g = F.generator
-    assert F.pow(g, 8) == 1
-    assert all(F.pow(g, k) != 1 for k in range(1, 8))
-    x_class = 3  # encoding of the class of x
-    assert F.pow(x_class, 4) == 1
-    assert g != x_class
+        Field(1)
 
 
 def test_division_by_zero():
-    F = make_field(2, 2)
+    F = Field(2, 2)
     with pytest.raises(DivisionByZero):
         F.inv(0)
     with pytest.raises(DivisionByZero):
@@ -91,8 +72,8 @@ def test_division_by_zero():
 
 
 def test_field_mismatch():
-    a = make_field(2, 2).element(1)
-    b = make_field(3, 2).element(1)
+    a = Field(2, 2).element(1)
+    b = Field(3, 2).element(1)
     with pytest.raises(FieldMismatch):
         a + b
     with pytest.raises(FieldMismatch):
@@ -100,13 +81,13 @@ def test_field_mismatch():
 
 
 def test_same_parameters_are_interoperable():
-    F1, F2 = make_field(2, 2), make_field(2, 2)
+    F1, F2 = Field(2, 2), Field(2, 2)
     assert F1 == F2
     assert F1.element(2) + F2.element(3) == F1.one
 
 
 def test_element_dunders_match_value_ops():
-    F = make_field(2, 2)
+    F = Field(2, 2)
     for a in F.all_elements():
         for b in F.all_elements():
             assert (a + b).value == F.add(a.value, b.value)
@@ -121,7 +102,7 @@ def test_element_dunders_match_value_ops():
 
 @pytest.mark.parametrize("p,m", SMALL_ORDERS)
 def test_field_axioms_exhaustive(p, m):
-    F = make_field(p, m)
+    F = Field(p, m)
     q = F.q
     values = range(q)
     for a in values:
@@ -149,7 +130,7 @@ def test_negation_on_every_hermitian_field(q):
 
 @pytest.mark.parametrize("p,m", SMALL_ORDERS)
 def test_frobenius_is_additive(p, m):
-    F = make_field(p, m)
+    F = Field(p, m)
     for a in range(F.q):
         for b in range(F.q):
             assert F.pow(F.add(a, b), p) == F.add(F.pow(a, p), F.pow(b, p))
@@ -157,14 +138,14 @@ def test_frobenius_is_additive(p, m):
 
 @pytest.mark.parametrize("p,m", SMALL_ORDERS + LARGE_ORDERS)
 def test_multiplicative_order_divides_q_minus_one(p, m):
-    F = make_field(p, m)
+    F = Field(p, m)
     for a in range(1, F.q):
         assert F.pow(a, F.q - 1) == 1
 
 
 @pytest.mark.parametrize("p,m", LARGE_ORDERS)
 def test_axioms_sampled_on_larger_fields(p, m):
-    F = make_field(p, m)
+    F = Field(p, m)
     q = F.q
     sample = list(range(0, q, max(1, q // 11))) + [1, q - 1]
     for a in sample:
@@ -177,7 +158,7 @@ def test_axioms_sampled_on_larger_fields(p, m):
 @given(st.sampled_from(SMALL_ORDERS + LARGE_ORDERS), st.data())
 def test_random_inverse_pairs(order, data):
     p, m = order
-    F = make_field(p, m)
+    F = Field(p, m)
     a = data.draw(st.integers(min_value=1, max_value=F.q - 1))
     assert F.mul(a, F.inv(a)) == 1
     assert F.pow(a, -1) == F.inv(a)
@@ -187,6 +168,53 @@ def test_too_large_field():
     from sparse_duals import FieldTooLarge
 
     with pytest.raises(FieldTooLarge):
-        make_field(2, 9)
+        Field(2, 9)
     with pytest.raises(FieldTooLarge):
-        make_field(257)
+        Field(257)
+
+
+# Default moduli of every field of order <= 256, frozen from the polynomial
+# search that picked them before tables came from the multiply-by-x walk.
+FROZEN_MODULI = json.loads((DATA_DIR / "gf_moduli.json").read_text())
+FROZEN_IDS = [f"GF({f['p']}^{f['m']})" for f in FROZEN_MODULI]
+
+
+def test_default_moduli_are_frozen():
+    assert len(FROZEN_MODULI) == 70
+    for frozen in FROZEN_MODULI:
+        F = Field(frozen["p"], frozen["m"])
+        assert list(F.modulus) == frozen["modulus"], F
+
+
+@pytest.mark.parametrize("frozen", FROZEN_MODULI, ids=FROZEN_IDS)
+def test_mul_table_matches_long_division(frozen):
+    F = Field(frozen["p"], frozen["m"])
+    if F.q <= 64:
+        pairs = [(a, b) for a in range(F.q) for b in range(F.q)]
+    else:
+        rng = random.Random(F.q)
+        pairs = [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(2000)]
+    for a, b in pairs:
+        assert F.mul(a, b) == poly_field_mul(a, b, F.p, frozen["modulus"]), (a, b)
+
+
+def _order_of_x(p, modulus, q):
+    """Multiplicative order of x modulo `modulus`, or None if x^k never
+    returns to 1 within q - 1 steps."""
+    v = 1
+    for k in range(1, q):
+        v = poly_field_mul(v, p, p, modulus)  # p encodes the polynomial x
+        if v == 1:
+            return k
+    return None
+
+
+@pytest.mark.parametrize("frozen", FROZEN_MODULI, ids=FROZEN_IDS)
+def test_frozen_modulus_is_first_with_primitive_x(frozen):
+    p, m, modulus = frozen["p"], frozen["m"], frozen["modulus"]
+    q = p**m
+    assert _order_of_x(p, modulus, q) == q - 1
+    low = sum(c * p**i for i, c in enumerate(modulus[:m]))
+    for smaller in range(low):
+        candidate = [smaller // p**i % p for i in range(m)] + [1]
+        assert _order_of_x(p, candidate, q) != q - 1, candidate

@@ -25,6 +25,7 @@ from sparse_duals import (
     ideal_complement_check,
     isometry_dual_criterion,
     monomial_basis,
+    qualifying_subsets,
     weierstrass_semigroup,
 )
 
@@ -371,3 +372,70 @@ def test_q3_full_sequence(q2_points):
     assert 27 not in cs.wstar and 30 not in cs.wstar and 31 not in cs.wstar
     assert ideal_complement_check(cs, weierstrass_semigroup(3))
     assert [e.value for e in find_isometry_vector(cs)] == [1] * 27
+
+
+# -- the automorphisms of the curve that fix the point at infinity --
+
+
+def _stabiliser_of_infinity(q):
+    """Each automorphism (x, y) -> (ax + b, a^(q+1) y + a b^q x + c), with
+    a != 0 and c^q + c = b^(q+1), as a permutation of 0-based point indices."""
+    F = hermitian_field(q)
+    coords = [p.coords() for p in hermitian_points(q)]
+    index = {xy: i for i, xy in enumerate(coords)}
+    perms = []
+    for a in range(1, F.q):
+        a_y = F.pow(a, q + 1)
+        for b in range(F.q):
+            a_x, norm_b = F.mul(a, F.pow(b, q)), F.pow(b, q + 1)
+            for c in range(F.q):
+                if F.add(F.pow(c, q), c) != norm_b:
+                    continue
+                perms.append(tuple(
+                    index[(F.add(F.mul(a, x), b),
+                           F.add(F.add(F.mul(a_y, y), F.mul(a_x, x)), c))]
+                    for x, y in coords
+                ))
+    return perms
+
+
+def _image(perm, combo):
+    return tuple(sorted(perm[i - 1] + 1 for i in combo))
+
+
+@pytest.mark.parametrize("q,order", [(2, 24), (3, 216)])
+def test_stabiliser_of_infinity_permutes_the_points(q, order):
+    perms = _stabiliser_of_infinity(q)
+    assert len(perms) == len(set(perms)) == order == q**3 * (q * q - 1)
+    for perm in perms:
+        assert sorted(perm) == list(range(q**3))
+
+
+def test_wstar_invariant_under_stabiliser_q2(q2_sequences):
+    perms = _stabiliser_of_infinity(2)
+    rng = random.Random(24)
+    assert len(q2_sequences) == 255
+    for combo, cs in q2_sequences.items():
+        for perm in rng.sample(perms, 3):
+            assert q2_sequences[_image(perm, combo)].wstar == cs.wstar
+
+
+def test_wstar_invariant_under_stabiliser_q3_sampled():
+    pts = hermitian_points(3)
+    perms = _stabiliser_of_infinity(3)
+    rng = random.Random(216)
+    for _ in range(40):
+        combo = tuple(sorted(rng.sample(range(1, 28), rng.randint(1, 27))))
+        wstar = compute_wstar([pts[i - 1] for i in combo], 3).wstar
+        for perm in rng.sample(perms, 3):
+            image = _image(perm, combo)
+            assert compute_wstar([pts[i - 1] for i in image], 3).wstar == wstar
+
+
+def test_qualifying_q2_subsets_form_six_orbits():
+    perms = _stabiliser_of_infinity(2)
+    qualifying = set(qualifying_subsets(2))
+    assert len(qualifying) == 31
+    orbits = {frozenset(_image(perm, combo) for perm in perms) for combo in qualifying}
+    assert set().union(*orbits) == qualifying
+    assert len(orbits) == 6
