@@ -31,7 +31,7 @@ from .puncturing import (
     sample_qualifying_subsets,
     verify_inheritance,
 )
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, semigroup_conductor
 from .sparse_ideals import inclusion_report, leader_set, maximum_sparse_from_leader
 
 
@@ -66,12 +66,11 @@ def _format_set(values) -> str:
 
 def cmd_semigroup(args: argparse.Namespace) -> int:
     bound = args.bound
-    if bound is not None:  # refuse before building the semigroup
-        _check_report_size(bound * (bound + 1) // 2, f"--bound {bound}")
-    S = NumericalSemigroup(args.generators)
     if bound is None:
-        bound = 2 * max(S.conductor, S.multiplicity)
-        _check_report_size(bound * (bound + 1) // 2, f"--bound {bound}")
+        conductor = semigroup_conductor(args.generators)
+        bound = 2 * max(conductor, min(args.generators))
+    _check_report_size(bound * (bound + 1) // 2, f"--bound {bound}")  # before the build
+    S = NumericalSemigroup(args.generators)
     if bound < S.conductor:
         raise ValueError(f"--bound must be at least the conductor {S.conductor}")
     leaders = leader_set(S, bound)

@@ -16,6 +16,7 @@ one pole order from the module into W*.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -103,11 +104,15 @@ def hermitian_points(q: int) -> list[CurvePoint]:
     """All q^3 affine points; for q = 2 in the frozen eight-point order,
     otherwise sorted by coordinate encodings."""
     field = hermitian_field(q)
+    # Bucket every y by y^q + y, then read the bucket of x^(q+1) for each x:
+    # O(q^2) field operations, in the order of a scan over (x, y).
+    ys_with_trace: dict[int, list[int]] = {}
+    for y in range(field.q):
+        ys_with_trace.setdefault(field.add(field.pow(y, q), y), []).append(y)
     coords = [
         (x, y)
         for x in range(field.q)
-        for y in range(field.q)
-        if _on_curve(field, x, y, q)
+        for y in ys_with_trace.get(field.pow(x, q + 1), ())
     ]
     assert len(coords) == q**3
     if q == 2:
@@ -143,14 +148,24 @@ def weierstrass_semigroup(q: int) -> NumericalSemigroup:
     return NumericalSemigroup([q, q + 1])
 
 
+def _powers(values: list[int], top: int, mul) -> list[list[int]]:
+    """[values^0, values^1, ..., values^top], componentwise."""
+    pows = [[1] * len(values)]
+    for _ in range(top):
+        pows.append([mul[v][w] for v, w in zip(pows[-1], values)])
+    return pows
+
+
 @dataclass(frozen=True)
 class CodeSequence:
     """Nested code sequence from evaluating the monomial basis at a point set.
 
-    `generator_rows` are the n evaluation rows (integer encodings) at which
-    the rank grew, so the first i of them generate the i-dimensional code
-    of the sequence. `wstar` lists the pole orders of those rank jumps,
-    starting with 0.
+    `wstar` lists the pole orders at which the rank grew, starting with 0.
+    `generator_rows` are the n evaluation rows (integer encodings) of the
+    monomials with those pole orders, so the first i of them generate the
+    i-dimensional code of the sequence. They are a function of `points`,
+    `wstar` and `q`, built on first read and kept: equality, hashing and
+    `dataclasses.replace` see only the fields.
     """
 
     q: int
@@ -158,11 +173,22 @@ class CodeSequence:
     field: Field
     points: tuple[CurvePoint, ...]
     wstar: tuple[int, ...]
-    generator_rows: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def generator_rows(self) -> tuple[tuple[int, ...], ...]:
+        q, mul = self.q, self.field.mul_table
+        x_pows = _powers([pt.x.value for pt in self.points], self.wstar[-1] // q, mul)
+        y_pows = _powers([pt.y.value for pt in self.points], q - 1, mul)
+        rows = []
+        for w in self.wstar:
+            b = w % q
+            a = (w - b * (q + 1)) // q
+            rows.append(tuple([mul[v][u] for v, u in zip(x_pows[a], y_pows[b])]))
+        return tuple(rows)
 
     def to_json(self) -> dict:
         return {
@@ -205,7 +231,7 @@ def _dot(u: Sequence[int], v: Sequence[int], field: Field) -> int:
 
 
 def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
-    """W* and the generator rows of the code sequence, one point at a time.
+    """W* of the code sequence at the points, one point at a time.
 
     The functions with poles only at infinity form the free F[x]-module
     with basis 1, y, ..., y^(q-1), whose pole orders b(q+1) are distinct
@@ -217,10 +243,12 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
     with the least rho_s is replaced by (x - alpha) g_s, the other nonzero
     generators are reduced by g_s without changing their pole orders, and
     rho_s joins W*. Each g_b is kept only as its values at the points not
-    yet added, so a point costs q vector operations, O(q n^2) in total.
+    yet added. Points are added last to first, so the new point is the
+    last entry of every vector and leaves it by a pop: a point costs q
+    vector operations, O(q n^2) in total.
 
-    The generator rows are the monomials x^a y^b with pole order in W*,
-    evaluated at the points in increasing pole order.
+    The generator rows are not built here; `CodeSequence.generator_rows`
+    evaluates them on first read.
     """
     points = tuple(points)
     if not points:
@@ -238,54 +266,32 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
     g = curve_genus(q)
     mul, add, inv = field.mul_table, field.add_table, field.inv_table
     xs = [pt.x.value for pt in points]
-    ys = [pt.y.value for pt in points]
-    y_pows = [[1] * n]
-    for _ in range(q - 1):
-        y_pows.append([mul[v][w] for v, w in zip(y_pows[-1], ys)])
-
-    gens = y_pows[:]  # the generators start as y^b; updates replace, never mutate
+    gens = _powers([pt.y.value for pt in points], q - 1, mul)  # g_b starts as y^b
     rho = [b * (q + 1) for b in range(q)]
     wstar = []
-    for j in range(n):
-        live = [b for b in range(q) if gens[b][0]]
+    for alpha in reversed(xs):
+        live = [b for b in range(q) if gens[b][-1]]
         if not live:
             raise AssertionError("every generator vanishes at a new distinct point")
         s = min(live, key=rho.__getitem__)
         gs = gens[s]
-        rest = gs[1:]
-        pivot_inv = inv[gs[0]]
+        pivot_inv = inv[gs.pop()]
         for b in range(q):
             gb = gens[b]
             if b == s:
-                shift = add[field.neg(xs[j])]
-                gens[b] = [mul[shift[x]][v] for x, v in zip(xs[j + 1 :], rest)]
-            elif gb[0]:
-                row = mul[field.neg(mul[gb[0]][pivot_inv])]
-                gens[b] = [add[v][row[w]] for v, w in zip(gb[1:], rest)]
+                shift = add[field.neg(alpha)]
+                gens[b] = [mul[shift[x]][v] for x, v in zip(xs, gs)]
+            elif gb[-1]:
+                row = mul[field.neg(mul[gb.pop()][pivot_inv])]
+                gens[b] = [add[v][row[w]] for v, w in zip(gb, gs)]
             else:
-                gens[b] = gb[1:]
+                gb.pop()
         wstar.append(rho[s])
         rho[s] += q
     wstar.sort()
     if wstar[-1] > n + 2 * g - 1:
         raise AssertionError("rank must reach n by pole order n + 2g - 1")
-
-    x_pows = [[1] * n]
-    for _ in range(wstar[-1] // q):
-        x_pows.append([mul[v][w] for v, w in zip(x_pows[-1], xs)])
-    gen_rows = []
-    for w in wstar:
-        b = w % q
-        a = (w - b * (q + 1)) // q
-        gen_rows.append(tuple(mul[v][u] for v, u in zip(x_pows[a], y_pows[b])))
-    return CodeSequence(
-        q=q,
-        genus=g,
-        field=field,
-        points=points,
-        wstar=tuple(wstar),
-        generator_rows=tuple(gen_rows),
-    )
+    return CodeSequence(q=q, genus=g, field=field, points=points, wstar=tuple(wstar))
 
 
 def isometry_dual_criterion(cs: CodeSequence) -> bool:

@@ -2,12 +2,52 @@
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left, bisect_right
 from functools import reduce
+from itertools import compress
 from math import gcd
 from typing import Iterable
 
 from .errors import EmptyGenerators, GcdNotOne
+
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # 0/1 byte negation
+
+
+def _generators_and_apery(generators: Iterable[int]) -> tuple[tuple[int, ...], list[int]]:
+    """The sorted distinct generators and the Apery set of their semigroup
+    with respect to the smallest one, m: entry r is the least member
+    congruent to r mod m. Shortest paths over the m residues (Dijkstra,
+    one edge per generator), so the cost does not grow with the conductor."""
+    gens = tuple(sorted(set(int(a) for a in generators)))
+    if not gens:
+        raise EmptyGenerators("at least one generator is required")
+    if gens[0] < 1:
+        raise ValueError(f"generators must be positive, got {gens[0]}")
+    if reduce(gcd, gens) != 1:
+        raise GcdNotOne(
+            f"gcd({', '.join(map(str, gens))}) != 1: complement would be infinite"
+        )
+    m = gens[0]
+    apery = [-1] * m
+    heap = [(0, 0)]
+    while heap:
+        w, r = heapq.heappop(heap)
+        if apery[r] >= 0:
+            continue
+        apery[r] = w
+        for a in gens[1:]:
+            nxt = (r + a) % m
+            if apery[nxt] < 0:
+                heapq.heappush(heap, (w + a, nxt))
+    return gens, apery
+
+
+def semigroup_conductor(generators: Iterable[int]) -> int:
+    """The conductor of the semigroup the generators generate, validated as
+    by `NumericalSemigroup` but without building it: max(Apery set) - m + 1."""
+    gens, apery = _generators_and_apery(generators)
+    return max(apery) - gens[0] + 1
 
 
 class NumericalSemigroup:
@@ -22,37 +62,21 @@ class NumericalSemigroup:
     __slots__ = ("generators", "conductor", "genus", "gaps", "_membership", "_below")
 
     def __init__(self, generators: Iterable[int]):
-        gens = tuple(sorted(set(int(a) for a in generators)))
-        if not gens:
-            raise EmptyGenerators("at least one generator is required")
-        if gens[0] < 1:
-            raise ValueError(f"generators must be positive, got {gens[0]}")
-        if reduce(gcd, gens) != 1:
-            raise GcdNotOne(
-                f"gcd({', '.join(map(str, gens))}) != 1: complement would be infinite"
-            )
-        # Closure by dynamic programming. min*max always exceeds the largest
-        # gap of the generated semigroup, so the conductor lands inside the
-        # table.
-        bound = gens[0] * gens[-1]
-        member = bytearray(bound + 1)
-        member[0] = 1
-        for n in range(gens[0], bound + 1):
-            for a in gens:
-                if a > n:
-                    break
-                if member[n - a]:
-                    member[n] = 1
-                    break
-        frobenius = next((n for n in range(bound, -1, -1) if not member[n]), None)
-        conductor = 0 if frobenius is None else frobenius + 1
+        gens, apery = _generators_and_apery(generators)
+        # n is a member iff n >= apery[n % m]: fill each residue class from
+        # its least member up to the conductor.
+        m = gens[0]
+        conductor = max(apery) - m + 1
+        member = bytearray(conductor)
+        for w in apery:
+            member[w::m] = b"\x01" * len(range(w, conductor, m))
 
         self.generators = gens
         self.conductor = conductor
-        self.gaps = tuple(n for n in range(conductor) if not member[n])
+        self.gaps = tuple(compress(range(conductor), member.translate(_FLIP)))
         self.genus = len(self.gaps)
         self._membership = bytes(member)
-        self._below = tuple(n for n in range(conductor) if member[n])
+        self._below = tuple(compress(range(conductor), member))
 
     def contains(self, n: int) -> bool:
         """True iff n is an element; negative n are never elements."""

@@ -120,6 +120,17 @@ def naive_wstar_q2(coords):
 # -- from-scratch W* over any Hermitian field --
 
 
+def naive_curve_coords(q):
+    """Every (x, y) with x^(q+1) = y^q + y, by scanning all q^4 pairs."""
+    field = hermitian_field(q)
+    return [
+        (x, y)
+        for x in range(field.q)
+        for y in range(field.q)
+        if field.pow(x, q + 1) == field.add(field.pow(y, q), y)
+    ]
+
+
 def naive_wstar(points, q):
     """W* and generator rows by Gaussian elimination of the monomial rows.
 

@@ -96,15 +96,17 @@ def test_semigroup_reports_byte_identical(capsys, tmp_path, stem, argv):
     "argv",
     [
         ("semigroup", "--generators", "3,5", "--bound", "100000000"),
+        ("semigroup", "--generators", "2000,2001"),
         ("sparse-ideals", "--generators", "3,5", "--leader", "100000000"),
         ("sparse-ideals", "--generators", "3,5", "--leader", "13",
          "--compare", "100000000"),
     ],
-    ids=["semigroup-bound", "sparse-ideals-leader", "sparse-ideals-compare"],
+    ids=["semigroup-bound", "semigroup-default-bound", "sparse-ideals-leader",
+         "sparse-ideals-compare"],
 )
 def test_oversized_semigroup_report_is_refused(capsys, monkeypatch, tmp_path, argv):
-    # Refused before the semigroup is built: NumericalSemigroup([2000, 2001])
-    # alone takes seconds and hundreds of MB.
+    # Refused before the semigroup is built; the default bound of
+    # <2000, 2001> comes from its conductor, 3 998 000, alone.
     def refuse_to_build(generators):
         raise AssertionError("semigroup built before the budget check")
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -7,6 +8,7 @@ import pytest
 from oracles import (
     is_division_closed,
     literal_isometry_check,
+    naive_curve_coords,
     naive_wstar,
     naive_wstar_q2,
 )
@@ -57,15 +59,12 @@ def test_points_satisfy_curve_equation():
             assert field.pow(p.x.value, q + 1) == field.add(field.pow(p.y.value, q), p.y.value)
 
 
-def test_point_count_matches_exhaustive_scan():
-    field = hermitian_field(3)
-    scan = {
-        (x, y)
-        for x in range(9)
-        for y in range(9)
-        if field.pow(x, 4) == field.add(field.pow(y, 3), y)
-    }
-    assert {p.coords() for p in hermitian_points(3)} == scan
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_points_match_exhaustive_scan(q):
+    coords = [p.coords() for p in hermitian_points(q)]
+    scan = naive_curve_coords(q)
+    assert sorted(coords) == scan
+    assert coords == (Q2_EXPECTED_COORDS if q == 2 else scan)
 
 
 def test_field_too_large():
@@ -135,14 +134,15 @@ def _fibre_union_wstar(q, n):
     return tuple(out)
 
 
-@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
 def test_wstar_matches_naive_elimination_sampled(q):
     pts = hermitian_points(q)
     fibres = _x_fibres(pts)
+    max_n = min(len(pts), 150)  # keeps the O(n^3) reference fast at q = 7, 8
     rng = random.Random(100 + q)
-    inputs = [rng.sample(pts, rng.randint(1, len(pts))) for _ in range(12)]
+    inputs = [rng.sample(pts, rng.randint(1, min(len(pts), max_n))) for _ in range(12)]
     for _ in range(4):
-        chosen = rng.sample(sorted(fibres), rng.randint(1, q * q))
+        chosen = rng.sample(sorted(fibres), rng.randint(1, min(q * q, max_n // q)))
         inputs.append([p for x in chosen for p in fibres[x]])
     for chosen in inputs:
         cs = compute_wstar(chosen, q)
@@ -188,6 +188,41 @@ def test_x_fibre_unions_closed_form_sampled(q):
 @pytest.mark.parametrize("q", [7, 8])
 def test_full_set_closed_form(q):
     _check_fibre_union(q, hermitian_points(q))
+
+
+def test_generator_rows_are_built_once():
+    cs = compute_wstar(hermitian_points(3)[:10], 3)
+    assert "generator_rows" not in vars(cs)
+    rows = cs.generator_rows
+    assert cs.generator_rows is rows
+    assert len(rows) == cs.n
+
+
+def test_rows_read_or_not_are_the_same_sequence():
+    pts = hermitian_points(3)[:12]
+    read, unread = compute_wstar(pts, 3), compute_wstar(pts, 3)
+    read.generator_rows
+    assert read == unread and hash(read) == hash(unread)
+    assert {read, unread} == {unread}
+    fewer = compute_wstar(pts[:-1], 3)
+    for cs in (read, unread):
+        assert replace(cs) == read
+        assert replace(cs).generator_rows == read.generator_rows
+        moved = replace(cs, points=fewer.points, wstar=fewer.wstar)
+        assert moved == fewer and moved.generator_rows == fewer.generator_rows
+
+
+def test_full_q9_set_runs_in_little_memory():
+    # Without the n x n generator rows, W* of all 729 points needs q
+    # vectors of n ints; the rows alone would take several MB.
+    pts = hermitian_points(9)
+    tracemalloc.start()
+    try:
+        assert isometry_dual_criterion(compute_wstar(pts, 9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_wstar_structure(q2_sequences):

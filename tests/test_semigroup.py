@@ -1,9 +1,13 @@
+import random
+from math import gcd
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import naive_closure
 from sparse_duals import EmptyGenerators, GcdNotOne, NumericalSemigroup
+from sparse_duals.semigroup import semigroup_conductor
 
 
 def test_trivial_semigroup():
@@ -89,6 +93,41 @@ def test_json_roundtrip():
     assert NumericalSemigroup.from_json(data) == S
     with pytest.raises(ValueError):
         NumericalSemigroup.from_json({"generators": [3, 5], "gaps": [1]})
+
+
+def _check_against_closure(S):
+    # min * max exceeds the largest gap, so the closure up to it shows them all.
+    bound = S.generators[0] * S.generators[-1]
+    members = set(naive_closure(S.generators, bound))
+    gaps = tuple(n for n in range(bound + 1) if n not in members)
+    assert S.gaps == gaps
+    assert S.conductor == (gaps[-1] + 1 if gaps else 0)
+    assert semigroup_conductor(S.generators) == S.conductor
+
+
+def test_gaps_and_conductor_match_closure_on_corpus(corpus):
+    for S in corpus:
+        _check_against_closure(S)
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_gaps_and_conductor_match_closure_sampled(count):
+    rng = random.Random(500 + count)
+    checked = 0
+    while checked < 40:
+        gens = rng.sample(range(2, 30), count)
+        if gcd(*gens) == 1:
+            _check_against_closure(NumericalSemigroup(gens))
+            checked += 1
+
+
+def test_conductor_without_building():
+    assert semigroup_conductor([2000, 2001]) == 1999 * 2000
+    assert semigroup_conductor([1]) == 0
+    with pytest.raises(GcdNotOne):
+        semigroup_conductor([4, 6])
+    with pytest.raises(EmptyGenerators):
+        semigroup_conductor([])
 
 
 @st.composite
