@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
-"""Time the Hermitian layers of the checkout this file sits in and record
-them in a BENCH JSON file.
+"""Time the Hermitian layers and the CLI commands of the checkout this
+file sits in and record them in a BENCH JSON file.
 
     python3 scripts/bench_layers.py --out BENCH_hermitian.json
 
 Measures best-of-k wall times of `hermitian_points` for every q up to 16,
-and `compute_wstar` times and `tracemalloc` peaks on the full point sets
-for q = 5, 7, 8, 9, 11, 13 and on three seeded large subsets. The run is
-stored under its commit (`git describe --always --dirty`) next to the runs
-already in the file, so running it on two checkouts with the same --out
-keeps both for comparison.
+`compute_wstar` times and `tracemalloc` peaks on the full point sets for
+q = 5, 7, 8, 9, 11, 13 and on three seeded large subsets, and best-of-k
+times of in-process `cli.main` calls, stdout captured, for five commands.
+The run is stored under its commit (`git describe --always --dirty`) next
+to the runs already in the file, so running it on two checkouts with the
+same --out keeps both for comparison.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -22,16 +24,24 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from sparse_duals import compute_wstar, hermitian_points  # noqa: E402
+from sparse_duals import cli, compute_wstar, hermitian_points  # noqa: E402
 
 POINTS_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 FULL_SET_Q = (5, 7, 8, 9, 11, 13)
+CLI_COMMANDS = (
+    "isometry --q 3 --points 1,5,9,13,17,21",
+    "isometry --q 4 --points 7,15,41,42,52",
+    "semigroup --generators 7,16",
+    "sparse-ideals --generators 7,16,20 --leader 92 --compare 61",
+    "verify --q 2 --skip-oracle",
+)
 
 
 def best_ms(fn, k: int) -> float:
@@ -57,6 +67,16 @@ def wstar_entry(points, q: int, k: int) -> dict:
         "k": k,
         "tracemalloc_peak_mb": round(peak / 1e6, 3),
     }
+
+
+def cli_entry(command: str, k: int) -> dict:
+    def call():
+        with redirect_stdout(io.StringIO()):
+            code = cli.main(command.split())
+        if code != 0:
+            raise RuntimeError(f"sparse-duals {command}: exit {code}")
+
+    return {"best_ms": best_ms(call, k), "k": k}
 
 
 def subsets() -> dict:
@@ -85,6 +105,7 @@ def measure() -> dict:
             str(q): best_ms(lambda: hermitian_points(q), 10) for q in POINTS_Q
         },
         "compute_wstar": wstar,
+        "cli": {command: cli_entry(command, 30) for command in CLI_COMMANDS},
     }
 
 

@@ -3,11 +3,16 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error (including
 an output file that cannot be written). Identical invocations produce
 byte-identical output files.
+
+`main(argv)` may be called any number of times in one process. The
+argparse parser is built on the first call and reused by every later one;
+each call parses into a fresh namespace, so no option carries over.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import combinations
@@ -142,7 +147,9 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
     g = curve_genus(q)
     W = weierstrass_semigroup(q)
     boundary = 2 * g + 2
-    if args.sample:
+    if args.sample is not None:
+        if args.sample < 1:
+            raise ValueError(f"--sample must be at least 1, got {args.sample}")
         subsets = sample_qualifying_subsets(q, args.min_size, args.sample, args.seed)
         mode = f"sampled ({args.sample} per size, seed {args.seed})"
     else:
@@ -254,7 +261,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_isometry(args: argparse.Namespace) -> int:
     q = args.q
     points = hermitian_points(q)
-    indices = args.points if args.points else list(range(1, len(points) + 1))
+    indices = args.points if args.points is not None else list(range(1, len(points) + 1))
     for i in indices:
         if not 1 <= i <= len(points):
             raise ValueError(f"point index {i} outside 1..{len(points)}")
@@ -271,7 +278,10 @@ def cmd_isometry(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built on the first main call, not at import
 def build_parser() -> argparse.ArgumentParser:
+    """The `sparse-duals` parser. Every call returns the same instance,
+    shared by all `main` calls, so callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="sparse-duals",
         description="Maximum sparse ideals and isometry-dual puncturing of "
@@ -321,8 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one `sparse-duals` command and return its exit code.
+
+    May be called repeatedly in one process; later calls reuse the parser
+    built by the first. argparse errors raise `SystemExit(2)` after
+    printing the usage to stderr.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (SparseDualsError, ValueError, OSError) as exc:

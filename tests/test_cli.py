@@ -1,4 +1,9 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,10 +12,35 @@ from sparse_duals import cli
 from sparse_duals.cli import main
 
 
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(cwd, *argv):
+    """`python -m sparse_duals ARGV` in a new interpreter, in directory
+    `cwd`: (exit code, stdout, stderr)."""
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparse_duals", *argv], cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_usage_error(capsys, *argv):
+    """stderr of an argv that argparse rejects with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
 
 
 def test_semigroup_report(capsys, tmp_path):
@@ -246,6 +276,22 @@ def test_isometry_bad_index(capsys):
     assert "outside 1..8" in err
 
 
+def test_isometry_empty_point_list_is_usage_error(capsys):
+    # An empty list is not "all points".
+    code, out, err = run(capsys, "isometry", "--q", "3", "--points", "")
+    assert code == 2
+    assert out == ""
+    assert "at least one evaluation point" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_hierarchy_sample_below_one_is_usage_error(capsys, count):
+    code, out, err = run(capsys, "hierarchy", "--q", "3", "--sample", count)
+    assert code == 2
+    assert out == ""
+    assert f"--sample must be at least 1, got {count}" in err
+
+
 # q >= 3 outputs frozen before field tables came from the multiply-by-x
 # walk: (file stem, argv); each stem has a .txt holding stdout. They print
 # encodings over GF(9), GF(16) and GF(25).
@@ -294,3 +340,76 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch, tmp_path):
+    # One process, one parser: every call prints and writes what a new
+    # process would, whatever ran before it (twice through the sequence).
+    frozen = DATA_DIR / "semigroup_cli"
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    isometry = ("isometry", "--q", "3")
+    verify = ("verify", "--q", "2", "--skip-oracle")
+    hierarchy = ("hierarchy", "--q", "2", "--dot", "h.dot", "--json", "h.json")
+    bad = ("semigroup", "--generators", "3,5", "--nope")
+    expected = {argv: run_fresh(fresh, *argv) for argv in (isometry, verify, hierarchy, bad)}
+    assert expected[bad][0] == 2
+    fresh_files = {name: (fresh / name).read_bytes() for name in ("h.dot", "h.json")}
+
+    for _ in range(2):
+        assert run(capsys, *isometry) == expected[isometry]
+
+        assert run(capsys, "semigroup", "--generators", "3,5", "--json", "s.json") == (
+            0, (frozen / "semigroup_3_5.txt").read_text(), "")
+        assert (here / "s.json").read_bytes() == (frozen / "semigroup_3_5.json").read_bytes()
+        (here / "s.json").unlink()
+        assert run(capsys, "semigroup", "--generators", "3,5") == (
+            0, (frozen / "semigroup_3_5.txt").read_text(), "")
+        assert list(here.iterdir()) == []  # no --json left over from the call before
+
+        assert run_usage_error(capsys, *bad) == expected[bad][2]
+
+        assert run(capsys, "sparse-ideals", "--generators", "3,5", "--leader", "13",
+                   "--compare", "10") == (
+            0, (frozen / "sparse_ideals_3_5.txt").read_text(), "")
+        assert run(capsys, *verify) == expected[verify]
+
+        assert run(capsys, *hierarchy) == expected[hierarchy]
+        for name, content in fresh_files.items():
+            assert (here / name).read_bytes() == content
+            (here / name).unlink()
+
+
+def test_later_main_calls_build_no_parser(capsys, monkeypatch):
+    run(capsys, "isometry", "--q", "2", "--points", "1,2,6")  # may build the parser
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "isometry", "--q", "2", "--points", "1,2,6")[0] == 0
+    assert run(capsys, "semigroup", "--generators", "3,5")[0] == 0
+    run_usage_error(capsys, "verify", "--q", "two")
+    assert built == []
+
+
+# `--help` pages saved with COLUMNS=80 under Python 3.11, before the
+# parser was shared between calls (argparse's layout varies by version).
+HELP_PAGES = ["top", "semigroup", "sparse-ideals", "hierarchy", "verify", "isometry"]
+
+
+@pytest.mark.parametrize("page", HELP_PAGES)
+def test_help_pages_byte_identical(capsys, monkeypatch, page):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if page == "top" else [page, "--help"]
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.encode() == (DATA_DIR / "cli_help" / f"{page}.txt").read_bytes()
