@@ -4,10 +4,11 @@ file sits in and record them in a BENCH JSON file.
 
     python3 scripts/bench_layers.py --out BENCH_hermitian.json
 
-Measures best-of-k wall times of `hermitian_points` for every q up to 16,
-`compute_wstar` times and `tracemalloc` peaks on the full point sets for
-q = 5, 7, 8, 9, 11, 13 and on three seeded large subsets, and best-of-k
-times of in-process `cli.main` calls, stdout captured, for five commands.
+Measures best-of-k wall times of a `Field(p, m)` build for every GF(q^2)
+with q up to 16 and of `hermitian_points` for the same q, `compute_wstar`
+times and `tracemalloc` peaks on the full point sets for q = 5, 7, 8, 9,
+11, 13 and on three seeded large subsets, and best-of-k times of
+in-process `cli.main` calls, stdout captured, for seven commands.
 The run is stored under its commit (`git describe --always --dirty`) next
 to the runs already in the file, so running it on two checkouts with the
 same --out keeps both for comparison.
@@ -31,7 +32,13 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from sparse_duals import cli, compute_wstar, hermitian_points  # noqa: E402
+from sparse_duals import (  # noqa: E402
+    Field,
+    cli,
+    compute_wstar,
+    hermitian_field,
+    hermitian_points,
+)
 
 POINTS_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 FULL_SET_Q = (5, 7, 8, 9, 11, 13)
@@ -41,6 +48,8 @@ CLI_COMMANDS = (
     "semigroup --generators 7,16",
     "sparse-ideals --generators 7,16,20 --leader 92 --compare 61",
     "verify --q 2 --skip-oracle",
+    "verify --q 2",
+    "hierarchy --q 2",
 )
 
 
@@ -101,6 +110,10 @@ def measure() -> dict:
         "commit": describe.stdout.strip() or "unknown",
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
+        "field_build_best_ms": {
+            str(f.q): best_ms(lambda: Field(f.p, f.m), 10)
+            for f in map(hermitian_field, POINTS_Q)
+        },
         "hermitian_points_best_ms": {
             str(q): best_ms(lambda: hermitian_points(q), 10) for q in POINTS_Q
         },

@@ -45,6 +45,10 @@ from .sparse_ideals import inclusion_report, leader_set, maximum_sparse_from_lea
 # leaders up to a bound hold at most bound * (bound + 1) / 2 in total.
 MAX_REPORT_ELEMENTS = 10**7
 
+# Largest point set `isometry` hands to the O(n^3) isometry-vector solve:
+# the full q = 8 set, about 6 s.
+MAX_ORACLE_POINTS = 512
+
 
 def _check_report_size(elements: int, what: str) -> None:
     if elements > MAX_REPORT_ELEMENTS:
@@ -110,6 +114,10 @@ def cmd_semigroup(args: argparse.Namespace) -> int:
 def cmd_sparse_ideals(args: argparse.Namespace) -> int:
     for flag, value in (("--leader", args.leader), ("--compare", args.compare)):
         if value is not None:
+            if value < 1:
+                raise ValueError(
+                    f"{flag} must be a positive element of the semigroup, got {value}"
+                )
             _check_report_size(value + 1, f"{flag} {value}")
     S = NumericalSemigroup(args.generators)
     ideal = maximum_sparse_from_leader(S, S.index_of(args.leader))
@@ -265,6 +273,11 @@ def cmd_isometry(args: argparse.Namespace) -> int:
     for i in indices:
         if not 1 <= i <= len(points):
             raise ValueError(f"point index {i} outside 1..{len(points)}")
+    if len(indices) > MAX_ORACLE_POINTS:
+        raise PreconditionViolated(
+            f"isometry on {len(indices)} points exceeds the limit of"
+            f" {MAX_ORACLE_POINTS}; choose a subset with --points"
+        )
     cs = compute_wstar([points[i - 1] for i in indices], q)
     vector = find_isometry_vector(cs)
     print(f"q={q} subset {','.join(map(str, indices))}: n={cs.n}, genus={cs.genus}")

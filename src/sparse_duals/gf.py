@@ -42,6 +42,10 @@ class Field:
     Value-level arithmetic (add/mul/neg/inv/pow) works on integer
     encodings; element() wraps an encoding into a FieldElement. The
     generator is the class of x; for p=2, m=2 the modulus is x^2 + x + 1.
+
+    A field may be shared by many holders (`hermitian_field` hands out one
+    per q), so its tables are read-only. Fields built separately with the
+    same p and m are equal and their elements interoperate.
     """
 
     def __init__(self, p: int, m: int = 1):
@@ -155,6 +159,8 @@ class Field:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, Field):
             return NotImplemented
         return (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)

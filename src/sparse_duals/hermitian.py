@@ -15,6 +15,7 @@ one pole order from the module into W*.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -51,14 +52,29 @@ def curve_genus(q: int) -> int:
     return q * (q - 1) // 2
 
 
+# GF(q^2) by q, for as long as some point, element or sequence refers to
+# it. A strong cache would tie each field to its module instead, and a
+# module dropped by a re-import lingers until the cyclic collector runs.
+_FIELDS: "weakref.WeakValueDictionary[int, Field]" = weakref.WeakValueDictionary()
+
+
 def hermitian_field(q: int) -> Field:
-    """GF(q^2), the field of definition of the affine points."""
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
-    if q * q > MAX_ORDER:
-        raise FieldTooLarge(f"GF({q * q}) exceeds the supported order {MAX_ORDER}")
-    p, e = _prime_power(q)
-    return Field(p, 2 * e)
+    """GF(q^2), the field of definition of the affine points.
+
+    While a GF(q^2) from an earlier call is still referenced, this returns
+    that same instance, so points, sequences and vectors of one q share
+    one field; a new one is built only when none is alive. Its tables are
+    shared with every holder and must not be modified.
+    """
+    field = _FIELDS.get(q)
+    if field is None:
+        if q < 2:
+            raise ValueError(f"q must be >= 2, got {q}")
+        if q * q > MAX_ORDER:
+            raise FieldTooLarge(f"GF({q * q}) exceeds the supported order {MAX_ORDER}")
+        p, e = _prime_power(q)
+        field = _FIELDS[q] = Field(p, 2 * e)
+    return field
 
 
 @dataclass(frozen=True)
@@ -118,7 +134,8 @@ def hermitian_points(q: int) -> list[CurvePoint]:
     if q == 2:
         assert sorted(coords) == sorted(_Q2_POINT_ORDER)
         coords = list(_Q2_POINT_ORDER)
-    return [CurvePoint(field.element(x), field.element(y)) for (x, y) in coords]
+    elements = field.all_elements()  # immutable, so the points share them
+    return [CurvePoint(elements[x], elements[y]) for (x, y) in coords]
 
 
 def monomial_basis_iter(q: int) -> Iterator[BasisFunction]:

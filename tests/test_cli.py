@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from conftest import DATA_DIR
-from sparse_duals import cli
+from sparse_duals import cli, gf, hermitian
 from sparse_duals.cli import main
 
 
@@ -94,6 +95,18 @@ def test_sparse_ideals_rejects_non_leader(capsys):
     assert code == 2 and "decomposition" in err
     code, _, err = run(capsys, "sparse-ideals", "--generators", "2,3", "--leader", "1")
     assert code == 2 and "not an element" in err
+
+
+@pytest.mark.parametrize(
+    "flag,argv",
+    [("--leader", ("--leader", "0")), ("--compare", ("--leader", "5", "--compare", "0"))],
+    ids=["leader", "compare"],
+)
+def test_sparse_ideals_leader_below_one_is_usage_error(capsys, flag, argv):
+    code, out, err = run(capsys, "sparse-ideals", "--generators", "3,5", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be a positive element of the semigroup, got 0" in err
 
 
 # Outputs frozen before the semigroup layer moved to generator-only ideal
@@ -284,6 +297,18 @@ def test_isometry_empty_point_list_is_usage_error(capsys):
     assert "at least one evaluation point" in err
 
 
+def test_isometry_refuses_more_points_than_the_oracle_limit(capsys, monkeypatch):
+    def no_wstar(*args):
+        raise AssertionError("compute_wstar ran on an oversized set")
+
+    monkeypatch.setattr(cli, "compute_wstar", no_wstar)
+    code, out, err = run(capsys, "isometry", "--q", "9")  # 729 points
+    assert code == 2
+    assert out == ""
+    assert f"729 points exceeds the limit of {cli.MAX_ORACLE_POINTS}" in err
+    assert "--points" in err
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_hierarchy_sample_below_one_is_usage_error(capsys, count):
     code, out, err = run(capsys, "hierarchy", "--q", "3", "--sample", count)
@@ -396,6 +421,39 @@ def test_later_main_calls_build_no_parser(capsys, monkeypatch):
     assert run(capsys, "semigroup", "--generators", "3,5")[0] == 0
     run_usage_error(capsys, "verify", "--q", "two")
     assert built == []
+
+
+def field_builds(monkeypatch, capsys, *argv) -> int:
+    """How many `Field`s an in-process `main(argv)` builds (it must exit 0)."""
+    built = []
+    init = gf.Field.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(gf.Field, "__init__", counting_init)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(gf.Field, "__init__", init)
+    return len(built)
+
+
+FIELD_COMMANDS = [
+    ("verify", "--q", "2"),
+    ("hierarchy", "--q", "2"),
+    ("isometry", "--q", "3", "--points", "1,5,9,13,17,21"),
+]
+
+
+@pytest.mark.parametrize("argv", FIELD_COMMANDS, ids=lambda argv: argv[0])
+def test_a_command_builds_one_field(capsys, monkeypatch, argv):
+    # Start with no field alive, whatever other tests hold.
+    fresh = weakref.WeakValueDictionary()
+    monkeypatch.setattr(hermitian, "_FIELDS", fresh, raising=False)
+    assert field_builds(monkeypatch, capsys, *argv) == 1
+    held = hermitian.hermitian_field(int(argv[2]))
+    assert field_builds(monkeypatch, capsys, *argv) == 0
+    assert hermitian.hermitian_field(int(argv[2])) is held
 
 
 # `--help` pages saved with COLUMNS=80 under Python 3.11, before the

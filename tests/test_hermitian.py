@@ -1,5 +1,7 @@
+import gc
 import random
 import tracemalloc
+import weakref
 from dataclasses import replace
 from itertools import combinations
 
@@ -12,9 +14,11 @@ from oracles import (
     naive_wstar,
     naive_wstar_q2,
 )
+from sparse_duals import hermitian
 from sparse_duals import (
     CurvePoint,
     DuplicatePoints,
+    Field,
     FieldTooLarge,
     NumericalSemigroup,
     PointNotOnCurve,
@@ -73,6 +77,40 @@ def test_field_too_large():
     with pytest.raises(ValueError):
         hermitian_points(6)  # not a prime power
     assert hermitian_field(16).q == 256  # boundary case still fits
+
+
+def test_one_field_per_q_while_referenced(monkeypatch):
+    fresh = weakref.WeakValueDictionary()
+    monkeypatch.setattr(hermitian, "_FIELDS", fresh, raising=False)
+    field = hermitian_field(5)
+    assert hermitian_field(5) is field
+    assert hermitian_points(5)[0].x.field is field
+    ref = weakref.ref(field)
+    del field
+    gc.collect()
+    assert ref() is None  # the cache alone does not keep a field alive
+    rebuilt = hermitian_field(5)
+    assert rebuilt == Field(5, 2)
+    assert hermitian_field(5) is rebuilt
+
+
+def test_points_of_a_separately_built_field_are_accepted():
+    points = hermitian_points(3)[:10]
+    other = Field(3, 2)
+    assert other is not points[0].x.field
+    moved = [CurvePoint(other.element(p.x.value), other.element(p.y.value)) for p in points]
+    cs = compute_wstar(moved, 3)
+    assert cs.wstar == compute_wstar(points, 3).wstar
+    assert cs.generator_rows == compute_wstar(points, 3).generator_rows
+    wrong = Field(3, 4)  # GF(81), not GF(9)
+    with pytest.raises(ValueError, match="does not live in"):
+        compute_wstar([CurvePoint(wrong.element(0), wrong.element(0))], 3)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 16])
+def test_points_share_their_elements(q):
+    points = hermitian_points(q)
+    assert len({id(e) for p in points for e in (p.x, p.y)}) <= q * q
 
 
 def test_monomial_basis_q2():
