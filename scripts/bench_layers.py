@@ -8,7 +8,8 @@ Measures best-of-k wall times of a `Field(p, m)` build for every GF(q^2)
 with q up to 16 and of `hermitian_points` for the same q, `compute_wstar`
 times and `tracemalloc` peaks on the full point sets for q = 5, 7, 8, 9,
 11, 13 and on three seeded large subsets, and best-of-k times of
-in-process `cli.main` calls, stdout captured, for seven commands.
+in-process `cli.main` calls, stdout captured, for nine commands (the
+`semigroup --json` reports, genus 42 and 90, go to a temporary file).
 The run is stored under its commit (`git describe --always --dirty`) next
 to the runs already in the file, so running it on two checkouts with the
 same --out keeps both for comparison.
@@ -24,6 +25,7 @@ import platform
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -50,6 +52,8 @@ CLI_COMMANDS = (
     "verify --q 2 --skip-oracle",
     "verify --q 2",
     "hierarchy --q 2",
+    "semigroup --generators 5,22 --json",
+    "semigroup --generators 7,31 --json",
 )
 
 
@@ -78,10 +82,15 @@ def wstar_entry(points, q: int, k: int) -> dict:
     }
 
 
-def cli_entry(command: str, k: int) -> dict:
+def cli_entry(command: str, k: int, tmp: Path) -> dict:
+    """A command ending in --json writes its report to a file in `tmp`."""
+    argv = command.split()
+    if argv[-1] == "--json":
+        argv.append(str(tmp / "report.json"))
+
     def call():
         with redirect_stdout(io.StringIO()):
-            code = cli.main(command.split())
+            code = cli.main(argv)
         if code != 0:
             raise RuntimeError(f"sparse-duals {command}: exit {code}")
 
@@ -106,6 +115,8 @@ def measure() -> dict:
     )
     wstar = {f"full_q{q}": wstar_entry(hermitian_points(q), q, 3) for q in FULL_SET_Q}
     wstar.update({name: wstar_entry(pts, q, 30) for name, (q, pts) in subsets().items()})
+    with tempfile.TemporaryDirectory() as tmp:
+        timings = {command: cli_entry(command, 30, Path(tmp)) for command in CLI_COMMANDS}
     return {
         "commit": describe.stdout.strip() or "unknown",
         "python": platform.python_version(),
@@ -118,7 +129,7 @@ def measure() -> dict:
             str(q): best_ms(lambda: hermitian_points(q), 10) for q in POINTS_Q
         },
         "compute_wstar": wstar,
-        "cli": {command: cli_entry(command, 30) for command in CLI_COMMANDS},
+        "cli": timings,
     }
 
 

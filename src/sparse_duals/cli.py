@@ -69,8 +69,45 @@ def _write(path: str, content: str) -> None:
     Path(path).write_text(content, encoding="utf-8")
 
 
+def _join_ints(sep: str, values) -> str:
+    """`sep.join(map(str, values))` for a list or tuple of ints. A long one
+    is joined in slices, so it never holds a str object per element at once."""
+    step = 1 << 16
+    if len(values) <= step:
+        return sep.join(map(str, values))
+    return sep.join([_join_ints(sep, values[k:k + step]) for k in range(0, len(values), step)])
+
+
 def _format_set(values) -> str:
-    return "{" + ", ".join(str(v) for v in values) + "}"
+    return "{" + _join_ints(", ", values) + "}"
+
+
+def _report_json(value, indent: str = "") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, with each
+    list of plain ints joined by `str.join` instead of encoded item by item.
+
+    Plain ints, non-empty lists and tuples, and non-empty dicts with str
+    keys are laid out here; anything else, bools and other int subclasses
+    included, goes to `json.dumps`.
+    """
+    if type(value) is int:
+        return str(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)) and value:
+        sep = ",\n" + inner
+        if set(map(type, value)) == {int}:
+            items = _join_ints(sep, value)
+        else:
+            items = sep.join([_report_json(v, inner) for v in value])
+        return f"[\n{inner}{items}\n{indent}]"
+    if isinstance(value, dict) and value and set(map(type, value)) == {str}:
+        items = (",\n" + inner).join(
+            [f"{json.dumps(k)}: {_report_json(value[k], inner)}" for k in sorted(value)]
+        )
+        return f"{{\n{inner}{items}\n{indent}}}"
+    if isinstance(value, (list, tuple, dict)):  # empty, or keys that are not all str
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    return json.dumps(value)  # a scalar: the same text with or without indent
 
 
 def cmd_semigroup(args: argparse.Namespace) -> int:
@@ -107,7 +144,7 @@ def cmd_semigroup(args: argparse.Namespace) -> int:
             "leaders": list(leaders),
             "maximum_sparse_ideals": [ideal.to_json() for ideal in ideals],
         }
-        _write(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write(args.json, _report_json(payload) + "\n")
     return 0
 
 
@@ -146,7 +183,7 @@ def cmd_sparse_ideals(args: argparse.Namespace) -> int:
         payload["inclusion"] = report.to_json()
     print("\n".join(out))
     if args.json:
-        _write(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write(args.json, _report_json(payload) + "\n")
     return 0
 
 
@@ -193,7 +230,7 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
         _write(args.dot, export_dot(graph))
         print(f"wrote DOT to {args.dot}")
     if args.json:
-        _write(args.json, json.dumps(graph_to_json(graph), indent=2, sort_keys=True) + "\n")
+        _write(args.json, _report_json(graph_to_json(graph)) + "\n")
         print(f"wrote JSON to {args.json}")
     return 0 if report.ok else 1
 

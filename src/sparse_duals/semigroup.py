@@ -104,6 +104,16 @@ class NumericalSemigroup:
             return len(self._below) + (value - self.conductor)
         return bisect_left(self._below, value)
 
+    def membership(self, bound: int) -> bytes:
+        """Byte n is 1 if n is an element and 0 if not, for 0 <= n <= bound.
+
+        Read with `int.from_bytes(..., "little")`, byte n sits at bit 8n, so
+        set-wide tests become single big-int operations.
+        """
+        if bound < self.conductor:
+            return self._membership[: max(bound + 1, 0)]
+        return self._membership + b"\x01" * (bound + 1 - self.conductor)
+
     def members(self, bound: int) -> list[int]:
         """All elements <= bound, in increasing order."""
         if bound < self.conductor:

@@ -8,16 +8,23 @@ number of any proper ideal is at most 2g - 1 + #T; ideals attaining the
 bound are the maximum sparse ideals, and they are exactly the complements
 of divisor sets D(i) at non-zero elements with no two-gap decomposition
 (G(i) = 0). The attained Frobenius number is called the ideal's leader.
+
+Set-wide tests run on byte masks: a set of non-negative integers is a
+0/1 byte string read as a little-endian int, byte n at bit 8n (see
+`NumericalSemigroup.membership`). Reading the same bytes big-endian
+mirrors them, n -> top - n, so "y and lam - y both in the set" and
+"t - a for t in the set" are one `&` or one shift each, done in C.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress, islice
+from operator import lt
 from typing import Iterable, Optional, Sequence
 
 from .errors import DifferentParents, NotALeader, NotAnIdeal, NotMaximumSparse, NotProper
-from .semigroup import NumericalSemigroup
+from .semigroup import _FLIP, NumericalSemigroup
 
 
 @dataclass(frozen=True)
@@ -32,14 +39,16 @@ class SemigroupIdeal:
     complement: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        comp = tuple(sorted(set(int(t) for t in self.complement)))
-        object.__setattr__(self, "complement", comp)
-        for t in comp:
-            if not self.parent.contains(t):
-                raise NotAnIdeal(f"complement element {t} is not in {self.parent!r}")
-        escape = division_escape(self.parent, comp)
-        if escape is not None:
-            t, a = escape
+        S, comp = self.parent, self.complement
+        if not _strictly_increasing_ints(comp):
+            comp = tuple(sorted(set(int(t) for t in comp)))
+            object.__setattr__(self, "complement", comp)
+        T, members = _masks(S, comp)
+        if T & ~members or (comp and comp[0] < 0):
+            t = next(t for t in comp if not S.contains(t))
+            raise NotAnIdeal(f"complement element {t} is not in {S!r}")
+        if _escapes(S, T, members):
+            t, a = _first_escape(S, comp)
             raise NotAnIdeal(
                 f"complement not division-closed: {t} - {a} = {t - a} escapes"
             )
@@ -85,14 +94,49 @@ def division_escape(
 
     Generators suffice: every element of S is a sum of generators, so
     I + a contained in I for each generator a gives I + S contained in I.
-    O(#complement * #generators).
+    One mask test per generator decides whether any (t, a) exists; only
+    then is the complement walked for the first one.
     """
+    T, members = _masks(S, complement)
+    return _first_escape(S, complement) if _escapes(S, T, members) else None
+
+
+def _strictly_increasing_ints(values: Sequence[int]) -> bool:
+    return (
+        type(values) is tuple
+        and set(map(type, values)) <= {int}
+        and all(map(lt, values, islice(values, 1, None)))
+    )
+
+
+def _masks(S: NumericalSemigroup, values: Sequence[int]) -> tuple[int, int]:
+    """Byte masks of the non-negative `values` and of the elements of S, up
+    to max(values). A negative t never escapes: t - a is negative too."""
+    top = max(values) if values else -1
+    buf = bytearray(top + 1 if top >= 0 else 0)
+    for t in values:
+        if t >= 0:
+            buf[t] = 1
+    return int.from_bytes(buf, "little"), int.from_bytes(S.membership(top), "little")
+
+
+def _escapes(S: NumericalSemigroup, T: int, members: int) -> bool:
+    """Is some t - a, t in T and a a generator, an element of S outside T?"""
+    outside = members & ~T
+    for a in S.generators:
+        if (T >> 8 * a) & outside:
+            return True
+    return False
+
+
+def _first_escape(S: NumericalSemigroup, complement: Sequence[int]) -> tuple[int, int]:
     comp = set(complement)
-    for t in complement:
-        for a in S.generators:
-            if S.contains(t - a) and (t - a) not in comp:
-                return t, a
-    return None
+    return next(
+        (t, a)
+        for t in complement
+        for a in S.generators
+        if S.contains(t - a) and (t - a) not in comp
+    )
 
 
 def divisor_set(S: NumericalSemigroup, i: int) -> tuple[int, ...]:
@@ -100,22 +144,32 @@ def divisor_set(S: NumericalSemigroup, i: int) -> tuple[int, ...]:
     if i < 0:
         raise ValueError("index must be non-negative")
     lam = S.element(i)
-    return tuple(y for y in S.members(lam) if S.contains(lam - y))
+    member = S.membership(lam)
+    both = int.from_bytes(member, "little") & int.from_bytes(member, "big")
+    return tuple(compress(range(lam + 1), both.to_bytes(lam + 1, "little")))
 
 
 def gap_pair_count(S: NumericalSemigroup, i: int) -> int:
     """G(i): number of unordered gap pairs (a, b), a <= b, with a + b = element(i)."""
     if i < 0:
         raise ValueError("index must be non-negative")
-    return _gap_pairs_at(S, S.element(i))
+    lam = S.element(i)
+    shifted, mirrored = _gap_masks(S)
+    ordered = ((shifted >> 8 * (lam + 1)) & mirrored).bit_count()
+    # Each pair a < b is counted as (a, b) and (b, a), a = b = lam / 2 once.
+    return (ordered + (lam % 2 == 0 and not S.contains(lam // 2))) // 2
 
 
-def _gap_pairs_at(S: NumericalSemigroup, value: int) -> int:
-    # Only gaps a with value - conductor < a <= value / 2 can pair: then
-    # 1 <= a <= value - a < conductor, so a non-element value - a is a gap.
-    gaps = S.gaps
-    window = gaps[bisect_right(gaps, value - S.conductor):bisect_right(gaps, value // 2)]
-    return sum(1 for a in window if not S.contains(value - a))
+def _gap_masks(S: NumericalSemigroup) -> tuple[int, int]:
+    """(G << 8c, M) for the gap mask G and its mirror M, byte c - 1 - a for
+    gap a, where c is the conductor. Byte c - 1 - a of (G << 8c) >> 8(lam + 1)
+    is byte lam - a of G, so ((G << 8c) >> 8(lam + 1)) & M has one 1-byte per
+    gap a with lam - a also a gap: the ordered gap pairs summing to lam."""
+    gap_bytes = S.membership(S.conductor - 1).translate(_FLIP)
+    return (
+        int.from_bytes(gap_bytes, "little") << 8 * S.conductor,
+        int.from_bytes(gap_bytes, "big"),
+    )
 
 
 def is_maximum_sparse(ideal: SemigroupIdeal) -> bool:
@@ -152,8 +206,11 @@ def leader_set(S: NumericalSemigroup, bound: int) -> tuple[int, ...]:
     """
     if bound < S.conductor:
         raise ValueError(f"bound {bound} is below the conductor {S.conductor}")
+    shifted, mirrored = _gap_masks(S)
     return tuple(
-        lam for lam in S.members(bound) if lam > 0 and _gap_pairs_at(S, lam) == 0
+        lam
+        for lam in S.members(bound)
+        if lam > 0 and not (shifted >> 8 * (lam + 1)) & mirrored
     )
 
 

@@ -36,6 +36,29 @@ def naive_gap_pairs(gaps, value):
     return sum(1 for a in gaps if 2 * a <= value and (value - a) in gap_set)
 
 
+def naive_divisors(contains, lam):
+    """D(lam): every y in 0..lam with y and lam - y both members."""
+    return tuple(y for y in range(lam + 1) if contains(y) and contains(lam - y))
+
+
+def naive_leaders(contains, gaps, bound):
+    """Non-zero members lam <= bound with no pair of gaps summing to lam."""
+    return tuple(
+        lam for lam in range(1, bound + 1)
+        if contains(lam) and naive_gap_pairs(gaps, lam) == 0
+    )
+
+
+def naive_first_escape(contains, generators, complement):
+    """First (t, a), in complement then generator order, with t - a a member
+    outside the complement; None if there is none."""
+    for t in complement:
+        for a in generators:
+            if contains(t - a) and (t - a) not in complement:
+                return t, a
+    return None
+
+
 def is_division_closed(contains, complement):
     """Ideal test: complement closed under subtracting semigroup elements."""
     comp = set(complement)

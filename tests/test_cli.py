@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -8,8 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA_DIR
-from sparse_duals import cli, gf, hermitian
+from conftest import CORPUS_GENERATORS, DATA_DIR
+from sparse_duals import (
+    NumericalSemigroup,
+    cli,
+    gf,
+    hermitian,
+    inclusion_report,
+    leader_set,
+    maximum_sparse_from_leader,
+)
 from sparse_duals.cli import main
 
 
@@ -133,6 +142,83 @@ def test_semigroup_reports_byte_identical(capsys, tmp_path, stem, argv):
     assert code == 0
     assert out.encode() == (frozen / f"{stem}.txt").read_bytes()
     assert out_json.read_bytes() == (frozen / f"{stem}.json").read_bytes()
+
+
+REPORT_JSON_CASES = [
+    {}, [], (), [[]], [{}], {"e": []}, None, True, False, 0, -5, 10**40, 1.5,
+    "tab\t quote\" back\\ nl\n é \u2028",
+    [1, True, 2], [False, 0], (1, 2, 3), ((1, 2), (3,)), [[1, 2], [3], []],
+    [1, None, 2], [1, 2.0], [-1, 10**30], ("a", 1),
+    {"b": 1, "a": [True, 1], "c\n": {"d": ()}},
+    {1: "int key"}, {"x": {2: [1, 2], "y": 3}}, [{True: 1, "k": 2}],
+    {"long": list(range(-5, 2**16 + 5))},  # joined in more than one slice
+]
+
+
+def _random_report_value(rng, depth=0):
+    kind = rng.randrange(8 if depth < 4 else 3)
+    if kind == 0:
+        return rng.choice([None, True, False, 0, -7, 2**70, 0.25, "", "q\"\u00e9\n"])
+    if kind in (1, 2):  # a list or tuple of ints, bools sometimes mixed in
+        ints = [rng.choice([rng.randrange(-9, 10**6), True, False]) if rng.random() < 0.1
+                else rng.randrange(-9, 10**6) for _ in range(rng.randrange(6))]
+        return ints if kind == 1 else tuple(ints)
+    if kind in (3, 4):
+        items = [_random_report_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+        return items if kind == 3 else tuple(items)
+    keys = rng.sample(["a", "b", "B", "ab", "é", "k\n", "0", "10", "9"], rng.randrange(5))
+    if kind == 7 and keys:
+        keys[0] = rng.choice([1, 2.5, None, True])  # a key json turns into a string
+    return {k: _random_report_value(rng, depth + 1) for k in keys}
+
+
+def _corpus_payloads():
+    """Report-shaped payloads of every corpus semigroup."""
+    for gens in CORPUS_GENERATORS:
+        S = NumericalSemigroup(gens)
+        ideals = [maximum_sparse_from_leader(S, S.index_of(lam))
+                  for lam in leader_set(S, 2 * S.conductor)]
+        yield {
+            "semigroup": S.to_json(),
+            "bound": 2 * S.conductor,
+            "leaders": [ideal.leader for ideal in ideals],
+            "maximum_sparse_ideals": [ideal.to_json() for ideal in ideals],
+        }
+        yield {
+            "ideal": ideals[-1].to_json(),
+            "compare": ideals[0].to_json(),
+            "inclusion": inclusion_report(ideals[-1], ideals[0]).to_json(),
+        }
+
+
+def test_report_json_is_json_dumps_byte_for_byte():
+    rng = random.Random(4242)
+    values = REPORT_JSON_CASES + [_random_report_value(rng) for _ in range(2000)]
+    values += list(_corpus_payloads())
+    for value in values:
+        try:
+            expected = json.dumps(value, indent=2, sort_keys=True)
+        except TypeError:  # keys of mixed types do not sort
+            continue
+        assert cli._report_json(value) == expected, value
+    long = tuple(range(2**17 + 3))
+    assert cli._format_set(long) == "{" + ", ".join(map(str, long)) + "}"
+
+
+@pytest.mark.parametrize("gens", CORPUS_GENERATORS)
+def test_semigroup_json_files_match_json_dumps(capsys, tmp_path, gens):
+    csv = ",".join(map(str, gens))
+    S = NumericalSemigroup(gens)
+    leaders = leader_set(S, 2 * max(S.conductor, gens[0]))
+    for argv in (
+        ("semigroup", "--generators", csv),
+        ("sparse-ideals", "--generators", csv, "--leader", str(leaders[-1]),
+         "--compare", str(leaders[0])),
+    ):
+        code, _, _ = run(capsys, *argv, "--json", str(tmp_path / "r.json"))
+        text = (tmp_path / "r.json").read_text()
+        assert code == 0
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(

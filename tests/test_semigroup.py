@@ -187,3 +187,11 @@ def test_element_is_increasing_and_onto(gens):
     assert all(a < b for a, b in zip(values, values[1:]))
     assert all(S.contains(v) for v in values)
     assert set(values) >= set(S.members(values[-1]))
+
+
+@given(coprime_generators())
+def test_membership_bytes_at_every_bound(gens):
+    S = NumericalSemigroup(gens)
+    members = set(naive_closure(gens, S.conductor + 4))
+    for bound in range(-2, S.conductor + 4):
+        assert S.membership(bound) == bytes(n in members for n in range(bound + 1))

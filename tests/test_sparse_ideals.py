@@ -1,11 +1,21 @@
 import random
+import tracemalloc
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import CORPUS_GENERATORS
-from oracles import is_division_closed, naive_gap_pairs, naive_ideal_complements
+from oracles import (
+    is_division_closed,
+    naive_closure,
+    naive_divisors,
+    naive_first_escape,
+    naive_gap_pairs,
+    naive_ideal_complements,
+    naive_leaders,
+)
 from sparse_duals import (
     DifferentParents,
     NotALeader,
@@ -23,6 +33,7 @@ from sparse_duals import (
     leader_set,
     maximum_sparse_from_leader,
 )
+from sparse_duals.sparse_ideals import division_escape
 
 S23 = NumericalSemigroup([2, 3])
 S35 = NumericalSemigroup([3, 5])
@@ -261,3 +272,111 @@ def test_ideal_json():
     }
     plain = ideal_from_complement(S23, [0])
     assert plain.to_json()["leader"] is None
+
+
+def _sampled_generators(count):
+    """Seeded semigroups on 1 to 4 generators, gcd 1."""
+    rng = random.Random(9090)
+    out = [(1,), (1, 4)]
+    while len(out) < count:
+        gens = tuple(sorted(rng.sample(range(2, 24), rng.randint(2, 4))))
+        if gcd(*gens) == 1:
+            out.append(gens)
+    return out
+
+
+MASK_CORPUS = CORPUS_GENERATORS + NON_MINIMAL_GENERATORS + _sampled_generators(30)
+
+
+def _naive(gens):
+    """The semigroup of `gens` from the fixpoint closure alone: a membership
+    test, the gaps and a bound past twice the conductor."""
+    S = NumericalSemigroup(gens)
+    bound = 2 * S.conductor + max(gens) + 3
+    members = set(naive_closure(gens, 2 * bound + 10))  # past D(element(9)) too
+    gaps = [n for n in range(bound) if n not in members]
+    return S, (lambda n: n in members), gaps, bound
+
+
+@pytest.mark.parametrize("gens", MASK_CORPUS)
+def test_divisor_gap_pair_and_leader_masks_match_naive_loops(gens):
+    S, contains, gaps, bound = _naive(gens)
+    for lam in filter(contains, range(bound + 1)):
+        i = S.index_of(lam)
+        assert divisor_set(S, i) == naive_divisors(contains, lam)
+        assert gap_pair_count(S, i) == naive_gap_pairs(gaps, lam)
+    assert leader_set(S, bound) == naive_leaders(contains, gaps, bound)
+
+
+def test_gap_pair_counts_cover_odd_and_even_values():
+    # Exact counts above 1 at both parities, and a middle pair lam = 2a with a gap.
+    seen = set()
+    for gens in MASK_CORPUS:
+        S, contains, gaps, bound = _naive(gens)
+        for lam in filter(contains, range(bound + 1)):
+            pairs = gap_pair_count(S, S.index_of(lam))
+            if pairs > 1:
+                seen.add((lam % 2, lam % 2 == 0 and not contains(lam // 2)))
+    assert seen == {(0, False), (0, True), (1, False)}
+
+
+def _complements(S, contains, bound, rng):
+    """Division-closed and not: divisor sets, each with one element dropped,
+    and random draws holding gaps, negatives and duplicates, in any order."""
+    exact = [divisor_set(S, i) for i in range(1, 10)]
+    near = [t[:k] + t[k + 1:] for t in exact[:5] for k in range(len(t))]
+    drawn = [
+        [rng.randrange(-3, bound) for _ in range(rng.randint(1, 8))] for _ in range(40)
+    ]
+    members = [n for n in range(bound) if contains(n)]
+    drawn += [[0, *rng.sample(members, rng.randint(1, min(5, len(members))))] for _ in range(40)]
+    return exact + near + drawn + [sorted(set(t)) for t in drawn]
+
+
+@pytest.mark.parametrize("gens", MASK_CORPUS)
+def test_escape_and_ideal_checks_match_naive_first_witness(gens):
+    S, contains, gaps, bound = _naive(gens)
+    rng = random.Random(sum(gens))
+    outcomes = set()
+    for comp in _complements(S, contains, bound, rng):
+        assert division_escape(S, comp) == naive_first_escape(contains, S.generators, comp)
+        tidy = tuple(sorted(set(comp)))
+        outside = [t for t in tidy if not contains(t)]
+        escape = naive_first_escape(contains, S.generators, tidy)
+        if outside:
+            expected = f"complement element {outside[0]} is not in {S!r}"
+        elif escape is not None:
+            t, a = escape
+            expected = f"complement not division-closed: {t} - {a} = {t - a} escapes"
+        else:
+            assert SemigroupIdeal(S, comp).complement == tidy
+            outcomes.add("ideal")
+            continue
+        with pytest.raises(NotAnIdeal) as info:
+            SemigroupIdeal(S, comp)
+        assert str(info.value) == expected
+        outcomes.add("outside" if outside else "escape")
+    assert outcomes == {"ideal", "outside", "escape"}
+
+
+def test_complement_is_normalised_only_when_needed():
+    comp = (0, 3)
+    assert SemigroupIdeal(S23, comp).complement is comp
+    assert SemigroupIdeal(S23, [3, 0, 3]).complement == (0, 3)
+    flagged = SemigroupIdeal(N0, (0, True)).complement  # bools become plain ints
+    assert flagged == (0, 1) and type(flagged[1]) is int
+
+
+def test_large_leader_ideal_runs_in_little_memory():
+    # D(10^6) on <3,5> holds 999 993 elements, about 36 MB as a tuple of
+    # ints (45 MB peak). Masks cost a few MB on top; a sorted(set(...)) copy
+    # and the per-element sets of the escape test cost about 50 MB more.
+    lam = 10**6
+    tracemalloc.start()
+    try:
+        ideal = maximum_sparse_from_leader(S35, S35.index_of(lam))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ideal.leader == lam and len(ideal.complement) == lam - 2 * S35.genus + 1
+    assert peak < 64_000_000
