@@ -4,12 +4,19 @@ file sits in and record them in a BENCH JSON file.
 
     python3 scripts/bench_layers.py --out BENCH_hermitian.json
 
-Measures best-of-k wall times of a `Field(p, m)` build for every GF(q^2)
-with q up to 16 and of `hermitian_points` for the same q, `compute_wstar`
-times and `tracemalloc` peaks on the full point sets for q = 5, 7, 8, 9,
-11, 13 and on three seeded large subsets, and best-of-k times of
+Measures wall times of a `Field(p, m)` build for every GF(q^2) with q up
+to 16 and of `hermitian_points` for the same q (with GF(q^2) held, so no
+field is built in the call), `compute_wstar` times and
+`tracemalloc` peaks on the full point sets for q = 5, 7, 8, 9, 11, 13 and
+on three seeded large subsets, `qualifying_subsets` at q = 2 and 3,
+`build_hierarchy` and `verify_inheritance` on the q = 2 hierarchy, and
 in-process `cli.main` calls, stdout captured, for nine commands (the
 `semigroup --json` reports, genus 42 and 90, go to a temporary file).
+Every entry is timed best-of-k in each of ROUNDS rounds, and each round
+times all entries in turn, so a slow spell of the host reaches every
+entry instead of the few timed during it; an entry records the best of
+each round (`round_best_ms`) and the best of all (`best_ms`). An entry
+whose call raises a package error records the error instead of times.
 The run is stored under its commit (`git describe --always --dirty`) next
 to the runs already in the file, so running it on two checkouts with the
 same --out keeps both for comparison.
@@ -36,10 +43,16 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from sparse_duals import (  # noqa: E402
     Field,
+    SparseDualsError,
+    build_hierarchy,
     cli,
     compute_wstar,
+    curve_genus,
     hermitian_field,
     hermitian_points,
+    qualifying_subsets,
+    verify_inheritance,
+    weierstrass_semigroup,
 )
 
 POINTS_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
@@ -55,6 +68,7 @@ CLI_COMMANDS = (
     "semigroup --generators 5,22 --json",
     "semigroup --generators 7,31 --json",
 )
+ROUNDS = 3
 
 
 def best_ms(fn, k: int) -> float:
@@ -66,23 +80,16 @@ def best_ms(fn, k: int) -> float:
     return round(best * 1e3, 3)
 
 
-def wstar_entry(points, q: int, k: int) -> dict:
+def peak_mb(fn) -> float:
     tracemalloc.start()
     try:
-        compute_wstar(points, q)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return round(tracemalloc.get_traced_memory()[1] / 1e6, 3)
     finally:
         tracemalloc.stop()
-    return {
-        "q": q,
-        "n": len(points),
-        "best_ms": best_ms(lambda: compute_wstar(points, q), k),
-        "k": k,
-        "tracemalloc_peak_mb": round(peak / 1e6, 3),
-    }
 
 
-def cli_entry(command: str, k: int, tmp: Path) -> dict:
+def cli_call(command: str, tmp: Path):
     """A command ending in --json writes its report to a file in `tmp`."""
     argv = command.split()
     if argv[-1] == "--json":
@@ -94,7 +101,7 @@ def cli_entry(command: str, k: int, tmp: Path) -> dict:
         if code != 0:
             raise RuntimeError(f"sparse-duals {command}: exit {code}")
 
-    return {"best_ms": best_ms(call, k), "k": k}
+    return call
 
 
 def subsets() -> dict:
@@ -108,36 +115,73 @@ def subsets() -> dict:
     return out
 
 
-def measure() -> dict:
+def timed(entries: dict) -> dict:
+    """Time every (section, name) -> (fn, k) entry best-of-k in each of
+    ROUNDS rounds, all entries in turn within a round."""
+    results = {}
+    for key, (fn, k) in entries.items():
+        try:
+            fn()  # warm-up, and the error of an entry that cannot run
+        except SparseDualsError as exc:
+            results[key] = {"error": f"{type(exc).__name__}: {exc}"}
+        else:
+            results[key] = {"k": k, "round_best_ms": []}
+    for _ in range(ROUNDS):
+        for key, (fn, k) in entries.items():
+            if "k" in results[key]:
+                results[key]["round_best_ms"].append(best_ms(fn, k))
+    for entry in results.values():
+        if "k" in entry:
+            entry["best_ms"] = min(entry["round_best_ms"])
+    return results
+
+
+def measure(tmp: Path) -> dict:
     describe = subprocess.run(
         ["git", "describe", "--always", "--dirty"], cwd=ROOT,
         capture_output=True, text=True, check=False,
     )
-    wstar = {f"full_q{q}": wstar_entry(hermitian_points(q), q, 3) for q in FULL_SET_Q}
-    wstar.update({name: wstar_entry(pts, q, 30) for name, (q, pts) in subsets().items()})
-    with tempfile.TemporaryDirectory() as tmp:
-        timings = {command: cli_entry(command, 30, Path(tmp)) for command in CLI_COMMANDS}
-    return {
+    entries = {}
+    for f in map(hermitian_field, POINTS_Q):
+        entries["field_build", str(f.q)] = ((lambda f=f: Field(f.p, f.m)), 10)
+    for q in POINTS_Q:
+        entries["hermitian_points", str(q)] = ((lambda q=q: hermitian_points(q)), 10)
+    wstar_sets = {f"full_q{q}": (q, hermitian_points(q), 3) for q in FULL_SET_Q}
+    wstar_sets.update({name: (q, pts, 30) for name, (q, pts) in subsets().items()})
+    for name, (q, pts, k) in wstar_sets.items():
+        entries["compute_wstar", name] = ((lambda q=q, pts=pts: compute_wstar(pts, q)), k)
+    q2_subsets = qualifying_subsets(2)
+    q2_graph = build_hierarchy(q2_subsets, boundary=4)
+    W2 = weierstrass_semigroup(2)
+    entries["puncturing", "qualifying_subsets(2)"] = (lambda: qualifying_subsets(2), 30)
+    entries["puncturing", "qualifying_subsets(3)"] = (lambda: qualifying_subsets(3), 3)
+    entries["puncturing", "build_hierarchy(q=2)"] = (
+        lambda: build_hierarchy(q2_subsets, boundary=4), 30)
+    entries["puncturing", "verify_inheritance(q=2)"] = (
+        lambda: verify_inheritance(q2_graph, W2, curve_genus(2)), 30)
+    for command in CLI_COMMANDS:
+        entries["cli", command] = (cli_call(command, tmp), 30)
+
+    run = {
         "commit": describe.stdout.strip() or "unknown",
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
-        "field_build_best_ms": {
-            str(f.q): best_ms(lambda: Field(f.p, f.m), 10)
-            for f in map(hermitian_field, POINTS_Q)
-        },
-        "hermitian_points_best_ms": {
-            str(q): best_ms(lambda: hermitian_points(q), 10) for q in POINTS_Q
-        },
-        "compute_wstar": wstar,
-        "cli": timings,
+        "rounds": ROUNDS,
     }
+    for (section, name), entry in timed(entries).items():
+        run.setdefault(section, {})[name] = entry
+    for name, (q, pts, _) in wstar_sets.items():
+        run["compute_wstar"][name].update(
+            q=q, n=len(pts), tracemalloc_peak_mb=peak_mb(lambda: compute_wstar(pts, q)))
+    return run
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="BENCH JSON file to create or update")
     out = Path(parser.parse_args().out)
-    run = measure()
+    with tempfile.TemporaryDirectory() as tmp:
+        run = measure(Path(tmp))
     runs = json.loads(out.read_text())["runs"] if out.exists() else []
     runs = [r for r in runs if r["commit"] != run["commit"]] + [run]
     out.write_text(json.dumps({"runs": runs}, indent=2, sort_keys=True) + "\n")

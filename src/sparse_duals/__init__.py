@@ -35,10 +35,12 @@ from .hermitian import (
     weierstrass_semigroup,
 )
 from .puncturing import (
+    DivisorClasses,
     HierarchyGraph,
     HierarchyNode,
     InheritanceReport,
     build_hierarchy,
+    divisor_classes,
     export_dot,
     graph_to_json,
     qualifying_subsets,

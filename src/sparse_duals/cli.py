@@ -1,8 +1,10 @@
 """Command-line front end: reproducible semigroup and hierarchy reports.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (including
-an output file that cannot be written). Identical invocations produce
-byte-identical output files.
+Exit codes: 0 success; 1 verification failure, and nothing else; 2 usage
+error, including an output file that cannot be written, a refused
+request and `error: out of memory`; 3 any other exception, an internal
+error, after its traceback. Identical invocations produce byte-identical
+output files.
 
 `main(argv)` may be called any number of times in one process. The
 argparse parser is built on the first call and reused by every later one;
@@ -23,6 +25,7 @@ from .hermitian import (
     compute_wstar,
     curve_genus,
     find_isometry_vector,
+    hermitian_field,
     hermitian_points,
     ideal_complement_check,
     isometry_dual_criterion,
@@ -48,6 +51,17 @@ MAX_REPORT_ELEMENTS = 10**7
 # Largest point set `isometry` hands to the O(n^3) isometry-vector solve:
 # the full q = 8 set, about 6 s.
 MAX_ORACLE_POINTS = 512
+
+# Largest curve `hierarchy` and `verify` run on without --sample: q = 2.
+# At q = 3 `verify` would compute W* for each of the 2^27 subsets above
+# the boundary, and `build_hierarchy` compares its 32 767 nodes pairwise.
+MAX_EXHAUSTIVE_POINTS = 8
+
+
+def _refuse_exhaustive(q: int) -> None:
+    if q**3 > MAX_EXHAUSTIVE_POINTS:
+        hermitian_field(q)  # an unsupported q is reported as such first
+        raise TooManySubsets(f"refusing to enumerate 2^{q**3} subsets for q={q}")
 
 
 def _check_report_size(elements: int, what: str) -> None:
@@ -78,8 +92,16 @@ def _join_ints(sep: str, values) -> str:
     return sep.join([_join_ints(sep, values[k:k + step]) for k in range(0, len(values), step)])
 
 
-def _format_set(values) -> str:
-    return "{" + _join_ints(", ", values) + "}"
+def _print_set(prefix: str, values, suffix: str = "") -> None:
+    """`print(prefix + "{" + ", ".join(map(str, values)) + "}" + suffix)`,
+    written to stdout a slice of the set at a time, so a long line is never
+    held whole."""
+    write = sys.stdout.write
+    write(prefix + "{")
+    step = 1 << 16
+    for k in range(0, len(values), step):
+        write((", " if k else "") + ", ".join(map(str, values[k:k + step])))
+    write("}" + suffix + "\n")
 
 
 def _report_json(value, indent: str = "") -> str:
@@ -122,21 +144,16 @@ def cmd_semigroup(args: argparse.Namespace) -> int:
     leaders = leader_set(S, bound)
     ideals = [maximum_sparse_from_leader(S, S.index_of(lam)) for lam in leaders]
 
-    out = [
-        f"semigroup generated by {', '.join(map(str, S.generators))}",
-        f"gaps: {_format_set(S.gaps) if S.gaps else '{}'}",
-        f"genus: {S.genus}",
-        f"conductor: {S.conductor}",
-        f"leader set (0 < element <= {bound}): "
-        + (" ".join(map(str, leaders)) if leaders else "(empty)"),
-        f"maximum sparse ideals with leader <= {bound}:",
-    ]
+    print(f"semigroup generated by {', '.join(map(str, S.generators))}")
+    _print_set("gaps: ", S.gaps)
+    print(f"genus: {S.genus}")
+    print(f"conductor: {S.conductor}")
+    print(f"leader set (0 < element <= {bound}): "
+          + (" ".join(map(str, leaders)) if leaders else "(empty)"))
+    print(f"maximum sparse ideals with leader <= {bound}:")
     for ideal in ideals:
-        out.append(
-            f"  leader {ideal.leader}: complement {_format_set(ideal.complement)},"
-            f" frobenius {ideal.frobenius}"
-        )
-    print("\n".join(out))
+        _print_set(f"  leader {ideal.leader}: complement ", ideal.complement,
+                   f", frobenius {ideal.frobenius}")
     if args.json:
         payload = {
             "semigroup": S.to_json(),
@@ -158,30 +175,25 @@ def cmd_sparse_ideals(args: argparse.Namespace) -> int:
             _check_report_size(value + 1, f"{flag} {value}")
     S = NumericalSemigroup(args.generators)
     ideal = maximum_sparse_from_leader(S, S.index_of(args.leader))
-    out = [
-        f"semigroup generated by {', '.join(map(str, S.generators))}",
-        f"maximum sparse ideal with leader {ideal.leader}:",
-        f"  complement: {_format_set(ideal.complement)}",
-        f"  frobenius: {ideal.frobenius}",
-        f"  sparsity bound 2g-1+#complement: "
-        f"{2 * S.genus - 1 + len(ideal.complement)}",
-    ]
-    payload = {"ideal": ideal.to_json()}
-    if args.compare is not None:
+    if args.compare is not None:  # built before any output, as it may be refused
         other = maximum_sparse_from_leader(S, S.index_of(args.compare))
         report = inclusion_report(ideal, other)
-        out += [
-            f"comparison against leader {other.leader}"
-            f" (complement {_format_set(other.complement)}):",
-            f"  second contains first:       {str(report.superset).lower()}",
-            f"  leader difference in S:      {str(report.leader_difference).lower()}",
-            f"  complements nested:          {str(report.complement_nested).lower()}",
-            f"  complement-size diff in S:   {str(report.size_difference).lower()}",
-            f"  all four agree:              {str(report.agree).lower()}",
-        ]
+    print(f"semigroup generated by {', '.join(map(str, S.generators))}")
+    print(f"maximum sparse ideal with leader {ideal.leader}:")
+    _print_set("  complement: ", ideal.complement)
+    print(f"  frobenius: {ideal.frobenius}")
+    print(f"  sparsity bound 2g-1+#complement: {2 * S.genus - 1 + len(ideal.complement)}")
+    payload = {"ideal": ideal.to_json()}
+    if args.compare is not None:
+        _print_set(f"comparison against leader {other.leader} (complement ",
+                   other.complement, "):")
+        print(f"  second contains first:       {str(report.superset).lower()}")
+        print(f"  leader difference in S:      {str(report.leader_difference).lower()}")
+        print(f"  complements nested:          {str(report.complement_nested).lower()}")
+        print(f"  complement-size diff in S:   {str(report.size_difference).lower()}")
+        print(f"  all four agree:              {str(report.agree).lower()}")
         payload["compare"] = other.to_json()
         payload["inclusion"] = report.to_json()
-    print("\n".join(out))
     if args.json:
         _write(args.json, _report_json(payload) + "\n")
     return 0
@@ -199,6 +211,7 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
         mode = f"sampled ({args.sample} per size, seed {args.seed})"
     else:
         try:
+            _refuse_exhaustive(q)
             subsets = qualifying_subsets(q, args.min_size)
         except TooManySubsets as exc:
             raise TooManySubsets(f"{exc}; use --sample N (and --seed) instead") from exc
@@ -237,6 +250,7 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     q = args.q
+    _refuse_exhaustive(q)
     points = hermitian_points(q)
     n = len(points)
     g = curve_genus(q)
@@ -385,7 +399,8 @@ def main(argv=None) -> int:
 
     May be called repeatedly in one process; later calls reuse the parser
     built by the first. argparse errors raise `SystemExit(2)` after
-    printing the usage to stderr.
+    printing the usage to stderr. Any other exception is reported on
+    stderr and turned into its exit code (see the module docstring).
     """
     args = build_parser().parse_args(argv)
     try:
@@ -393,6 +408,14 @@ def main(argv=None) -> int:
     except (SparseDualsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    except Exception:  # an internal error must not read as a failed verification
+        import traceback  # only here: importing it costs every run about 0.4 MB
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

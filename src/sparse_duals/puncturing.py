@@ -1,7 +1,10 @@
 """Punctured point subsets, the qualification test, and the inclusion hierarchy.
 
 A subset P of the affine points qualifies when #P + 2g - 1 lands in the
-rank-jump set W* of the punctured sequence. Qualifying subsets are
+rank-jump set W* of the punctured sequence. By Riemann-Roch that happens
+exactly when the divisor sum(P) is linearly equivalent to #P P_inf, so
+`qualifying_subsets` lists the subsets whose divisor classes sum to 0 and
+runs W* only to certify the class group. Qualifying subsets are
 partially ordered by inclusion; the hierarchy graph keeps the covering
 relations of that order. Above the boundary #P > 2g + 2, qualifying is
 equivalent to the sequence being isometry-dual, and the size difference
@@ -13,14 +16,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional, Sequence
+from functools import cached_property
+from itertools import product
+from typing import Iterator, Optional, Sequence
 
 from .errors import TooManySubsets
-from .hermitian import compute_wstar, curve_genus, hermitian_points
+from .hermitian import compute_wstar, curve_genus, hermitian_points, monomial_basis_iter
 from .semigroup import NumericalSemigroup
 
-EXHAUSTIVE_LIMIT = 25  # refuse exhaustive sweeps over more than 2^25 subsets
+# Largest point set whose subsets are listed by class: 2^27, the q = 3
+# curve. The listing joins the classes of the subsets of two halves of the
+# points, 2^(n/2) each; at q = 4 (64 points) about 7.6e10 subsets qualify.
+EXHAUSTIVE_LIMIT = 27
+
 
 def subset_qualifies(q: int, subset: Sequence[int], points=None) -> bool:
     """Does the punctured sequence on the 1-based point indices qualify?"""
@@ -31,21 +39,203 @@ def subset_qualifies(q: int, subset: Sequence[int], points=None) -> bool:
     return (len(chosen) + 2 * curve_genus(q) - 1) in cs.wstar
 
 
-def qualifying_subsets(q: int, min_size: int = 2) -> list[tuple[int, ...]]:
-    """All qualifying subsets with at least `min_size` points, ordered by
-    cardinality descending then lexicographically."""
-    if min_size < 1:
-        raise ValueError("min_size must be >= 1")
+def _zero_set_relations(q: int, points) -> list[int]:
+    """Bitmasks (bit i - 1 for point i) of the zero sets of the functions f
+    with pole order k <= 2q that have k distinct zeros among the points.
+
+    Such an f has divisor sum(P) - k P_inf, so each zero set is a relation.
+    f is monic in its leading monomial; its constant term is whatever makes
+    it vanish, so the points are bucketed by the value of the rest.
+    """
+    field = points[0].x.field
+    mul, add = field.mul_table, field.add_table
+    basis = []
+    for fn in monomial_basis_iter(q):
+        if fn.pole_order > 2 * q:
+            break
+        basis.append(fn)
+    values = [  # of each non-constant monomial at the points
+        [mul[field.pow(pt.x.value, fn.x_exp)][field.pow(pt.y.value, fn.y_exp)] for pt in points]
+        for fn in basis[1:]
+    ]
+    relations = []
+    for k, fn in enumerate(basis[1:]):
+        for coeffs in product(range(field.q), repeat=k):
+            rest = values[k]
+            for c, lower in zip(coeffs, values):
+                rest = [add[v][mul[c][w]] for v, w in zip(rest, lower)]
+            zero_sets: dict[int, int] = {}
+            for i, v in enumerate(rest):
+                zero_sets[v] = zero_sets.get(v, 0) | 1 << i
+            relations += [m for m in zero_sets.values() if m.bit_count() == fn.pole_order]
+    return relations
+
+
+def _diagonal_form(relations: list[int], n: int) -> tuple[list[int], list[list[int]]]:
+    """Diagonal entries d and a unimodular n x n matrix V such that an
+    integer vector c lies in the lattice spanned by the relation bitmasks
+    exactly when (c V)_t is divisible by d_t for every t.
+
+    Row operations bring the relations to echelon (Hermite) form; column
+    operations, applied to V too, clear each pivot row, so the lattice is
+    the row span of diag(d) V^-1. The pivot is always the entry of least
+    absolute value, and a pivot step repeats until its row and column are
+    clear. A relation lattice of rank below n raises AssertionError.
+    """
+    rows = [[m >> i & 1 for i in range(n)] for m in relations]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = []
+    for t in range(n):
+        while True:
+            live = [(abs(r[j]), i, j) for i, r in enumerate(rows[t:], t)
+                    for j in range(t, n) if r[j]]
+            if not live:
+                raise AssertionError(f"the relations have rank {t} < {n}")
+            _, i, j = min(live)
+            rows[t], rows[i] = rows[i], rows[t]
+            for r in rows[t:] + V:
+                r[t], r[j] = r[j], r[t]
+            pivot = rows[t]
+            p = pivot[t]
+            for r in rows[t + 1:]:
+                f = r[t] // p
+                if f:
+                    r[t:] = [a - f * b for a, b in zip(r[t:], pivot[t:])]
+            for j in range(t + 1, n):
+                f = pivot[j] // p
+                if f:
+                    for r in rows[t:] + V:
+                        r[j] -= f * r[t]
+            if not any(r[t] for r in rows[t + 1:]) and not any(pivot[t + 1:]):
+                break
+        d.append(abs(p))
+        rows[t + 1:] = [r for r in rows[t + 1:] if any(r)]
+    return d, V
+
+
+class DivisorClasses:
+    """The group G = Z^n / L of divisors sum c_i (P_i - P_inf) on the n
+    affine points, modulo the principal ones, as a product of cyclic groups.
+
+    `orders` are the cyclic factors, each above 1, and `point_classes[i]`
+    the class of P_(i+1) - P_inf as residues modulo them. A point set P
+    qualifies (#P + 2g - 1 in W*) exactly when sum(P) ~ #P P_inf
+    (Riemann-Roch with K ~ (2g - 2) P_inf), that is when the classes of its
+    points sum to 0. (A plain class: making it a dataclass would add
+    about 0.5 ms to every import of the package.)
+    """
+
+    def __init__(self, orders: tuple[int, ...], point_classes: tuple[tuple[int, ...], ...]):
+        self.orders = orders
+        self.point_classes = point_classes
+
+    @property
+    def zero(self) -> tuple[int, ...]:
+        return (0,) * len(self.orders)
+
+    def _add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple([(x + y) % d for x, y, d in zip(a, b, self.orders)])
+
+    def class_of(self, subset: Sequence[int]) -> tuple[int, ...]:
+        """The class of sum (P_i - P_inf) over the 1-based indices."""
+        total = self.zero
+        for i in subset:
+            total = self._add(total, self.point_classes[i - 1])
+        return total
+
+    def qualifies(self, subset: Sequence[int]) -> bool:
+        return not any(self.class_of(subset))
+
+    def prime_order_classes(self) -> Iterator[tuple[int, ...]]:
+        """Every class of prime order: for each prime p dividing |G|, the
+        nonzero multiples of d/p on the factors d divisible by p."""
+        primes = {p for d in self.orders for p in range(2, d + 1)
+                  if d % p == 0 and all(p % r for r in range(2, p))}
+        for p in sorted(primes):
+            axes = [range(0, d, d // p) if d % p == 0 else (0,) for d in self.orders]
+            for cls in product(*axes):
+                if any(cls):
+                    yield cls
+
+    def _subsets_with_classes(self, start: int, stop: int):
+        """Every subset of the points start+1..stop, as index tuples in
+        bitmask order, and the class of each."""
+        sets: list[tuple[int, ...]] = [()]
+        classes = [self.zero]
+        for i in range(start, stop):
+            c = self.point_classes[i]
+            sets += [s + (i + 1,) for s in sets]
+            classes += [self._add(a, c) for a in classes]
+        return sets, classes
+
+    @cached_property
+    def _halves(self):
+        """The subsets of the first n // 2 points with their classes, and
+        the subsets of the other points grouped by class."""
+        n = len(self.point_classes)
+        low = self._subsets_with_classes(0, n // 2)
+        high: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for s, c in zip(*self._subsets_with_classes(n // 2, n)):
+            high.setdefault(c, []).append(s)
+        return list(zip(*low)), high
+
+    def subsets(self, cls: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """Every subset in class `cls` (the empty one too when cls is 0), as
+        increasing 1-based indices: a low half joined with each high half
+        whose class makes up the difference."""
+        low, high = self._halves
+        for s, a in low:
+            need = tuple([(c - x) % d for c, x, d in zip(cls, a, self.orders)])
+            for t in high.get(need, ()):
+                yield s + t
+
+
+def divisor_classes(q: int) -> DivisorClasses:
+    """The classes of the affine points of the curve, certified exact.
+
+    The zero sets of the functions of pole order k <= 2q with k distinct
+    zeros span a sublattice L' of the lattice L of relations; their
+    diagonal form gives G' = Z^n / L'. L' = L exactly when L / L', a
+    subgroup of G', is 0, and a nonzero one would hold a class of prime
+    order whose subsets all qualify. So one subset of every class of prime
+    order is checked with `compute_wstar`: a failing one rules its class
+    out, and a qualifying one is a relation L' lacks, so it is added and
+    the check starts over. A class with no subset cannot be ruled out and
+    raises AssertionError; more than 2^27 subsets raise TooManySubsets.
+    """
     points = hermitian_points(q)
     n = len(points)
     if n > EXHAUSTIVE_LIMIT:
         raise TooManySubsets(f"refusing to enumerate 2^{n} subsets for q={q}")
-    return [
-        combo
-        for size in range(n, min_size - 1, -1)
-        for combo in combinations(range(1, n + 1), size)
-        if subset_qualifies(q, combo, points)
-    ]
+    relations = _zero_set_relations(q, points)
+    while True:
+        d, V = _diagonal_form(relations, n)
+        factors = [t for t in range(n) if d[t] > 1]
+        classes = DivisorClasses(
+            orders=tuple(d[t] for t in factors),
+            point_classes=tuple(tuple(row[t] % d[t] for t in factors) for row in V),
+        )
+        for cls in classes.prime_order_classes():
+            witness = next(classes.subsets(cls), None)
+            if witness is None:
+                raise AssertionError(f"no subset has class {cls}; cannot certify")
+            if subset_qualifies(q, witness, points):
+                relations.append(sum(1 << (i - 1) for i in witness))
+                break
+        else:
+            return classes
+
+
+def qualifying_subsets(q: int, min_size: int = 2) -> list[tuple[int, ...]]:
+    """All qualifying subsets with at least `min_size` points, ordered by
+    cardinality descending then lexicographically: the subsets in class 0
+    of `divisor_classes(q)`."""
+    if min_size < 1:
+        raise ValueError("min_size must be >= 1")
+    classes = divisor_classes(q)
+    found = [s for s in classes.subsets(classes.zero) if len(s) >= min_size]
+    found.sort(key=lambda s: (-len(s), s))
+    return found
 
 
 def sample_qualifying_subsets(
@@ -88,8 +278,13 @@ class HierarchyGraph:
     edges: tuple[tuple[int, int], ...]
     boundary: Optional[int]
 
-    def node_sets(self) -> list[frozenset[int]]:
-        return [frozenset(node.subset) for node in self.nodes]
+
+def _mask(subset: Sequence[int]) -> int:
+    """The subset as an int with bit i set for each index i."""
+    mask = 0
+    for i in subset:
+        mask |= 1 << i
+    return mask
 
 
 def build_hierarchy(
@@ -100,19 +295,21 @@ def build_hierarchy(
     if len(set(canon)) != len(canon):
         raise ValueError("subsets must be distinct")
     canon.sort(key=lambda s: (-len(s), s))
-    sets = [frozenset(s) for s in canon]
+    masks = [_mask(s) for s in canon]
     edges = []
-    for ci, child in enumerate(sets):
-        for pi, parent in enumerate(sets):
-            if child < parent and not any(
-                child < mid < parent for mid in sets
-            ):
-                edges.append((ci, pi))
+    # A strict superset has more points, so it comes earlier in the order,
+    # and an earlier superset is strict: the subsets are distinct.
+    for ci, c in enumerate(masks):
+        ups = [pi for pi in range(ci) if masks[pi] & c == c]
+        edges += [
+            (ci, pi) for pi in ups
+            if not any(masks[mi] & masks[pi] == masks[mi] and mi != pi for mi in ups)
+        ]
     nodes = tuple(
         HierarchyNode(s, None if boundary is None else len(s) > boundary)
         for s in canon
     )
-    return HierarchyGraph(nodes=nodes, edges=tuple(sorted(edges)), boundary=boundary)
+    return HierarchyGraph(nodes=nodes, edges=tuple(edges), boundary=boundary)
 
 
 @dataclass(frozen=True)
@@ -145,20 +342,21 @@ def verify_inheritance(
     """Check #P - #P' in W over all node inclusions P' < P with #P' > boundary."""
     if boundary is None:
         boundary = 2 * g + 2
-    sets = graph.node_sets()
+    masks = [_mask(node.subset) for node in graph.nodes]
     checked, violations, at_boundary = [], [], []
-    for ci, child in enumerate(sets):
-        for pi, parent in enumerate(sets):
-            if not child < parent:
+    for child, c in zip(graph.nodes, masks):
+        if child.size < boundary:
+            continue
+        for parent, p in zip(graph.nodes, masks):
+            if not (c & p == c and c != p):
                 continue
-            pair = (graph.nodes[ci].subset, graph.nodes[pi].subset)
-            if len(child) == boundary:
+            pair = (child.subset, parent.subset)
+            if child.size == boundary:
                 at_boundary.append(pair)
                 continue
-            if len(child) > boundary:
-                checked.append(pair)
-                if not W.contains(len(parent) - len(child)):
-                    violations.append(pair)
+            checked.append(pair)
+            if not W.contains(parent.size - child.size):
+                violations.append(pair)
     gaps = [
         len(graph.nodes[pi].subset) - len(graph.nodes[ci].subset)
         for ci, pi in graph.edges

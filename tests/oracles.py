@@ -9,7 +9,8 @@ bilinear shortcuts.
 
 from itertools import combinations
 
-from sparse_duals.hermitian import hermitian_field, monomial_basis_iter
+from sparse_duals.hermitian import hermitian_field, hermitian_points, monomial_basis_iter
+from sparse_duals.puncturing import subset_qualifies
 
 # GF(4): 0, 1, 2 = a, 3 = a+1 with a^2 = a+1; addition is XOR.
 GF4_MUL = (
@@ -241,3 +242,42 @@ def literal_isometry_check(cs, x_values):
         if span_vectors(twisted, n, field) != span_vectors(dual, n, field):
             return False
     return True
+
+
+# -- qualifying subsets by sweeping every subset through W* --
+
+
+def naive_qualifying_subsets(q, min_size):
+    """Subsets with at least `min_size` points that pass `subset_qualifies`,
+    by running W* on every subset, cardinality descending then
+    lexicographic: the sweep the divisor-class listing replaced."""
+    points = hermitian_points(q)
+    n = len(points)
+    return [
+        combo
+        for size in range(n, min_size - 1, -1)
+        for combo in combinations(range(1, n + 1), size)
+        if subset_qualifies(q, combo, points)
+    ]
+
+
+def naive_covering_edges(subsets):
+    """(child, parent) index pairs with child < parent as frozensets and no
+    subset strictly between, in index order."""
+    sets = [frozenset(s) for s in subsets]
+    return tuple(
+        (ci, pi)
+        for ci, child in enumerate(sets)
+        for pi, parent in enumerate(sets)
+        if child < parent and not any(child < mid < parent for mid in sets)
+    )
+
+
+def naive_inclusion_pairs(subsets, boundary):
+    """(child, parent) subset pairs with child < parent, in index order:
+    those with #child > boundary, and those with #child == boundary."""
+    pairs = [(c, p) for c in subsets for p in subsets if frozenset(c) < frozenset(p)]
+    return (
+        tuple((c, p) for c, p in pairs if len(c) > boundary),
+        tuple((c, p) for c, p in pairs if len(c) == boundary),
+    )

@@ -4,7 +4,9 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import weakref
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from sparse_duals import (
     inclusion_report,
     leader_set,
     maximum_sparse_from_leader,
+    puncturing,
 )
 from sparse_duals.cli import main
 
@@ -104,6 +107,9 @@ def test_sparse_ideals_rejects_non_leader(capsys):
     assert code == 2 and "decomposition" in err
     code, _, err = run(capsys, "sparse-ideals", "--generators", "2,3", "--leader", "1")
     assert code == 2 and "not an element" in err
+    code, out, err = run(capsys, "sparse-ideals", "--generators", "3,5", "--leader", "13",
+                         "--compare", "11")
+    assert code == 2 and out == "" and "decomposition" in err
 
 
 @pytest.mark.parametrize(
@@ -191,7 +197,7 @@ def _corpus_payloads():
         }
 
 
-def test_report_json_is_json_dumps_byte_for_byte():
+def test_report_json_is_json_dumps_byte_for_byte(capsys):
     rng = random.Random(4242)
     values = REPORT_JSON_CASES + [_random_report_value(rng) for _ in range(2000)]
     values += list(_corpus_payloads())
@@ -202,7 +208,10 @@ def test_report_json_is_json_dumps_byte_for_byte():
             continue
         assert cli._report_json(value) == expected, value
     long = tuple(range(2**17 + 3))
-    assert cli._format_set(long) == "{" + ", ".join(map(str, long)) + "}"
+    for values in (long, (), (7,)):
+        cli._print_set("set: ", values, ", end")
+        text = "set: {" + ", ".join(map(str, values)) + "}, end\n"
+        assert capsys.readouterr().out == text
 
 
 @pytest.mark.parametrize("gens", CORPUS_GENERATORS)
@@ -288,9 +297,10 @@ def test_hierarchy_min_size_8(capsys):
 
 
 def test_hierarchy_q3_requires_sampling(capsys):
-    code, _, err = run(capsys, "hierarchy", "--q", "3")
+    code, out, err = run(capsys, "hierarchy", "--q", "3")
     assert code == 2
-    assert "--sample" in err
+    assert out == ""
+    assert "refusing to enumerate 2^27 subsets for q=3; use --sample" in err
 
 
 def test_hierarchy_q3_sampled_deterministic(capsys):
@@ -332,6 +342,20 @@ def test_verify_rejects_huge_q(capsys, q, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_long_report_lines_are_not_held_whole():
+    # The ideal of leader 300 000 peaks at about 16 MB; its 2.3 MB complement
+    # line held as text, joined and encoded took about 5 MB more.
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["sparse-ideals", "--generators", "3,5", "--leader", "300000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 19_000_000
 
 
 @pytest.mark.parametrize(
@@ -540,6 +564,42 @@ def test_a_command_builds_one_field(capsys, monkeypatch, argv):
     held = hermitian.hermitian_field(int(argv[2]))
     assert field_builds(monkeypatch, capsys, *argv) == 0
     assert hermitian.hermitian_field(int(argv[2])) is held
+
+
+@pytest.mark.parametrize("argv,calls", [
+    # 8 certify the classes of q = 2, 93 are the subsets above the boundary.
+    (("verify", "--q", "2"), 101),
+    (("hierarchy", "--q", "2"), 8),
+], ids=["verify", "hierarchy"])
+def test_wstar_computations_per_command(capsys, monkeypatch, argv, calls):
+    counted = []
+    compute_wstar = hermitian.compute_wstar
+
+    def counting(points, q):
+        counted.append(len(points))
+        return compute_wstar(points, q)
+
+    for module in (cli, puncturing):
+        monkeypatch.setattr(module, "compute_wstar", counting)
+    assert run(capsys, *argv)[0] == 0
+    assert len(counted) == calls
+
+
+@pytest.mark.parametrize("error,code", [(RuntimeError, 3), (MemoryError, 2)],
+                         ids=["RuntimeError", "MemoryError"])
+def test_unexpected_errors_do_not_exit_1(capsys, monkeypatch, error, code):
+    # Exit 1 means a failed verification; anything else must not look like one.
+    def failing(*args):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "leader_set", failing)
+    exit_code, out, err = run(capsys, "semigroup", "--generators", "3,5")
+    assert (exit_code, out) == (code, "")
+    if error is MemoryError:
+        assert err == "error: out of memory\n"
+    else:
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("RuntimeError: injected\n")
 
 
 # `--help` pages saved with COLUMNS=80 under Python 3.11, before the

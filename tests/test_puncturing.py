@@ -1,10 +1,19 @@
+import random
+from collections import Counter
+from itertools import combinations
+from math import prod
+
 import pytest
 
+from oracles import naive_covering_edges, naive_inclusion_pairs, naive_qualifying_subsets
 from sparse_duals import (
     TooManySubsets,
     build_hierarchy,
+    divisor_classes,
     export_dot,
     graph_to_json,
+    hermitian_points,
+    puncturing,
     qualifying_subsets,
     sample_qualifying_subsets,
     subset_qualifies,
@@ -41,8 +50,82 @@ def test_node_multiset_by_cardinality():
 
 
 def test_too_many_subsets():
-    with pytest.raises(TooManySubsets):
-        qualifying_subsets(3)
+    with pytest.raises(TooManySubsets, match="2\\^64 subsets for q=4"):
+        qualifying_subsets(4)
+
+
+def test_class_test_matches_wstar_on_every_q2_subset(q2_points):
+    classes = divisor_classes(2)
+    assert classes.orders == (3, 3)
+    assert len(puncturing._zero_set_relations(2, q2_points)) == 18
+    for size in range(1, 9):
+        for combo in combinations(range(1, 9), size):
+            assert classes.qualifies(combo) == subset_qualifies(2, combo, q2_points), combo
+
+
+@pytest.mark.parametrize("min_size", range(1, 9))
+def test_qualifying_subsets_match_the_wstar_sweep_q2(min_size):
+    assert qualifying_subsets(2, min_size) == naive_qualifying_subsets(2, min_size)
+
+
+Q3_QUALIFYING_BY_SIZE = {3: 9, 4: 54, 6: 72, 7: 270, 8: 675, 9: 1056, 10: 2160,
+                         11: 3051, 12: 4068, 13: 4968}
+
+
+def test_q3_qualifying_subsets_are_listed_exactly():
+    found = qualifying_subsets(3, min_size=1)
+    assert len(found) == 32767
+    assert found == sorted(found, key=lambda s: (-len(s), s))
+    by_size = Counter(map(len, found))
+    assert by_size == {**Q3_QUALIFYING_BY_SIZE,
+                       **{27 - k: v for k, v in Q3_QUALIFYING_BY_SIZE.items()}, 27: 1}
+    # P qualifies iff its complement does: (x^9 - x) / f has the other zeros.
+    everything = frozenset(range(1, 28))
+    found_sets = set(map(frozenset, found))
+    assert {everything - s for s in found_sets if s != everything} == found_sets - {everything}
+    assert qualifying_subsets(3, min_size=13) == [s for s in found if len(s) >= 13]
+
+
+def test_q3_class_membership_matches_wstar():
+    points = hermitian_points(3)
+    classes = divisor_classes(3)
+    assert classes.orders == (4,) * 6  # (q + 1)^(2g) = 4096 classes
+    assert len(puncturing._zero_set_relations(3, points)) == 135
+    assert len(list(classes.prime_order_classes())) == 63
+    smallest = {}  # one smallest non-empty subset per class
+    for size in range(1, 28):
+        for combo in combinations(range(1, 28), size):
+            smallest.setdefault(classes.class_of(combo), combo)
+        if len(smallest) == prod(classes.orders):
+            break
+    rng = random.Random(3)
+    drawn = [tuple(sorted(rng.sample(range(1, 28), rng.randint(1, 27)))) for _ in range(300)]
+    for combo in list(smallest.values()) + drawn:
+        assert classes.qualifies(combo) == subset_qualifies(3, combo, points), combo
+
+
+def test_certificate_adds_the_relations_it_misses(monkeypatch, q2_points):
+    # The zero sets of the lines y + bx + c alone span a sublattice of
+    # index 27 = 3 * 9: the check must find qualifying subsets and add them.
+    relations = puncturing._zero_set_relations
+    monkeypatch.setattr(puncturing, "_zero_set_relations", lambda q, points: [
+        m for m in relations(q, points) if m.bit_count() == q + 1])
+    calls = []
+    qualifies = puncturing.subset_qualifies
+    monkeypatch.setattr(puncturing, "subset_qualifies",
+                        lambda *args: calls.append(args) or qualifies(*args))
+    classes = divisor_classes(2)
+    assert prod(classes.orders) == 9 and len(calls) > 8
+    assert qualifying_subsets(2, 1) == naive_qualifying_subsets(2, 1)
+
+
+def test_relations_of_too_low_rank_raise(monkeypatch):
+    # The x-fibres alone leave an infinite group: no answer is returned.
+    relations = puncturing._zero_set_relations
+    monkeypatch.setattr(puncturing, "_zero_set_relations", lambda q, points: [
+        m for m in relations(q, points) if m.bit_count() == q])
+    with pytest.raises(AssertionError, match="rank 4 < 8"):
+        qualifying_subsets(2)
 
 
 def test_covering_edges_match_fixture(expected_hierarchy):
@@ -87,6 +170,23 @@ def test_verify_inheritance_on_full_graph():
     assert report.violations == ()
     assert report.min_edge_gap == 2
     assert len(report.boundary_pairs) == 18
+
+
+def test_bitmask_hierarchy_matches_frozenset_loops():
+    rng = random.Random(8)
+    W = weierstrass_semigroup(2)
+    for _ in range(60):
+        family = {tuple(sorted(rng.sample(range(1, 9), rng.randint(1, 8))))
+                  for _ in range(rng.randint(0, 40))}
+        boundary = rng.randint(0, 8)
+        graph = build_hierarchy(list(family), boundary=boundary)
+        subsets = [node.subset for node in graph.nodes]
+        assert graph.edges == naive_covering_edges(subsets)
+        report = verify_inheritance(graph, W, g=1, boundary=boundary)
+        checked, at_boundary = naive_inclusion_pairs(subsets, boundary)
+        assert (report.checked, report.boundary_pairs) == (checked, at_boundary)
+        assert report.violations == tuple(
+            (c, p) for c, p in checked if not W.contains(len(p) - len(c)))
 
 
 def test_verify_inheritance_flags_fabricated_pair():
