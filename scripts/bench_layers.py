@@ -7,11 +7,13 @@ file sits in and record them in a BENCH JSON file.
 Measures wall times of a `Field(p, m)` build for every GF(q^2) with q up
 to 16 and of `hermitian_points` for the same q (with GF(q^2) held, so no
 field is built in the call), `compute_wstar` times and
-`tracemalloc` peaks on the full point sets for q = 5, 7, 8, 9, 11, 13 and
-on three seeded large subsets, `qualifying_subsets` at q = 2 and 3,
-`build_hierarchy` and `verify_inheritance` on the q = 2 hierarchy, and
-in-process `cli.main` calls, stdout captured, for nine commands (the
-`semigroup --json` reports, genus 42 and 90, go to a temporary file).
+`tracemalloc` peaks on the full point sets for q = 5, 7, 8, 9, 11, 13, on
+three seeded large subsets and on seeded subsets of the sizes `verify` and
+`isometry` pass (q = 2 with n = 5 and 8, q = 3 with n = 6 and 7),
+`qualifying_subsets` at q = 2 and 3, `build_hierarchy` and
+`verify_inheritance` on the q = 2 hierarchy, and in-process `cli.main`
+calls, stdout captured, for nine commands (the `semigroup --json`
+reports, genus 42 and 90, go to a temporary file).
 Every entry is timed best-of-k in each of ROUNDS rounds, and each round
 times all entries in turn, so a slow spell of the host reaches every
 entry instead of the few timed during it; an entry records the best of
@@ -105,9 +107,9 @@ def cli_call(command: str, tmp: Path):
 
 
 def subsets() -> dict:
-    """The seeded large subsets, by name."""
+    """The seeded subsets, by name."""
     out = {}
-    for q, n in ((7, 150), (8, 232)):
+    for q, n in ((2, 5), (2, 8), (3, 6), (3, 7), (7, 150), (8, 232)):
         out[f"random_q{q}_n{n}"] = (q, random.Random(q).sample(hermitian_points(q), n))
     pts = hermitian_points(16)
     xs = random.Random(16).sample(sorted({p.x.value for p in pts}), 4)
@@ -147,7 +149,9 @@ def measure(tmp: Path) -> dict:
     for q in POINTS_Q:
         entries["hermitian_points", str(q)] = ((lambda q=q: hermitian_points(q)), 10)
     wstar_sets = {f"full_q{q}": (q, hermitian_points(q), 3) for q in FULL_SET_Q}
-    wstar_sets.update({name: (q, pts, 30) for name, (q, pts) in subsets().items()})
+    wstar_sets.update(
+        {name: (q, pts, 30 if len(pts) > 8 else 300) for name, (q, pts) in subsets().items()}
+    )
     for name, (q, pts, k) in wstar_sets.items():
         entries["compute_wstar", name] = ((lambda q=q, pts=pts: compute_wstar(pts, q)), k)
     q2_subsets = qualifying_subsets(2)

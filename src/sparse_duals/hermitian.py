@@ -101,16 +101,6 @@ class BasisFunction:
     def pole_order(self) -> int:
         return self.x_exp * self.q + self.y_exp * (self.q + 1)
 
-    def __str__(self) -> str:
-        if self.x_exp == 0 and self.y_exp == 0:
-            return "1"
-        parts = []
-        if self.x_exp:
-            parts.append("x" if self.x_exp == 1 else f"x^{self.x_exp}")
-        if self.y_exp:
-            parts.append("y" if self.y_exp == 1 else f"y^{self.y_exp}")
-        return "".join(parts)
-
 
 def _on_curve(field: Field, x: int, y: int, q: int) -> bool:
     return field.pow(x, q + 1) == field.add(field.pow(y, q), y)
@@ -260,9 +250,11 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
     with the least rho_s is replaced by (x - alpha) g_s, the other nonzero
     generators are reduced by g_s without changing their pole orders, and
     rho_s joins W*. Each g_b is kept only as its values at the points not
-    yet added. Points are added last to first, so the new point is the
-    last entry of every vector and leaves it by a pop: a point costs q
-    vector operations, O(q n^2) in total.
+    yet added, as `bytes` with one encoding per point, and is reduced by
+    `Field.add_scaled`: a few `bytes.translate` and big-int operations
+    instead of a Python step per entry. Points are added last to first, so
+    the new point is the last entry of every vector and leaves it by a
+    slice: a point costs q vector operations, O(q n^2) in total.
 
     The generator rows are not built here; `CodeSequence.generator_rows`
     evaluates them on first read.
@@ -282,27 +274,27 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
     n = len(points)
     g = curve_genus(q)
     mul, add, inv = field.mul_table, field.add_table, field.inv_table
+    add_scaled, neg = field.add_scaled, mul[field.p - 1]  # -a = neg[a]
     xs = [pt.x.value for pt in points]
-    gens = _powers([pt.y.value for pt in points], q - 1, mul)  # g_b starts as y^b
+    gens = list(map(bytes, _powers([pt.y.value for pt in points], q - 1, mul)))  # y^b
     rho = [b * (q + 1) for b in range(q)]
     wstar = []
     for alpha in reversed(xs):
-        live = [b for b in range(q) if gens[b][-1]]
+        live = [b for b, gb in enumerate(gens) if gb[-1]]
         if not live:
             raise AssertionError("every generator vanishes at a new distinct point")
         s = min(live, key=rho.__getitem__)
         gs = gens[s]
-        pivot_inv = inv[gs.pop()]
-        for b in range(q):
-            gb = gens[b]
+        scale = inv[neg[gs[-1]]]  # g_b + g_b[-1] * scale * g_s vanishes at the point
+        gs = gs[:-1]
+        for b, gb in enumerate(gens):
             if b == s:
-                shift = add[field.neg(alpha)]
-                gens[b] = [mul[shift[x]][v] for x, v in zip(xs, gs)]
+                shift = add[neg[alpha]]
+                gens[b] = bytes([mul[shift[x]][v] for x, v in zip(xs, gs)])
             elif gb[-1]:
-                row = mul[field.neg(mul[gb.pop()][pivot_inv])]
-                gens[b] = [add[v][row[w]] for v, w in zip(gb, gs)]
+                gens[b] = add_scaled(gb[:-1], mul[gb[-1]][scale], gs)
             else:
-                gb.pop()
+                gens[b] = gb[:-1]
         wstar.append(rho[s])
         rho[s] += q
     wstar.sort()

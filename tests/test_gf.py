@@ -128,6 +128,39 @@ def test_negation_on_every_hermitian_field(q):
         assert F.sub(a, a) == 0
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_add_scaled_matches_the_tables_on_every_hermitian_field(q):
+    F = hermitian_field(q)
+    add, mul, elements = F.add_table, F.mul_table, range(F.q)
+
+    def expected(u, c, v):
+        return bytes([add[a][mul[c][b]] for a, b in zip(u, v)])
+
+    # every pair (a, b) of entries
+    u = bytes([a for a in elements for _ in elements])
+    v = bytes([b for _ in elements for b in elements])
+    assert F.add_scaled(u, 1, v) == expected(u, 1, v)
+    # every pair (c, b) of scale and entry, against shuffled entries of u
+    u = bytes(random.Random(q).sample(elements, F.q))
+    v = bytes(elements)
+    for c in elements:
+        assert F.add_scaled(u, c, v) == expected(u, c, v)
+    # every digit p - 1 in both terms: each lane holds its largest sum
+    top = bytes([F.q - 1]) * 40
+    assert F.add_scaled(top, 1, top) == expected(top, 1, top)
+    assert F.add_scaled(b"", F.q - 1, b"") == b""
+    for a in elements:
+        assert F.add_scaled(bytes([a]), F.generator, bytes([F.q - 1])) == expected(
+            [a], F.generator, [F.q - 1]
+        )
+
+
+def test_add_scaled_needs_a_digit_sum_to_fit_in_a_byte():
+    assert Field(127).add_scaled(bytes([126]), 1, bytes([126])) == bytes([125])
+    with pytest.raises(ValueError, match="does not fit in a byte"):
+        Field(131).add_scaled
+
+
 @pytest.mark.parametrize("p,m", SMALL_ORDERS)
 def test_frobenius_is_additive(p, m):
     F = Field(p, m)
