@@ -10,7 +10,9 @@ field is built in the call), `compute_wstar` times and
 `tracemalloc` peaks on the full point sets for q = 5, 7, 8, 9, 11, 13, on
 three seeded large subsets and on seeded subsets of the sizes `verify` and
 `isometry` pass (q = 2 with n = 5 and 8, q = 3 with n = 6 and 7),
-`qualifying_subsets` at q = 2 and 3, `build_hierarchy` and
+`compute_wstar_family` times and `tracemalloc` peaks on the 93 subsets
+`verify --q 2` checks and on the 31 687 qualifying q = 3 sets above the
+boundary, `qualifying_subsets` at q = 2 and 3, `build_hierarchy` and
 `verify_inheritance` on the q = 2 hierarchy, and in-process `cli.main`
 calls, stdout captured, for nine commands (the `semigroup --json`
 reports, genus 42 and 90, go to a temporary file).
@@ -37,6 +39,7 @@ import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stdout
+from itertools import combinations
 from pathlib import Path
 from time import perf_counter
 
@@ -49,6 +52,7 @@ from sparse_duals import (  # noqa: E402
     build_hierarchy,
     cli,
     compute_wstar,
+    compute_wstar_family,
     curve_genus,
     hermitian_field,
     hermitian_points,
@@ -117,6 +121,16 @@ def subsets() -> dict:
     return out
 
 
+def families() -> dict:
+    """The subset families, by name: the subsets `verify --q 2` checks
+    and the qualifying q = 3 sets, each above the boundary 2g + 2."""
+    q3_above = [s for s in qualifying_subsets(3) if len(s) > 2 * curve_genus(3) + 2]
+    return {
+        "verify_q2_n_gt_4": (2, [c for k in range(8, 4, -1) for c in combinations(range(1, 9), k)]),
+        "qualifying_q3_n_gt_8": (3, q3_above),
+    }
+
+
 def timed(entries: dict) -> dict:
     """Time every (section, name) -> (fn, k) entry best-of-k in each of
     ROUNDS rounds, all entries in turn within a round."""
@@ -154,6 +168,13 @@ def measure(tmp: Path) -> dict:
     )
     for name, (q, pts, k) in wstar_sets.items():
         entries["compute_wstar", name] = ((lambda q=q, pts=pts: compute_wstar(pts, q)), k)
+    wstar_families = {
+        name: (q, hermitian_points(q), family, 30 if len(family) < 1000 else 1)
+        for name, (q, family) in families().items()
+    }
+    for name, (q, pts, family, k) in wstar_families.items():
+        entries["compute_wstar_family", name] = (
+            (lambda q=q, pts=pts, family=family: compute_wstar_family(pts, q, family)), k)
     q2_subsets = qualifying_subsets(2)
     q2_graph = build_hierarchy(q2_subsets, boundary=4)
     W2 = weierstrass_semigroup(2)
@@ -177,6 +198,12 @@ def measure(tmp: Path) -> dict:
     for name, (q, pts, _) in wstar_sets.items():
         run["compute_wstar"][name].update(
             q=q, n=len(pts), tracemalloc_peak_mb=peak_mb(lambda: compute_wstar(pts, q)))
+    for name, (q, pts, family, _) in wstar_families.items():
+        # The walk makes one point step per distinct tail of a subset.
+        steps = len({s[i:] for s in family for i in range(len(s))})
+        run["compute_wstar_family"][name].update(
+            q=q, subsets=len(family), point_steps=steps,
+            tracemalloc_peak_mb=peak_mb(lambda: compute_wstar_family(pts, q, family)))
     return run
 
 

@@ -25,6 +25,7 @@ from .hermitian import (
     CodeSequence,
     CurvePoint,
     compute_wstar,
+    compute_wstar_family,
     curve_genus,
     find_isometry_vector,
     hermitian_field,

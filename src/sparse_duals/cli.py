@@ -23,6 +23,7 @@ from pathlib import Path
 from .errors import PreconditionViolated, SparseDualsError, TooManySubsets
 from .hermitian import (
     compute_wstar,
+    compute_wstar_family,
     curve_genus,
     find_isometry_vector,
     hermitian_field,
@@ -264,9 +265,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for size in range(n, boundary, -1)
         for combo in combinations(range(1, n + 1), size)
     ]
-    sequences = {
-        combo: compute_wstar([points[i - 1] for i in combo], q) for combo in big_subsets
-    }
+    sequences = dict(zip(big_subsets, compute_wstar_family(points, q, big_subsets)))
 
     bad = [c for c, cs in sequences.items() if not ideal_complement_check(cs, W)]
     results.append(

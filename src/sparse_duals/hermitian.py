@@ -10,7 +10,8 @@ W* is the complement in H = <q, q+1> of the pole orders of functions
 that vanish on the point set. `compute_wstar` finds it point by point:
 it keeps a Groebner basis of that vanishing module over F[x], one
 generator per residue class mod q, and each added point moves exactly
-one pole order from the module into W*.
+one pole order from the module into W*. `compute_wstar_family` does the
+same for many subsets of one point list, sharing their common steps.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
+from operator import gt, ne
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -253,13 +256,66 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
     yet added, as `bytes` with one encoding per point, and is reduced by
     `Field.add_scaled`: a few `bytes.translate` and big-int operations
     instead of a Python step per entry. Points are added last to first, so
-    the new point is the last entry of every vector and leaves it by a
-    slice: a point costs q vector operations, O(q n^2) in total.
+    once the point at 0-based position j is added only earlier points are
+    still to come, and every vector is cut to [:j]: a point costs q vector
+    operations, O(q n^2) in total, in O(q n) memory.
+
+    This runs on one subset the walk that `compute_wstar_family` makes
+    over many subsets of one point list, as a trie. A subset is a path
+    from the root through its indices from the largest down, so subsets
+    with the same top points share those point steps, and a subset that
+    ends where another goes on costs that one nothing more. The state (the
+    q vectors, the rho_b and the pole orders that joined W*) is saved only
+    at a trie node with more than one child, for the children to start
+    from; a single subset saves none and holds no more than one walk. A
+    subset's tail that no other subset shares, whose points fill less than
+    half the positions below its top, first cuts the vectors down to them.
 
     The generator rows are not built here; `CodeSequence.generator_rows`
     evaluates them on first read.
     """
     points = tuple(points)
+    field = _checked_field(points, q)
+    [(_, wstar)] = _wstar_walk(points, q, field, [tuple(range(len(points), 0, -1))])
+    return CodeSequence(q=q, genus=curve_genus(q), field=field, points=points, wstar=wstar)
+
+
+def compute_wstar_family(
+    points: Sequence[CurvePoint], q: int, subsets: Sequence[Sequence[int]]
+) -> list[CodeSequence]:
+    """`compute_wstar` of each subset of the points, in the order given.
+
+    A subset is a strictly increasing sequence of 1-based indices into
+    `points`; an empty one, one out of order and an index outside 1..n
+    raise ValueError. The point set is checked once, as `compute_wstar`
+    checks it, and the subsets share the point steps of their common top
+    points (see `compute_wstar`). A repeated subset is computed once.
+    """
+    points = tuple(points)
+    field = _checked_field(points, q)
+    n, g = len(points), curve_genus(q)
+    keys = []  # each subset as its indices from the top down: its trie path
+    for subset in subsets:
+        key = tuple(subset)[::-1]
+        if not key:
+            raise ValueError("a subset needs at least one point index")
+        if not (key[0] <= n and key[-1] >= 1 and all(map(gt, key, key[1:]))):
+            bad = next((i for i in key[::-1] if not 1 <= i <= n), None)
+            if bad is not None:
+                raise ValueError(f"point index {bad} outside 1..{n}")
+            raise ValueError(f"subset {key[::-1]} is not strictly increasing")
+        keys.append(key)
+    found = {
+        key: CodeSequence(q=q, genus=g, field=field, wstar=wstar,
+                          points=tuple([points[i - 1] for i in reversed(key)]))
+        for key, wstar in _wstar_walk(points, q, field, sorted(set(keys)))
+    }
+    return [found[key] for key in keys]
+
+
+def _checked_field(points: tuple[CurvePoint, ...], q: int) -> Field:
+    """GF(q^2), once the points are known to be distinct points on the
+    curve over it."""
     if not points:
         raise ValueError("at least one evaluation point is required")
     field = hermitian_field(q)
@@ -270,37 +326,75 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
             raise PointNotOnCurve(f"{pt!r} violates x^{q + 1} = y^{q} + y")
     if len({p.coords() for p in points}) != len(points):
         raise DuplicatePoints("evaluation points must be pairwise distinct")
+    return field
 
-    n = len(points)
+
+def _wstar_walk(
+    points: tuple[CurvePoint, ...], q: int, field: Field, order: list[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(key, W*) for each key of `order`, by one walk over their trie (see
+    `compute_wstar`). The keys are distinct and sorted, a key being a
+    subset's 1-based indices into the points from the largest down, so a
+    node's subtree is a run of keys."""
+    # The trie depth at which each key and the next part: their first
+    # difference, or the end of the first when it is a prefix of the next.
+    shared = [next(compress(count(), map(ne, u, v)), len(u)) for u, v in zip(order, order[1:])]
     g = curve_genus(q)
     mul, add, inv = field.mul_table, field.add_table, field.inv_table
     add_scaled, neg = field.add_scaled, mul[field.p - 1]  # -a = neg[a]
     xs = [pt.x.value for pt in points]
     gens = list(map(bytes, _powers([pt.y.value for pt in points], q - 1, mul)))  # y^b
     rho = [b * (q + 1) for b in range(q)]
-    wstar = []
-    for alpha in reversed(xs):
-        live = [b for b, gb in enumerate(gens) if gb[-1]]
-        if not live:
-            raise AssertionError("every generator vanishes at a new distinct point")
-        s = min(live, key=rho.__getitem__)
-        gs = gens[s]
-        scale = inv[neg[gs[-1]]]  # g_b + g_b[-1] * scale * g_s vanishes at the point
-        gs = gs[:-1]
-        for b, gb in enumerate(gens):
-            if b == s:
-                shift = add[neg[alpha]]
-                gens[b] = bytes([mul[shift[x]][v] for x, v in zip(xs, gs)])
-            elif gb[-1]:
-                gens[b] = add_scaled(gb[:-1], mul[gb[-1]][scale], gs)
-            else:
-                gens[b] = gb[:-1]
-        wstar.append(rho[s])
-        rho[s] += q
-    wstar.sort()
-    if wstar[-1] > n + 2 * g - 1:
-        raise AssertionError("rank must reach n by pole order n + 2g - 1")
-    return CodeSequence(q=q, genus=g, field=field, points=points, wstar=tuple(wstar))
+    # Frames (lo, hi, depth, gens, rho, ws): the keys order[lo:hi] share
+    # their first `depth` indices, gens and rho are the state there and ws
+    # the pole orders that joined W* on the way. Siblings share one state,
+    # so it is copied before it is stepped.
+    frames = [(0, len(order), 0, gens, rho, [])] if order else []
+    while frames:
+        lo, hi, depth, gens, rho, ws = frames.pop()
+        gens, rho, ws = gens[:], rho[:], ws[:]
+        while True:
+            key = order[lo]
+            stop = min(shared[lo:hi - 1]) if hi - lo > 1 else len(key)
+            js, xv = [i - 1 for i in key[depth:stop]], xs
+            if hi - lo == 1 and js and js[0] >= 2 * len(js):
+                # A tail that no other key shares needs only its own points:
+                # cut to them, so its m points below position j cost O(q m^2),
+                # not O(q m j). Where they fill half the positions or more,
+                # the cut costs more than it saves.
+                pos = js[::-1]
+                gens = [bytes(map(gb.__getitem__, pos)) for gb in gens]
+                js, xv = range(len(pos) - 1, -1, -1), [xs[j] for j in pos]
+            for j in js:
+                live = [b for b, gb in enumerate(gens) if gb[j]]
+                if not live:
+                    raise AssertionError("every generator vanishes at a new distinct point")
+                s = min(live, key=rho.__getitem__)
+                gs = gens[s]
+                scale = inv[neg[gs[j]]]  # g_b + g_b[j] * scale * g_s vanishes at the point
+                gs = gs[:j]
+                for b, gb in enumerate(gens):
+                    if b == s:
+                        shift = add[neg[xv[j]]]
+                        gens[b] = bytes([mul[shift[x]][v] for x, v in zip(xv, gs)])
+                    elif gb[j]:
+                        gens[b] = add_scaled(gb[:j], mul[gb[j]][scale], gs)
+                    else:
+                        gens[b] = gb[:j]
+                ws.append(rho[s])
+                rho[s] += q
+            depth = stop
+            if len(key) > depth:  # a branch node: one frame per child
+                cuts = [lo] + [k + 1 for k in range(lo, hi - 1) if shared[k] == depth] + [hi]
+                frames += [(a, b, depth, gens, rho, ws) for a, b in zip(cuts, cuts[1:])]
+                break
+            ws.sort()  # a key that goes on from here needs the set, not the order
+            if ws[-1] > depth + 2 * g - 1:
+                raise AssertionError("rank must reach n by pole order n + 2g - 1")
+            yield key, tuple(ws)
+            lo += 1
+            if lo == hi:
+                break
 
 
 def isometry_dual_criterion(cs: CodeSequence) -> bool:

@@ -21,7 +21,14 @@ from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .errors import TooManySubsets
-from .hermitian import compute_wstar, curve_genus, hermitian_points, monomial_basis_iter
+from .hermitian import (
+    _wstar_walk,
+    compute_wstar,
+    curve_genus,
+    hermitian_field,
+    hermitian_points,
+    monomial_basis_iter,
+)
 from .semigroup import NumericalSemigroup
 
 # Largest point set whose subsets are listed by class: 2^27, the q = 3
@@ -34,6 +41,9 @@ def subset_qualifies(q: int, subset: Sequence[int], points=None) -> bool:
     """Does the punctured sequence on the 1-based point indices qualify?"""
     if points is None:
         points = hermitian_points(q)
+    for i in subset:
+        if not 1 <= i <= len(points):
+            raise ValueError(f"point index {i} outside 1..{len(points)}")
     chosen = [points[i - 1] for i in subset]
     cs = compute_wstar(chosen, q)
     return (len(chosen) + 2 * curve_genus(q) - 1) in cs.wstar
@@ -140,6 +150,8 @@ class DivisorClasses:
         """The class of sum (P_i - P_inf) over the 1-based indices."""
         total = self.zero
         for i in subset:
+            if not 1 <= i <= len(self.point_classes):
+                raise ValueError(f"point index {i} outside 1..{len(self.point_classes)}")
             total = self._add(total, self.point_classes[i - 1])
         return total
 
@@ -242,18 +254,22 @@ def sample_qualifying_subsets(
     q: int, min_size: int, per_size: int, seed: int
 ) -> list[tuple[int, ...]]:
     """Seeded random probe: draw `per_size` subsets uniformly at each size
-    from n down to min_size and keep the qualifying ones (deduplicated)."""
+    from n down to min_size and keep the qualifying ones (deduplicated).
+    W* of all the draws comes from one walk over their trie (see
+    `compute_wstar_family`), and only the qualifying ones are kept."""
     if min_size < 1:
         raise ValueError("min_size must be >= 1")
     points = hermitian_points(q)
     n = len(points)
     rng = random.Random(seed)
-    drawn: set[tuple[int, ...]] = set()
+    drawn: set[tuple[int, ...]] = set()  # each draw from its largest index down
     for size in range(n, min_size - 1, -1):
         for _ in range(per_size):
-            drawn.add(tuple(sorted(rng.sample(range(1, n + 1), size))))
-    ordered = sorted(drawn, key=lambda c: (-len(c), c))
-    return [c for c in ordered if subset_qualifies(q, c, points)]
+            drawn.add(tuple(sorted(rng.sample(range(1, n + 1), size), reverse=True)))
+    jump = 2 * curve_genus(q) - 1
+    walk = _wstar_walk(points, q, hermitian_field(q), sorted(drawn))
+    found = [key[::-1] for key, wstar in walk if len(key) + jump in wstar]
+    return sorted(found, key=lambda c: (-len(c), c))
 
 
 @dataclass(frozen=True)

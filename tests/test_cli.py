@@ -317,6 +317,12 @@ def test_hierarchy_q3_sampled_deterministic(capsys):
     assert out1 == out2
 
 
+def test_hierarchy_sampled_above_n_points_is_empty(capsys):
+    code, out, err = run(capsys, "hierarchy", "--q", "3", "--sample", "1", "--min-size", "28")
+    assert (code, err) == (0, "")
+    assert "qualifying subsets (size >= 28): 0\ncovering edges: 0\n" in out
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--q", "2")
     assert code == 0
@@ -566,23 +572,30 @@ def test_a_command_builds_one_field(capsys, monkeypatch, argv):
     assert hermitian.hermitian_field(int(argv[2])) is held
 
 
-@pytest.mark.parametrize("argv,calls", [
-    # 8 certify the classes of q = 2, 93 are the subsets above the boundary.
-    (("verify", "--q", "2"), 101),
-    (("hierarchy", "--q", "2"), 8),
+@pytest.mark.parametrize("argv,calls,families", [
+    # 8 certify the classes of q = 2; one family walk covers the 93
+    # subsets above the boundary.
+    (("verify", "--q", "2"), 8, [93]),
+    (("hierarchy", "--q", "2"), 8, []),
 ], ids=["verify", "hierarchy"])
-def test_wstar_computations_per_command(capsys, monkeypatch, argv, calls):
-    counted = []
+def test_wstar_computations_per_command(capsys, monkeypatch, argv, calls, families):
+    counted, walked = [], []
     compute_wstar = hermitian.compute_wstar
+    compute_wstar_family = hermitian.compute_wstar_family
 
     def counting(points, q):
         counted.append(len(points))
         return compute_wstar(points, q)
 
+    def counting_family(points, q, subsets):
+        walked.append(len(subsets))
+        return compute_wstar_family(points, q, subsets)
+
     for module in (cli, puncturing):
         monkeypatch.setattr(module, "compute_wstar", counting)
+    monkeypatch.setattr(cli, "compute_wstar_family", counting_family)
     assert run(capsys, *argv)[0] == 0
-    assert len(counted) == calls
+    assert (len(counted), walked) == (calls, families)
 
 
 @pytest.mark.parametrize("error,code", [(RuntimeError, 3), (MemoryError, 2)],

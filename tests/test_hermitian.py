@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -24,6 +25,7 @@ from sparse_duals import (
     PointNotOnCurve,
     PreconditionViolated,
     compute_wstar,
+    compute_wstar_family,
     curve_genus,
     find_isometry_vector,
     hermitian_field,
@@ -326,6 +328,131 @@ def test_compute_wstar_errors(q2_points):
     off = CurvePoint(field.element(1), field.element(1))  # 1 != 1^2 + 1
     with pytest.raises(PointNotOnCurve):
         compute_wstar([off], 2)
+
+
+# -- W* of a subset family in one walk --
+
+
+def _prefix_sharing_family(q, rng, count, max_size):
+    """Seeded subsets of the q^3 points, each the top points of one of
+    three random stems with random lower points added: the walk adds the
+    top points first, so the subsets share long paths, and one may end
+    where another goes on."""
+    n = q**3
+    stems = [sorted(rng.sample(range(1, n + 1), rng.randint(1, max_size))) for _ in range(3)]
+    family = []
+    for _ in range(count):
+        stem = rng.choice(stems)
+        top = stem[rng.randrange(len(stem)):]
+        below = range(1, top[0])
+        extra = rng.sample(below, min(len(below), rng.randint(0, max_size - len(top))))
+        family.append(tuple(sorted(top + extra)))
+    return family
+
+
+def _check_family_against_naive(points, q, family):
+    for subset, cs in zip(family, compute_wstar_family(points, q, family), strict=True):
+        chosen = [points[i - 1] for i in subset]
+        assert cs.points == tuple(chosen)
+        assert (cs.wstar, cs.generator_rows) == naive_wstar(chosen, q)
+
+
+def test_family_matches_naive_elimination_on_every_q2_subset(q2_points):
+    family = [c for k in range(1, 9) for c in combinations(range(1, 9), k)]
+    assert len(family) == 255
+    _check_family_against_naive(q2_points, 2, family)
+
+
+@pytest.mark.parametrize("q,count,max_size", [(3, 150, 27), (4, 80, 40), (5, 40, 40), (7, 16, 40)])
+def test_family_matches_naive_elimination_sampled(q, count, max_size):
+    family = _prefix_sharing_family(q, random.Random(500 + q), count, max_size)
+    _check_family_against_naive(hermitian_points(q), q, family)
+
+
+def test_family_shares_the_steps_of_common_top_points(monkeypatch, q2_points):
+    # A point step reduces each other generator that is nonzero at the
+    # point, so the reductions count the work: the 93 subsets `verify --q 2`
+    # checks make 162 point steps in one walk and 512 one by one.
+    field = hermitian_field(2)
+    add_scaled, reductions = field.add_scaled, []
+
+    def counting(u, c, v):
+        reductions.append(len(u))
+        return add_scaled(u, c, v)
+
+    monkeypatch.setattr(field, "_add_scaled", counting)
+    family = [c for k in range(8, 4, -1) for c in combinations(range(1, 9), k)]
+    compute_wstar_family(q2_points, 2, family)
+    walk = len(reductions)
+    reductions.clear()
+    for subset in family:
+        compute_wstar([q2_points[i - 1] for i in subset], 2)
+    assert (walk, len(reductions)) == (102, 371)
+
+
+def test_family_in_any_order_with_a_repeat_equals_compute_wstar():
+    points = hermitian_points(3)
+    rng = random.Random(77)
+    family = _prefix_sharing_family(3, rng, 30, 20)
+    family += [family[3]]
+    rng.shuffle(family)
+    for subset, cs in zip(family, compute_wstar_family(points, 3, family), strict=True):
+        single = compute_wstar([points[i - 1] for i in subset], 3)
+        assert cs == single
+        assert (cs.points, cs.wstar) == (single.points, single.wstar)
+        assert cs.generator_rows == single.generator_rows
+        assert cs.to_json() == single.to_json()
+
+
+def test_empty_family_and_one_full_range(q2_points):
+    assert compute_wstar_family(q2_points, 2, []) == []
+    assert compute_wstar_family(q2_points, 2, [range(1, 9)]) == [compute_wstar(q2_points, 2)]
+    with pytest.raises(ValueError, match="at least one evaluation point"):
+        compute_wstar_family([], 2, [])
+
+
+def test_family_point_errors_match_compute_wstar(q2_points):
+    field = hermitian_field(2)
+    off = CurvePoint(field.element(1), field.element(1))  # 1 != 1^2 + 1
+    foreign = hermitian_points(3)[1]
+    for points, error in (([], ValueError), ([*q2_points[:3], off], PointNotOnCurve),
+                          ([*q2_points[:3], q2_points[1]], DuplicatePoints),
+                          ([*q2_points[:3], foreign], ValueError)):
+        with pytest.raises(error) as single:
+            compute_wstar(points, 2)
+        with pytest.raises(error, match=re.escape(str(single.value))):
+            compute_wstar_family(points, 2, [(1,)])
+
+
+@pytest.mark.parametrize("subset,message", [
+    ((0, 1, 2), "point index 0 outside 1..8"),
+    ((-1, 2), "point index -1 outside 1..8"),
+    ((1, 2, 9), "point index 9 outside 1..8"),
+    ((3, 9, 1), "point index 9 outside 1..8"),
+    ((), "a subset needs at least one point index"),
+    ((2, 1), "subset (2, 1) is not strictly increasing"),
+    ((1, 1, 2), "subset (1, 1, 2) is not strictly increasing"),
+], ids=["zero", "negative", "above", "above-unordered", "empty", "descending", "repeated"])
+def test_family_rejects_bad_subsets(q2_points, subset, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        compute_wstar_family(q2_points, 2, [(1, 2), subset])
+
+
+def test_full_q9_family_runs_in_little_memory():
+    # The two smaller sets lack only points the walk adds last, so all
+    # three share one path down to them and part near its end.
+    pts = hermitian_points(9)
+    n = len(pts)
+    family = [range(1, n + 1), range(2, n + 1), (1, *range(4, n + 1))]
+    tracemalloc.start()
+    try:
+        full, *rest = compute_wstar_family(pts, 9, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isometry_dual_criterion(full)
+    assert [cs.n for cs in rest] == [n - 1, n - 2]
+    assert peak < 2_000_000
 
 
 def test_criterion_examples(q2_sequences):

@@ -239,12 +239,33 @@ def test_subset_qualifies_helper(q2_points):
     assert not subset_qualifies(2, (1, 2))
 
 
+@pytest.mark.parametrize("index", [0, -1, 9])
+def test_point_indices_outside_1_to_n_are_rejected(q2_points, index):
+    # Index 0 once read the last point (points[-1]) without a word.
+    message = f"point index {index} outside 1..8"
+    with pytest.raises(ValueError, match=message):
+        subset_qualifies(2, [index, 1, 2, 3, 4, 5, 6])
+    with pytest.raises(ValueError, match=message):
+        subset_qualifies(2, [1, index], q2_points)
+    with pytest.raises(ValueError, match=message):
+        divisor_classes(2).class_of([index])
+
+
 def test_sampling_is_seed_deterministic():
     a = sample_qualifying_subsets(2, min_size=2, per_size=5, seed=11)
     b = sample_qualifying_subsets(2, min_size=2, per_size=5, seed=11)
     assert a == b
     exhaustive = set(qualifying_subsets(2, min_size=2))
     assert set(a) <= exhaustive
+
+
+def test_sampling_with_every_subset_drawn_finds_exactly_the_qualifying_ones():
+    # 1000 draws per size reach every q = 2 subset of 2..8 points.
+    assert sample_qualifying_subsets(2, min_size=2, per_size=1000, seed=3) == qualifying_subsets(2)
+
+
+def test_sampling_above_n_points_finds_nothing():
+    assert sample_qualifying_subsets(3, min_size=28, per_size=1, seed=0) == []
 
 
 def test_sampling_q3_includes_full_set():
