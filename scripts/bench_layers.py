@@ -10,7 +10,8 @@ field is built in the call), `compute_wstar` times and
 `tracemalloc` peaks on the full point sets for q = 5, 7, 8, 9, 11, 13, on
 three seeded large subsets and on seeded subsets of the sizes `verify` and
 `isometry` pass (q = 2 with n = 5 and 8, q = 3 with n = 6 and 7),
-`compute_wstar_family` times and `tracemalloc` peaks on the 93 subsets
+`find_isometry_vector` alone on those four subsets (their generator rows
+built beforehand), `compute_wstar_family` times and `tracemalloc` peaks on the 93 subsets
 `verify --q 2` checks and on the 31 687 qualifying q = 3 sets above the
 boundary, `qualifying_subsets` at q = 2 and 3, `build_hierarchy` and
 `verify_inheritance` on the q = 2 hierarchy, and in-process `cli.main`
@@ -54,6 +55,7 @@ from sparse_duals import (  # noqa: E402
     compute_wstar,
     compute_wstar_family,
     curve_genus,
+    find_isometry_vector,
     hermitian_field,
     hermitian_points,
     qualifying_subsets,
@@ -168,6 +170,10 @@ def measure(tmp: Path) -> dict:
     )
     for name, (q, pts, k) in wstar_sets.items():
         entries["compute_wstar", name] = ((lambda q=q, pts=pts: compute_wstar(pts, q)), k)
+    oracle_sets = {name: compute_wstar(pts, q) for name, (q, pts, _) in wstar_sets.items() if q <= 3}
+    for name, cs in oracle_sets.items():
+        cs.generator_rows  # built once here, so the entry times the solve alone
+        entries["find_isometry_vector", name] = ((lambda cs=cs: find_isometry_vector(cs)), 300)
     wstar_families = {
         name: (q, hermitian_points(q), family, 30 if len(family) < 1000 else 1)
         for name, (q, family) in families().items()
@@ -198,6 +204,9 @@ def measure(tmp: Path) -> dict:
     for name, (q, pts, _) in wstar_sets.items():
         run["compute_wstar"][name].update(
             q=q, n=len(pts), tracemalloc_peak_mb=peak_mb(lambda: compute_wstar(pts, q)))
+    for name, cs in oracle_sets.items():
+        run["find_isometry_vector"][name].update(
+            q=cs.q, n=cs.n, found=find_isometry_vector(cs) is not None)
     for name, (q, pts, family, _) in wstar_families.items():
         # The walk makes one point step per distinct tail of a subset.
         steps = len({s[i:] for s in family for i in range(len(s))})

@@ -6,7 +6,6 @@ from .errors import (
     DivisionByZero,
     DuplicatePoints,
     EmptyGenerators,
-    FieldMismatch,
     FieldTooLarge,
     GcdNotOne,
     NotALeader,
@@ -21,7 +20,6 @@ from .errors import (
 )
 from .gf import Field, FieldElement
 from .hermitian import (
-    BasisFunction,
     CodeSequence,
     CurvePoint,
     compute_wstar,
@@ -56,7 +54,6 @@ from .sparse_ideals import (
     divisor_set,
     enumerate_proper_ideals,
     gap_pair_count,
-    ideal_from_complement,
     inclusion_report,
     is_maximum_sparse,
     leader_set,

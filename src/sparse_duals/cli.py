@@ -337,7 +337,7 @@ def cmd_isometry(args: argparse.Namespace) -> int:
     if vector is None:
         print("isometry vector: none")
     else:
-        print(f"isometry vector (encodings): {','.join(str(e.value) for e in vector)}")
+        print(f"isometry vector (encodings): {','.join(map(str, vector))}")
     return 0
 
 

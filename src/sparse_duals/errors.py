@@ -41,10 +41,6 @@ class DivisionByZero(SparseDualsError, ZeroDivisionError):
     """Inversion of the zero field element."""
 
 
-class FieldMismatch(SparseDualsError):
-    """Arithmetic mixing elements of different fields."""
-
-
 class FieldTooLarge(SparseDualsError):
     """Requested field exceeds the supported size (order > 256)."""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import DivisionByZero, FieldMismatch, FieldTooLarge, NotPrime
+from .errors import DivisionByZero, FieldTooLarge, NotPrime
 
 MAX_ORDER = 256
 
@@ -39,13 +39,14 @@ def _is_prime(n: int) -> bool:
 class Field:
     """GF(p^m) = GF(p)[x]/(f), with f the primitive modulus described above.
 
-    Value-level arithmetic (add/mul/neg/inv/pow) works on integer
-    encodings; element() wraps an encoding into a FieldElement. The
-    generator is the class of x; for p=2, m=2 the modulus is x^2 + x + 1.
+    Arithmetic (add/mul/neg/inv/pow) works on integer encodings;
+    element() wraps an encoding into a FieldElement record for the API
+    edge. The generator is the class of x; for p=2, m=2 the modulus is
+    x^2 + x + 1.
 
     A field may be shared by many holders (`hermitian_field` hands out one
     per q), so its tables are read-only. Fields built separately with the
-    same p and m are equal and their elements interoperate.
+    same p and m are equal.
     """
 
     def __init__(self, p: int, m: int = 1):
@@ -112,9 +113,6 @@ class Field:
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg(b)]
 
     def neg(self, a: int) -> int:
         # -1 is the constant p - 1, whose encoding is p - 1.
@@ -205,29 +203,15 @@ class Field:
 
         return add_scaled
 
-    # -- element-level interface --
+    # -- elements, for the API edge --
 
     def element(self, value: int) -> "FieldElement":
         if not 0 <= value < self.q:
             raise ValueError(f"encoding {value} outside 0..{self.q - 1}")
         return FieldElement(self, value)
 
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
     def all_elements(self) -> list["FieldElement"]:
         return [FieldElement(self, v) for v in range(self.q)]
-
-    def nonzero_elements(self) -> list["FieldElement"]:
-        return [FieldElement(self, v) for v in range(1, self.q)]
-
-    def header(self) -> dict:
-        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
     def __eq__(self, other: object) -> bool:
         if other is self:
@@ -245,45 +229,12 @@ class Field:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """Immutable element of a Field, identified by its integer encoding."""
+    """An element of a Field as a read-only (field, value) record, value
+    being its integer encoding. Arithmetic is on encodings, through the
+    field's tables."""
 
     field: Field
     value: int
-
-    def _same(self, other: "FieldElement") -> None:
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._same(other)
-        return FieldElement(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._same(other)
-        return FieldElement(self.field, self.field.sub(self.value, other.value))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._same(other)
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._same(other)
-        return FieldElement(self.field, self.field.mul(self.value, self.field.inv(other.value)))
-
-    def __pow__(self, k: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow(self.value, k))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
 
     def __repr__(self) -> str:
         return f"GF({self.field.q}):{self.value}"

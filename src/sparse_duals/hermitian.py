@@ -23,12 +23,7 @@ from itertools import compress, count
 from operator import gt, ne
 from typing import Iterator, Optional, Sequence
 
-from .errors import (
-    DuplicatePoints,
-    FieldTooLarge,
-    PointNotOnCurve,
-    PreconditionViolated,
-)
+from .errors import DuplicatePoints, FieldTooLarge, PointNotOnCurve
 from .gf import MAX_ORDER, Field, FieldElement
 from .semigroup import NumericalSemigroup
 from .sparse_ideals import division_escape
@@ -65,7 +60,7 @@ def hermitian_field(q: int) -> Field:
     """GF(q^2), the field of definition of the affine points.
 
     While a GF(q^2) from an earlier call is still referenced, this returns
-    that same instance, so points, sequences and vectors of one q share
+    that same instance, so the points and sequences of one q share
     one field; a new one is built only when none is alive. Its tables are
     shared with every holder and must not be modified.
     """
@@ -90,19 +85,6 @@ class CurvePoint:
 
     def __repr__(self) -> str:
         return f"CurvePoint({self.x.value}, {self.y.value})"
-
-
-@dataclass(frozen=True)
-class BasisFunction:
-    """The monomial x^a y^b with pole order a*q + b*(q+1) at infinity."""
-
-    x_exp: int
-    y_exp: int
-    q: int
-
-    @property
-    def pole_order(self) -> int:
-        return self.x_exp * self.q + self.y_exp * (self.q + 1)
 
 
 def _on_curve(field: Field, x: int, y: int, q: int) -> bool:
@@ -131,24 +113,19 @@ def hermitian_points(q: int) -> list[CurvePoint]:
     return [CurvePoint(elements[x], elements[y]) for (x, y) in coords]
 
 
-def monomial_basis_iter(q: int) -> Iterator[BasisFunction]:
-    """Basis functions in strictly increasing pole order."""
-    _prime_power(q)
-    m = 0
-    while True:
-        b = m % q
-        rest = m - b * (q + 1)
-        if rest >= 0:
-            yield BasisFunction(rest // q, b, q)
-        m += 1
-
-
-def monomial_basis(q: int, count: int) -> list[BasisFunction]:
-    """The first `count` basis functions, ordered by pole order."""
+def monomial_basis(q: int, count: int) -> list[tuple[int, int]]:
+    """Exponents (a, b) of the first `count` monomials x^a y^b, b < q, in
+    increasing pole order. Pole order m is that of b = m % q and
+    a = m // q - b, a monomial when a >= 0."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    it = monomial_basis_iter(q)
-    return [next(it) for _ in range(count)]
+    _prime_power(q)
+    basis, m = [], 0
+    while len(basis) < count:
+        if m // q >= m % q:
+            basis.append((m // q - m % q, m % q))
+        m += 1
+    return basis
 
 
 def weierstrass_semigroup(q: int) -> NumericalSemigroup:
@@ -179,7 +156,6 @@ class CodeSequence:
     """
 
     q: int
-    genus: int
     field: Field
     points: tuple[CurvePoint, ...]
     wstar: tuple[int, ...]
@@ -187,6 +163,10 @@ class CodeSequence:
     @property
     def n(self) -> int:
         return len(self.points)
+
+    @property
+    def genus(self) -> int:
+        return curve_genus(self.q)
 
     @cached_property
     def generator_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -199,17 +179,6 @@ class CodeSequence:
             a = (w - b * (q + 1)) // q
             rows.append(tuple([mul[v][u] for v, u in zip(x_pows[a], y_pows[b])]))
         return tuple(rows)
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "genus": self.genus,
-            "n": self.n,
-            "points": [list(p.coords()) for p in self.points],
-            "wstar": list(self.wstar),
-            "isometry_dual": isometry_dual_criterion(self),
-            "generator_matrix": [list(r) for r in self.generator_rows],
-        }
 
 
 def _echelon_insert(
@@ -277,7 +246,7 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
     points = tuple(points)
     field = _checked_field(points, q)
     [(_, wstar)] = _wstar_walk(points, q, field, [tuple(range(len(points), 0, -1))])
-    return CodeSequence(q=q, genus=curve_genus(q), field=field, points=points, wstar=wstar)
+    return CodeSequence(q=q, field=field, points=points, wstar=wstar)
 
 
 def compute_wstar_family(
@@ -293,7 +262,7 @@ def compute_wstar_family(
     """
     points = tuple(points)
     field = _checked_field(points, q)
-    n, g = len(points), curve_genus(q)
+    n = len(points)
     keys = []  # each subset as its indices from the top down: its trie path
     for subset in subsets:
         key = tuple(subset)[::-1]
@@ -306,7 +275,7 @@ def compute_wstar_family(
             raise ValueError(f"subset {key[::-1]} is not strictly increasing")
         keys.append(key)
     found = {
-        key: CodeSequence(q=q, genus=g, field=field, wstar=wstar,
+        key: CodeSequence(q=q, field=field, wstar=wstar,
                           points=tuple([points[i - 1] for i in reversed(key)]))
         for key, wstar in _wstar_walk(points, q, field, sorted(set(keys)))
     }
@@ -402,8 +371,9 @@ def isometry_dual_criterion(cs: CodeSequence) -> bool:
     return (cs.n + 2 * cs.genus - 1) in cs.wstar
 
 
-def find_isometry_vector(cs: CodeSequence) -> Optional[tuple[FieldElement, ...]]:
-    """The all-nonzero x with x_1 = 1 making the sequence isometry-dual, or None.
+def find_isometry_vector(cs: CodeSequence) -> Optional[tuple[int, ...]]:
+    """The all-nonzero x with x_1 = 1 making the sequence isometry-dual, as
+    integer encodings like `generator_rows`, or None.
 
     x works iff for every i the componentwise product x * C^i equals the
     dual of C^(n-i). The first generator row is the constant function, so
@@ -437,13 +407,11 @@ def find_isometry_vector(cs: CodeSequence) -> Optional[tuple[FieldElement, ...]]
         xa = [mul[v][w] for v, w in zip(x, rows[a - 1])]
         if any(_dot(xa, rb, field) for rb in rows[: n - a]):
             return None
-    return tuple(field.element(v) for v in x)
+    return tuple(x)
 
 
 def ideal_complement_check(cs: CodeSequence, W: NumericalSemigroup) -> bool:
-    """Whether W \\ W* is an ideal of W; defined for n > 2g + 2 only."""
-    if cs.n <= 2 * cs.genus + 2:
-        raise PreconditionViolated(
-            f"check requires n > 2g + 2 = {2 * cs.genus + 2}, got n = {cs.n}"
-        )
+    """Whether W \\ W* is an ideal of W. The paper states it for n > 2g + 2;
+    it holds for every point set, since a function that vanishes on the
+    points, times any f in L(inf P_inf), still vanishes on them."""
     return division_escape(W, cs.wstar) is None

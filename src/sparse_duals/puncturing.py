@@ -27,7 +27,7 @@ from .hermitian import (
     curve_genus,
     hermitian_field,
     hermitian_points,
-    monomial_basis_iter,
+    isometry_dual_criterion,
 )
 from .semigroup import NumericalSemigroup
 
@@ -44,9 +44,7 @@ def subset_qualifies(q: int, subset: Sequence[int], points=None) -> bool:
     for i in subset:
         if not 1 <= i <= len(points):
             raise ValueError(f"point index {i} outside 1..{len(points)}")
-    chosen = [points[i - 1] for i in subset]
-    cs = compute_wstar(chosen, q)
-    return (len(chosen) + 2 * curve_genus(q) - 1) in cs.wstar
+    return isometry_dual_criterion(compute_wstar([points[i - 1] for i in subset], q))
 
 
 def _zero_set_relations(q: int, points) -> list[int]:
@@ -54,22 +52,17 @@ def _zero_set_relations(q: int, points) -> list[int]:
     with pole order k <= 2q that have k distinct zeros among the points.
 
     Such an f has divisor sum(P) - k P_inf, so each zero set is a relation.
-    f is monic in its leading monomial; its constant term is whatever makes
-    it vanish, so the points are bucketed by the value of the rest.
+    For q >= 2 the monomials of pole order <= 2q are 1, x, y and x^2, of
+    pole orders 0, q, q + 1 and 2q. f is monic in its leading monomial; its
+    constant term is whatever makes it vanish, so the points are bucketed
+    by the value of the rest.
     """
     field = points[0].x.field
     mul, add = field.mul_table, field.add_table
-    basis = []
-    for fn in monomial_basis_iter(q):
-        if fn.pole_order > 2 * q:
-            break
-        basis.append(fn)
-    values = [  # of each non-constant monomial at the points
-        [mul[field.pow(pt.x.value, fn.x_exp)][field.pow(pt.y.value, fn.y_exp)] for pt in points]
-        for fn in basis[1:]
-    ]
+    xs = [pt.x.value for pt in points]
+    values = [xs, [pt.y.value for pt in points], [mul[x][x] for x in xs]]  # x, y, x^2
     relations = []
-    for k, fn in enumerate(basis[1:]):
+    for k, pole_order in enumerate((q, q + 1, 2 * q)):
         for coeffs in product(range(field.q), repeat=k):
             rest = values[k]
             for c, lower in zip(coeffs, values):
@@ -77,7 +70,7 @@ def _zero_set_relations(q: int, points) -> list[int]:
             zero_sets: dict[int, int] = {}
             for i, v in enumerate(rest):
                 zero_sets[v] = zero_sets.get(v, 0) | 1 << i
-            relations += [m for m in zero_sets.values() if m.bit_count() == fn.pole_order]
+            relations += [m for m in zero_sets.values() if m.bit_count() == pole_order]
     return relations
 
 

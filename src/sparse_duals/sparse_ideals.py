@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, islice
 from operator import lt
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DifferentParents, NotALeader, NotAnIdeal, NotMaximumSparse, NotProper
 from .semigroup import _FLIP, NumericalSemigroup
@@ -188,10 +188,7 @@ def maximum_sparse_from_leader(S: NumericalSemigroup, i: int) -> SemigroupIdeal:
         raise NotALeader(
             f"element {S.element(i)} has {pairs} two-gap decomposition(s)"
         )
-    comp = divisor_set(S, i)
-    if not comp:
-        raise NotProper("divisor set is empty")  # unreachable: 0 is always a divisor
-    ideal = SemigroupIdeal(S, comp)
+    ideal = SemigroupIdeal(S, divisor_set(S, i))
     assert ideal.leader == S.element(i)
     return ideal
 
@@ -301,7 +298,3 @@ def enumerate_proper_ideals(
         frontier = grown
     complements = sorted(seen, key=lambda t: (len(t), sorted(t)))
     return [SemigroupIdeal(S, tuple(sorted(t))) for t in complements]
-
-
-def ideal_from_complement(S: NumericalSemigroup, complement: Iterable[int]) -> SemigroupIdeal:
-    return SemigroupIdeal(S, tuple(complement))

@@ -7,9 +7,9 @@ tables, and subspace equality by explicit vector enumeration instead of
 bilinear shortcuts.
 """
 
-from itertools import combinations
+from itertools import combinations, count, product
 
-from sparse_duals.hermitian import hermitian_field, hermitian_points, monomial_basis_iter
+from sparse_duals.hermitian import hermitian_field, hermitian_points
 from sparse_duals.puncturing import subset_qualifies
 
 # GF(4): 0, 1, 2 = a, 3 = a+1 with a^2 = a+1; addition is XOR.
@@ -158,25 +158,56 @@ def naive_curve_coords(q):
 def naive_wstar(points, q):
     """W* and generator rows by Gaussian elimination of the monomial rows.
 
-    Evaluates x^a y^b in increasing pole order at the points and keeps the
-    rows that grow the rank, until it reaches n: O(n^3), the reference for
-    the library's point-by-point update.
+    Evaluates x^a y^b in increasing pole order m = aq + b(q+1) at the
+    points and keeps the rows that grow the rank, until it reaches n:
+    O(n^3), the reference for the library's point-by-point update. Each m
+    has one b < q with b(q+1) = m mod q, namely b = m mod q, and is a pole
+    order when m - b(q+1) >= 0.
     """
     n = len(points)
     field = hermitian_field(q)
     echelon, wstar, rows = [], [], []
-    for fn in monomial_basis_iter(q):
-        row = [
-            field.mul(field.pow(pt.x.value, fn.x_exp), field.pow(pt.y.value, fn.y_exp))
-            for pt in points
-        ]
+    for m in count():
+        b = m % q
+        if m < b * (q + 1):
+            continue
+        a = (m - b * (q + 1)) // q
+        row = [field.mul(field.pow(pt.x.value, a), field.pow(pt.y.value, b)) for pt in points]
         before = len(echelon)
         _rref([row], n, field, echelon)
         if len(echelon) > before:
-            wstar.append(fn.pole_order)
+            wstar.append(m)
             rows.append(tuple(row))
         if len(echelon) == n:
             return tuple(wstar), tuple(rows)
+
+
+
+def naive_zero_set_relations(q, points):
+    """Bitmasks of the zero sets of the monic f with pole order k <= 2q
+    that have exactly k zeros among the points, by evaluating every f: each
+    monomial of pole order <= 2q as leading term, with every choice of all
+    lower coefficients, constant term included."""
+    field = hermitian_field(q)
+    monomials = []  # (a, b, pole order)
+    for m in range(2 * q + 1):
+        b = m % q
+        if m >= b * (q + 1):
+            monomials.append(((m - b * (q + 1)) // q, b, m))
+    values = [
+        [field.mul(field.pow(pt.x.value, a), field.pow(pt.y.value, b)) for pt in points]
+        for a, b, _ in monomials
+    ]
+    relations = []
+    for k in range(1, len(monomials)):
+        for coeffs in product(range(field.q), repeat=k):
+            f = values[k]
+            for c, lower in zip(coeffs, values):
+                f = [field.add(v, field.mul(c, w)) for v, w in zip(f, lower)]
+            zeros = [i for i, v in enumerate(f) if v == 0]
+            if len(zeros) == monomials[k][2]:
+                relations.append(sum(1 << i for i in zeros))
+    return relations
 
 
 # -- literal isometry-dual verification over any field of the package --

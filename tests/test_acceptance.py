@@ -86,7 +86,7 @@ def test_criterion_04_criterion_iff_oracle(q2_sequences):
         vector = find_isometry_vector(cs)
         assert criterion == (vector is not None), combo
         if vector is not None:
-            assert all(e.value != 0 for e in vector)
+            assert 0 not in vector
         checked += 1
     elapsed = time.perf_counter() - started
     assert checked == 93
@@ -160,11 +160,11 @@ def test_criterion_08_weierstrass_consistency():
     assert W == NumericalSemigroup([2, 3])
     assert W.genus == 1
     basis = monomial_basis(2, 17)
-    assert [(f.x_exp, f.y_exp) for f in basis] == [
+    assert basis == [
         (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (3, 0), (2, 1), (4, 0), (3, 1),
         (5, 0), (4, 1), (6, 0), (5, 1), (7, 0), (6, 1), (8, 0), (7, 1),
     ]
-    assert [f.pole_order for f in basis] == [0] + list(range(2, 18))
+    assert [2 * a + 3 * b for a, b in basis] == [0] + list(range(2, 18))
     _report(8, "Weierstrass semigroup <2,3> with genus 1; first 17 basis functions in order")
 
 

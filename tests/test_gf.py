@@ -10,7 +10,6 @@ from oracles import poly_field_mul
 from sparse_duals import (
     DivisionByZero,
     Field,
-    FieldMismatch,
     NotPrime,
     hermitian_field,
 )
@@ -23,13 +22,11 @@ def test_gf4_is_the_expected_field():
     F = Field(2, 2)
     assert F.q == 4
     assert F.modulus == (1, 1, 1)  # x^2 + x + 1
-    a = F.element(2)  # class of x
-    one = F.one
-    assert a * a == F.element(3)  # a^2 = a + 1
-    assert a * F.element(3) == one
-    assert a.inverse() == F.element(3)
-    assert a + a == F.zero
-    assert F.header() == {"p": 2, "m": 2, "modulus": [1, 1, 1]}
+    a = 2  # class of x
+    assert F.mul(a, a) == 3  # a^2 = a + 1
+    assert F.mul(a, 3) == 1
+    assert F.inv(a) == 3
+    assert F.add(a, a) == 0
 
 
 def test_gf2_is_xor_and():
@@ -51,7 +48,7 @@ def test_gf9_generator_has_order_eight():
 def test_element_counts():
     assert [e.value for e in Field(2).all_elements()] == [0, 1]
     assert len(Field(2, 2).all_elements()) == 4
-    assert len(Field(3, 2).nonzero_elements()) == 8
+    assert repr(Field(3, 2).element(8)) == "GF(9):8"
 
 
 def test_not_prime():
@@ -67,37 +64,13 @@ def test_division_by_zero():
         F.inv(0)
     with pytest.raises(DivisionByZero):
         F.pow(0, -1)
-    with pytest.raises(DivisionByZero):
-        F.one / F.zero
 
 
-def test_field_mismatch():
-    a = Field(2, 2).element(1)
-    b = Field(3, 2).element(1)
-    with pytest.raises(FieldMismatch):
-        a + b
-    with pytest.raises(FieldMismatch):
-        a * b
-
-
-def test_same_parameters_are_interoperable():
+def test_same_parameters_give_equal_fields():
     F1, F2 = Field(2, 2), Field(2, 2)
-    assert F1 == F2
-    assert F1.element(2) + F2.element(3) == F1.one
-
-
-def test_element_dunders_match_value_ops():
-    F = Field(2, 2)
-    for a in F.all_elements():
-        for b in F.all_elements():
-            assert (a + b).value == F.add(a.value, b.value)
-            assert (a * b).value == F.mul(a.value, b.value)
-            assert (a - b).value == F.sub(a.value, b.value)
-            assert (-a).value == F.neg(a.value)
-            if b.value:
-                assert ((a / b) * b) == a
-    assert (F.element(2) ** 3).value == 1
-    assert int(F.element(3)) == 3
+    assert F1 == F2 and hash(F1) == hash(F2)
+    assert F1.element(2) == F2.element(2)
+    assert Field(2, 2) != Field(3, 2)
 
 
 @pytest.mark.parametrize("p,m", SMALL_ORDERS)
@@ -125,7 +98,6 @@ def test_negation_on_every_hermitian_field(q):
     F = hermitian_field(q)
     for a in range(F.q):
         assert F.add(a, F.neg(a)) == 0
-        assert F.sub(a, a) == 0
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])

@@ -23,7 +23,6 @@ from sparse_duals import (
     FieldTooLarge,
     NumericalSemigroup,
     PointNotOnCurve,
-    PreconditionViolated,
     compute_wstar,
     compute_wstar_family,
     curve_genus,
@@ -117,26 +116,27 @@ def test_points_share_their_elements(q):
 
 def test_monomial_basis_q2():
     basis = monomial_basis(2, 9)
-    assert [(f.x_exp, f.y_exp) for f in basis] == [
+    assert basis == [
         (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (3, 0), (2, 1), (4, 0), (3, 1),
     ]
-    assert [f.pole_order for f in basis] == [0, 2, 3, 4, 5, 6, 7, 8, 9]
+    assert [2 * a + 3 * b for a, b in basis] == [0, 2, 3, 4, 5, 6, 7, 8, 9]
 
 
 def test_monomial_basis_small_counts():
-    only = monomial_basis(5, 1)
-    assert (only[0].x_exp, only[0].y_exp, only[0].pole_order) == (0, 0, 0)
-    assert [f.pole_order for f in monomial_basis(3, 6)] == [0, 3, 4, 6, 7, 8]
+    assert monomial_basis(5, 1) == [(0, 0)]
+    assert [3 * a + 4 * b for a, b in monomial_basis(3, 6)] == [0, 3, 4, 6, 7, 8]
     with pytest.raises(ValueError):
         monomial_basis(2, 0)
+    with pytest.raises(ValueError, match="not a prime power"):
+        monomial_basis(6, 3)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_basis_pole_orders_strictly_increase(q):
     basis = monomial_basis(q, 40)
-    orders = [f.pole_order for f in basis]
+    orders = [a * q + b * (q + 1) for a, b in basis]
     assert all(a < b for a, b in zip(orders, orders[1:]))
-    assert all(0 <= f.y_exp <= q - 1 for f in basis)
+    assert all(a >= 0 and 0 <= b <= q - 1 for a, b in basis)
     W = weierstrass_semigroup(q)
     assert all(W.contains(m) for m in orders)
 
@@ -401,7 +401,6 @@ def test_family_in_any_order_with_a_repeat_equals_compute_wstar():
         assert cs == single
         assert (cs.points, cs.wstar) == (single.points, single.wstar)
         assert cs.generator_rows == single.generator_rows
-        assert cs.to_json() == single.to_json()
 
 
 def test_empty_family_and_one_full_range(q2_points):
@@ -464,9 +463,7 @@ def test_criterion_examples(q2_sequences):
 
 def test_isometry_vector_full_set(q2_sequences):
     cs = q2_sequences[tuple(range(1, 9))]
-    vec = find_isometry_vector(cs)
-    assert vec is not None
-    assert [e.value for e in vec] == [1] * 8
+    assert find_isometry_vector(cs) == (1,) * 8
 
 
 def test_isometry_vector_absent_for_seven_points(q2_sequences):
@@ -485,10 +482,9 @@ def test_isometry_vector_absent_for_seven_points(q2_sequences):
 def test_isometry_vectors_literally_verified(q2_sequences, combo, expected):
     cs = q2_sequences[combo]
     vec = find_isometry_vector(cs)
-    values = tuple(e.value for e in vec)
-    assert values == expected
-    assert all(v != 0 for v in values)
-    assert literal_isometry_check(cs, values)
+    assert vec == expected
+    assert all(v != 0 for v in vec)
+    assert literal_isometry_check(cs, vec)
 
 
 def test_single_point_sequence_is_trivially_dual(q2_sequences):
@@ -504,7 +500,7 @@ def test_every_q2_isometry_vector_literally_verified(q2_sequences):
         vec = find_isometry_vector(cs)
         if vec is not None:
             found += 1
-            assert literal_isometry_check(cs, tuple(e.value for e in vec))
+            assert literal_isometry_check(cs, vec)
     assert found == 87
 
 
@@ -533,11 +529,9 @@ def test_x_fibre_unions_get_a_vector_sampled(q):
 def test_ideal_complement_check(q2_sequences):
     W = weierstrass_semigroup(2)
     assert ideal_complement_check(q2_sequences[tuple(range(1, 9))], W)
-    for size in (5, 6, 7, 8):
-        for combo in combinations(range(1, 9), size):
-            assert ideal_complement_check(q2_sequences[combo], W)
-    with pytest.raises(PreconditionViolated):
-        ideal_complement_check(q2_sequences[(1, 2, 3, 4)], W)
+    assert len(q2_sequences) == 255
+    for cs in q2_sequences.values():  # at and below the boundary n = 2g + 2 too
+        assert ideal_complement_check(cs, W)
 
 
 def test_dual_complement_is_an_ideal_for_every_q2_subset(q2_sequences):
@@ -582,26 +576,16 @@ def test_below_boundary_criterion_is_only_necessary(q2_sequences):
     assert by_size == {1: 8, 2: 24, 3: 24, 4: 0}
 
 
-def test_code_sequence_json(q2_sequences):
-    data = q2_sequences[(1, 8)].to_json()
-    assert data["n"] == 2
-    assert data["genus"] == 1
-    assert data["wstar"] == [0, 3]
-    assert data["isometry_dual"] is True
-    assert data["points"] == [[0, 0], [0, 1]]
-    assert len(data["generator_matrix"]) == 2
-
-
 def test_q3_full_sequence(q2_points):
     pts = hermitian_points(3)
     cs = compute_wstar(pts, 3)
-    assert cs.n == 27
+    assert (cs.n, cs.genus) == (27, 3)
     assert len(cs.wstar) == 27
     assert isometry_dual_criterion(cs)
     # Frobenius-collapsed monomials (x^9 = x, ...) leave pole-order holes.
     assert 27 not in cs.wstar and 30 not in cs.wstar and 31 not in cs.wstar
     assert ideal_complement_check(cs, weierstrass_semigroup(3))
-    assert [e.value for e in find_isometry_vector(cs)] == [1] * 27
+    assert find_isometry_vector(cs) == (1,) * 27
 
 
 # -- the automorphisms of the curve that fix the point at infinity --

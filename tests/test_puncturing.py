@@ -5,7 +5,12 @@ from math import prod
 
 import pytest
 
-from oracles import naive_covering_edges, naive_inclusion_pairs, naive_qualifying_subsets
+from oracles import (
+    naive_covering_edges,
+    naive_inclusion_pairs,
+    naive_qualifying_subsets,
+    naive_zero_set_relations,
+)
 from sparse_duals import (
     TooManySubsets,
     build_hierarchy,
@@ -102,6 +107,14 @@ def test_q3_class_membership_matches_wstar():
     drawn = [tuple(sorted(rng.sample(range(1, 28), rng.randint(1, 27)))) for _ in range(300)]
     for combo in list(smallest.values()) + drawn:
         assert classes.qualifies(combo) == subset_qualifies(3, combo, points), combo
+
+
+@pytest.mark.parametrize("q,count", [(2, 18), (3, 135), (4, 328)])
+def test_zero_set_relations_match_every_function_of_low_pole_order(q, count):
+    points = hermitian_points(q)
+    relations = puncturing._zero_set_relations(q, points)
+    assert len(relations) == count
+    assert sorted(relations) == sorted(naive_zero_set_relations(q, points))
 
 
 def test_certificate_adds_the_relations_it_misses(monkeypatch, q2_points):

@@ -27,7 +27,6 @@ from sparse_duals import (
     divisor_set,
     enumerate_proper_ideals,
     gap_pair_count,
-    ideal_from_complement,
     inclusion_report,
     is_maximum_sparse,
     leader_set,
@@ -208,7 +207,7 @@ def test_inclusion_report_errors():
     b = maximum_sparse_from_leader(S35, S35.index_of(10))
     with pytest.raises(DifferentParents):
         inclusion_report(a, b)
-    not_sparse = ideal_from_complement(S23, [0])
+    not_sparse = SemigroupIdeal(S23, (0,))
     with pytest.raises(NotMaximumSparse):
         inclusion_report(a, not_sparse)
 
@@ -270,7 +269,7 @@ def test_ideal_json():
         "leader": 10,
         "frobenius": 10,
     }
-    plain = ideal_from_complement(S23, [0])
+    plain = SemigroupIdeal(S23, (0,))
     assert plain.to_json()["leader"] is None
 
 
