@@ -66,10 +66,11 @@ def test_division_by_zero():
         F.pow(0, -1)
 
 
-def test_same_parameters_give_equal_fields():
+def test_same_parameters_are_interoperable():
     F1, F2 = Field(2, 2), Field(2, 2)
     assert F1 == F2 and hash(F1) == hash(F2)
     assert F1.element(2) == F2.element(2)
+    assert F1.add(F1.element(2).value, F2.element(3).value) == 1
     assert Field(2, 2) != Field(3, 2)
 
 
