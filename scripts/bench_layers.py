@@ -10,11 +10,14 @@ field is built in the call), `compute_wstar` times and
 `tracemalloc` peaks on the full point sets for q = 5, 7, 8, 9, 11, 13, on
 three seeded large subsets and on seeded subsets of the sizes `verify` and
 `isometry` pass (q = 2 with n = 5 and 8, q = 3 with n = 6 and 7),
-`find_isometry_vector` alone on those four subsets (their generator rows
-built beforehand), `compute_wstar_family` times and `tracemalloc` peaks on the 93 subsets
+`find_isometry_vector` alone on those four subsets, on a seeded qualifying
+q = 3 set and on a union of 25 x-fibres at q = 8 (200 points; the last
+two have a vector, so the bilinear conditions are all checked),
+`compute_wstar_family` times and `tracemalloc` peaks on the 93 subsets
 `verify --q 2` checks and on the 31 687 qualifying q = 3 sets above the
-boundary, `qualifying_subsets` at q = 2 and 3, `build_hierarchy` and
-`verify_inheritance` on the q = 2 hierarchy, and in-process `cli.main`
+boundary, `find_isometry_vectors` on the 93 subsets, `qualifying_subsets`
+at q = 2 and 3, `build_hierarchy` and `verify_inheritance` on the q = 2
+hierarchy, and in-process `cli.main`
 calls, stdout captured, for nine commands (the `semigroup --json`
 reports, genus 42 and 90, go to a temporary file).
 Every entry is timed best-of-k in each of ROUNDS rounds, and each round
@@ -56,6 +59,7 @@ from sparse_duals import (  # noqa: E402
     compute_wstar_family,
     curve_genus,
     find_isometry_vector,
+    find_isometry_vectors,
     hermitian_field,
     hermitian_points,
     qualifying_subsets,
@@ -123,6 +127,20 @@ def subsets() -> dict:
     return out
 
 
+def oracle_subsets() -> dict:
+    """The seeded sets that have an isometry vector, by name: a
+    qualifying q = 3 set above the boundary and 25 x-fibres at q = 8."""
+    pts3 = hermitian_points(3)
+    above = [s for s in qualifying_subsets(3) if len(s) > 2 * curve_genus(3) + 2]
+    chosen = random.Random(3).choice(above)
+    pts8 = hermitian_points(8)
+    xs = random.Random(8).sample(sorted({p.x.value for p in pts8}), 25)
+    return {
+        f"qualifying_q3_n{len(chosen)}": (3, [pts3[i - 1] for i in chosen]),
+        "fibres_q8_n200": (8, [p for p in pts8 if p.x.value in xs]),
+    }
+
+
 def families() -> dict:
     """The subset families, by name: the subsets `verify --q 2` checks
     and the qualifying q = 3 sets, each above the boundary 2g + 2."""
@@ -171,16 +189,20 @@ def measure(tmp: Path) -> dict:
     for name, (q, pts, k) in wstar_sets.items():
         entries["compute_wstar", name] = ((lambda q=q, pts=pts: compute_wstar(pts, q)), k)
     oracle_sets = {name: compute_wstar(pts, q) for name, (q, pts, _) in wstar_sets.items() if q <= 3}
+    oracle_sets.update({name: compute_wstar(pts, q) for name, (q, pts) in oracle_subsets().items()})
     for name, cs in oracle_sets.items():
-        cs.generator_rows  # built once here, so the entry times the solve alone
-        entries["find_isometry_vector", name] = ((lambda cs=cs: find_isometry_vector(cs)), 300)
+        entries["find_isometry_vector", name] = (
+            (lambda cs=cs: find_isometry_vector(cs)), 300 if cs.n <= 27 else 3)
     wstar_families = {
         name: (q, hermitian_points(q), family, 30 if len(family) < 1000 else 1)
         for name, (q, family) in families().items()
     }
+    _, q2_points, verify_family, _ = wstar_families["verify_q2_n_gt_4"]
     for name, (q, pts, family, k) in wstar_families.items():
         entries["compute_wstar_family", name] = (
             (lambda q=q, pts=pts, family=family: compute_wstar_family(pts, q, family)), k)
+    entries["find_isometry_vectors", "verify_q2_n_gt_4"] = (
+        lambda: find_isometry_vectors(q2_points, 2, verify_family), 30)
     q2_subsets = qualifying_subsets(2)
     q2_graph = build_hierarchy(q2_subsets, boundary=4)
     W2 = weierstrass_semigroup(2)
@@ -207,6 +229,9 @@ def measure(tmp: Path) -> dict:
     for name, cs in oracle_sets.items():
         run["find_isometry_vector"][name].update(
             q=cs.q, n=cs.n, found=find_isometry_vector(cs) is not None)
+    run["find_isometry_vectors"]["verify_q2_n_gt_4"].update(
+        q=2, subsets=len(verify_family),
+        found=sum(v is not None for v in find_isometry_vectors(q2_points, 2, verify_family)))
     for name, (q, pts, family, _) in wstar_families.items():
         # The walk makes one point step per distinct tail of a subset.
         steps = len({s[i:] for s in family for i in range(len(s))})

@@ -26,6 +26,7 @@ from .hermitian import (
     compute_wstar_family,
     curve_genus,
     find_isometry_vector,
+    find_isometry_vectors,
     hermitian_field,
     hermitian_points,
     ideal_complement_check,

@@ -11,12 +11,15 @@ that vanish on the point set. `compute_wstar` finds it point by point:
 it keeps a Groebner basis of that vanishing module over F[x], one
 generator per residue class mod q, and each added point moves exactly
 one pole order from the module into W*. `compute_wstar_family` does the
-same for many subsets of one point list, sharing their common steps.
+same for many subsets of one point list, sharing their common steps, and
+`find_isometry_vectors` solves for their isometry vectors on the same
+walk, by column elimination on the values of the monomials at the points.
 """
 
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
@@ -181,34 +184,6 @@ class CodeSequence:
         return tuple(rows)
 
 
-def _echelon_insert(
-    row: Sequence[int], echelon: list[tuple[int, list[int]]], field: Field
-) -> bool:
-    """Reduce `row` against normalized echelon rows (pivot entries are 1)
-    and append the result, normalized, unless it is zero. Each appended row
-    is zero at the pivots of the rows before it. Returns whether the rank grew."""
-    mul, add = field.mul_table, field.add_table
-    r = list(row)
-    for piv, erow in echelon:
-        if r[piv]:
-            f = field.neg(r[piv])
-            r = [add[v][mul[f][w]] for v, w in zip(r, erow)]
-    piv = next((k for k, v in enumerate(r) if v), None)
-    if piv is None:
-        return False
-    scale = field.inv_table[r[piv]]
-    echelon.append((piv, [mul[scale][v] for v in r]))
-    return True
-
-
-def _dot(u: Sequence[int], v: Sequence[int], field: Field) -> int:
-    mul, add = field.mul_table, field.add_table
-    acc = 0
-    for a, b in zip(u, v):
-        acc = add[acc][mul[a][b]]
-    return acc
-
-
 def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
     """W* of the code sequence at the points, one point at a time.
 
@@ -262,18 +237,7 @@ def compute_wstar_family(
     """
     points = tuple(points)
     field = _checked_field(points, q)
-    n = len(points)
-    keys = []  # each subset as its indices from the top down: its trie path
-    for subset in subsets:
-        key = tuple(subset)[::-1]
-        if not key:
-            raise ValueError("a subset needs at least one point index")
-        if not (key[0] <= n and key[-1] >= 1 and all(map(gt, key, key[1:]))):
-            bad = next((i for i in key[::-1] if not 1 <= i <= n), None)
-            if bad is not None:
-                raise ValueError(f"point index {bad} outside 1..{n}")
-            raise ValueError(f"subset {key[::-1]} is not strictly increasing")
-        keys.append(key)
+    keys = _subset_keys(len(points), subsets)
     found = {
         key: CodeSequence(q=q, field=field, wstar=wstar,
                           points=tuple([points[i - 1] for i in reversed(key)]))
@@ -298,72 +262,112 @@ def _checked_field(points: tuple[CurvePoint, ...], q: int) -> Field:
     return field
 
 
-def _wstar_walk(
-    points: tuple[CurvePoint, ...], q: int, field: Field, order: list[tuple[int, ...]]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(key, W*) for each key of `order`, by one walk over their trie (see
-    `compute_wstar`). The keys are distinct and sorted, a key being a
+def _subset_keys(n: int, subsets: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Each subset as its trie path, its indices from the top down, after
+    checking that it is a non-empty, strictly increasing sequence of
+    1-based indices into n points."""
+    keys = []
+    for subset in subsets:
+        key = tuple(subset)[::-1]
+        if not key:
+            raise ValueError("a subset needs at least one point index")
+        if not (key[0] <= n and key[-1] >= 1 and all(map(gt, key, key[1:]))):
+            bad = next((i for i in key[::-1] if not 1 <= i <= n), None)
+            if bad is not None:
+                raise ValueError(f"point index {bad} outside 1..{n}")
+            raise ValueError(f"subset {key[::-1]} is not strictly increasing")
+        keys.append(key)
+    return keys
+
+
+def _trie_walk(
+    order: list[tuple[int, ...]], root, advance
+) -> Iterator[tuple[tuple[int, ...], object]]:
+    """(key, state) for each key of `order`, by one walk over their trie
+    (see `compute_wstar`). The keys are distinct and sorted, a key being a
     subset's 1-based indices into the points from the largest down, so a
-    node's subtree is a run of keys."""
+    node's subtree is a run of keys.
+
+    `advance(state, js, alone)` returns the state after the 0-based points
+    `js` are added to `state`, in that order, and leaves `state` as it
+    was: siblings start from one state. `alone` says that no other key
+    shares these points, so they end a key. The state is yielded as it
+    stands and must not be modified.
+    """
     # The trie depth at which each key and the next part: their first
     # difference, or the end of the first when it is a prefix of the next.
     shared = [next(compress(count(), map(ne, u, v)), len(u)) for u, v in zip(order, order[1:])]
+    # Frames (lo, hi, depth, state): the keys order[lo:hi] share their
+    # first `depth` indices, and state is the state there.
+    frames = [(0, len(order), 0, root)] if order else []
+    while frames:
+        lo, hi, depth, state = frames.pop()
+        while True:
+            key = order[lo]
+            stop = min(shared[lo:hi - 1]) if hi - lo > 1 else len(key)
+            if stop > depth:
+                state = advance(state, [i - 1 for i in key[depth:stop]], hi - lo == 1)
+                depth = stop
+            if len(key) > depth:  # a branch node: one frame per child
+                cuts = [lo] + [k + 1 for k in range(lo, hi - 1) if shared[k] == depth] + [hi]
+                frames += [(a, b, depth, state) for a, b in zip(cuts, cuts[1:])]
+                break
+            yield key, state
+            lo += 1
+            if lo == hi:
+                break
+
+
+def _wstar_walk(
+    points: tuple[CurvePoint, ...], q: int, field: Field, order: list[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(key, W*) for each key of `order`, by the Groebner update of
+    `compute_wstar` on the trie walk of `_trie_walk`."""
     g = curve_genus(q)
     mul, add, inv = field.mul_table, field.add_table, field.inv_table
     add_scaled, neg = field.add_scaled, mul[field.p - 1]  # -a = neg[a]
     xs = [pt.x.value for pt in points]
-    gens = list(map(bytes, _powers([pt.y.value for pt in points], q - 1, mul)))  # y^b
-    rho = [b * (q + 1) for b in range(q)]
-    # Frames (lo, hi, depth, gens, rho, ws): the keys order[lo:hi] share
-    # their first `depth` indices, gens and rho are the state there and ws
-    # the pole orders that joined W* on the way. Siblings share one state,
-    # so it is copied before it is stepped.
-    frames = [(0, len(order), 0, gens, rho, [])] if order else []
-    while frames:
-        lo, hi, depth, gens, rho, ws = frames.pop()
-        gens, rho, ws = gens[:], rho[:], ws[:]
-        while True:
-            key = order[lo]
-            stop = min(shared[lo:hi - 1]) if hi - lo > 1 else len(key)
-            js, xv = [i - 1 for i in key[depth:stop]], xs
-            if hi - lo == 1 and js and js[0] >= 2 * len(js):
-                # A tail that no other key shares needs only its own points:
-                # cut to them, so its m points below position j cost O(q m^2),
-                # not O(q m j). Where they fill half the positions or more,
-                # the cut costs more than it saves.
-                pos = js[::-1]
-                gens = [bytes(map(gb.__getitem__, pos)) for gb in gens]
-                js, xv = range(len(pos) - 1, -1, -1), [xs[j] for j in pos]
-            for j in js:
-                live = [b for b, gb in enumerate(gens) if gb[j]]
-                if not live:
-                    raise AssertionError("every generator vanishes at a new distinct point")
-                s = min(live, key=rho.__getitem__)
-                gs = gens[s]
-                scale = inv[neg[gs[j]]]  # g_b + g_b[j] * scale * g_s vanishes at the point
-                gs = gs[:j]
-                for b, gb in enumerate(gens):
-                    if b == s:
-                        shift = add[neg[xv[j]]]
-                        gens[b] = bytes([mul[shift[x]][v] for x, v in zip(xv, gs)])
-                    elif gb[j]:
-                        gens[b] = add_scaled(gb[:j], mul[gb[j]][scale], gs)
-                    else:
-                        gens[b] = gb[:j]
-                ws.append(rho[s])
-                rho[s] += q
-            depth = stop
-            if len(key) > depth:  # a branch node: one frame per child
-                cuts = [lo] + [k + 1 for k in range(lo, hi - 1) if shared[k] == depth] + [hi]
-                frames += [(a, b, depth, gens, rho, ws) for a, b in zip(cuts, cuts[1:])]
-                break
-            ws.sort()  # a key that goes on from here needs the set, not the order
-            if ws[-1] > depth + 2 * g - 1:
-                raise AssertionError("rank must reach n by pole order n + 2g - 1")
-            yield key, tuple(ws)
-            lo += 1
-            if lo == hi:
-                break
+
+    def advance(state, js, alone):
+        # The state: the generators g_b as vectors, their rho_b, and the
+        # pole orders that joined W* on the way.
+        gens, rho, ws = state
+        gens, rho, ws, xv = gens[:], rho[:], ws[:], xs
+        if alone and js[0] >= 2 * len(js):
+            # A tail that no other key shares needs only its own points:
+            # cut to them, so its m points below position j cost O(q m^2),
+            # not O(q m j). Where they fill half the positions or more,
+            # the cut costs more than it saves.
+            pos = js[::-1]
+            gens = [bytes(map(gb.__getitem__, pos)) for gb in gens]
+            js, xv = range(len(pos) - 1, -1, -1), [xs[j] for j in pos]
+        for j in js:
+            live = [b for b, gb in enumerate(gens) if gb[j]]
+            if not live:
+                raise AssertionError("every generator vanishes at a new distinct point")
+            s = min(live, key=rho.__getitem__)
+            gs = gens[s]
+            scale = inv[neg[gs[j]]]  # g_b + g_b[j] * scale * g_s vanishes at the point
+            gs = gs[:j]
+            for b, gb in enumerate(gens):
+                if b == s:
+                    shift = add[neg[xv[j]]]
+                    gens[b] = bytes([mul[shift[x]][v] for x, v in zip(xv, gs)])
+                elif gb[j]:
+                    gens[b] = add_scaled(gb[:j], mul[gb[j]][scale], gs)
+                else:
+                    gens[b] = gb[:j]
+            ws.append(rho[s])
+            rho[s] += q
+        return gens, rho, ws
+
+    root = (list(map(bytes, _powers([pt.y.value for pt in points], q - 1, mul))),  # y^b
+            [b * (q + 1) for b in range(q)], [])
+    for key, (_, _, ws) in _trie_walk(order, root, advance):
+        ws = sorted(ws)
+        if ws[-1] > len(key) + 2 * g - 1:
+            raise AssertionError("rank must reach n by pole order n + 2g - 1")
+        yield key, tuple(ws)
 
 
 def isometry_dual_criterion(cs: CodeSequence) -> bool:
@@ -380,34 +384,119 @@ def find_isometry_vector(cs: CodeSequence) -> Optional[tuple[int, ...]]:
     x * C^1 is the line through x, and it must equal the dual of C^(n-1),
     which is one-dimensional because the n generator rows are independent.
     Solutions are closed under global scaling, so fixing x_1 = 1 leaves at
-    most one candidate: the nullspace vector of the first n-1 rows. It
+    most one candidate: the vector orthogonal to the first n-1 rows. It
     works iff it has no zero entry and meets the bilinear conditions
-    sum_k x_k r_a[k] r_b[k] = 0 over all generator pairs with a + b <= n,
-    which suffice because with x all-nonzero the dimensions already match.
+    sum_k x_k r_i[k] r_j[k] = 0 over all generator pairs with
+    i + j <= n - 2 (0-based), which suffice because with x all-nonzero the
+    dimensions already match. The candidate and the conditions come from
+    the column walk of `find_isometry_vectors`, run on the one subset of
+    all of `cs.points`, which a `CodeSequence` holds checked already.
     """
-    n, field = cs.n, cs.field
+    [(_, x)] = _isometry_walk(cs.points, cs.q, cs.field, [tuple(range(cs.n, 0, -1))])
+    return x
+
+
+def find_isometry_vectors(
+    points: Sequence[CurvePoint], q: int, subsets: Sequence[Sequence[int]]
+) -> list[Optional[tuple[int, ...]]]:
+    """`find_isometry_vector` of the code sequence of each subset of the
+    points, in the order given, with subsets and points checked as
+    `compute_wstar_family` checks them.
+
+    The subsets share the steps of their common top points on the trie
+    walk of `compute_wstar`, but a step here is column elimination: each
+    point contributes the values at it of the first K monomials in pole
+    order, those of pole order <= n + 4g - 2 for the largest subset size
+    n, followed by its unit vector among the points, which records the
+    combination of points a column stands for. A new column is reduced by
+    the stored one whose pivot, its first nonzero monomial entry, equals
+    its own, until its pivot is new, so the stored pivots are the rank
+    jumps: the indices of W*. At a subset's last point, the column with
+    the largest pivot is zero on every monomial below W*[n-1], so its
+    unit-vector part is the candidate x up to scale, and its monomial
+    entries are x's inner products with the monomials. Each bilinear
+    condition is one of those entries (see `_meets_pairs`), and those below
+    W*[n-1] are 0 by construction. A point costs at most one vector
+    operation per point before it, and no generator row is built. A
+    repeated subset is computed once.
+    """
+    points = tuple(points)
+    field = _checked_field(points, q)
+    keys = _subset_keys(len(points), subsets)
+    found = dict(_isometry_walk(points, q, field, sorted(set(keys))))
+    return [found[key] for key in keys]
+
+
+def _isometry_walk(
+    points: tuple[CurvePoint, ...], q: int, field: Field, order: list[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], Optional[tuple[int, ...]]]]:
+    """(key, isometry vector or None) for each key of `order`, by the
+    column walk of `find_isometry_vectors` on the walk of `_trie_walk`."""
+    n_all, top = len(points), max(map(len, order), default=1) + 4 * curve_genus(q) - 2
     mul, inv = field.mul_table, field.inv_table
-    rows = cs.generator_rows
-    echelon: list[tuple[int, list[int]]] = []
-    for row in rows[: n - 1]:
-        _echelon_insert(row, echelon, field)
-    # n - 1 pivots in n columns leave one free column. Each echelon row is
-    # zero at the pivots of the rows before it, so solving the rows last to
-    # first reads only entries of x that are already set.
-    pivots = {piv for piv, _ in echelon}
-    x = [0] * n
-    x[next(k for k in range(n) if k not in pivots)] = 1
-    for piv, erow in reversed(echelon):
-        x[piv] = field.neg(_dot(erow, x, field))
-    if 0 in x:
-        return None
-    scale = inv[x[0]]
-    x = [mul[scale][v] for v in x]
-    for a in range(1, n):
-        xa = [mul[v][w] for v, w in zip(x, rows[a - 1])]
-        if any(_dot(xa, rb, field) for rb in rows[: n - a]):
-            return None
-    return tuple(x)
+    add_scaled, neg = field.add_scaled, mul[field.p - 1]  # -a = neg[a]
+    # The monomials x^a y^b of pole order m <= top, and the index of each
+    # m among them.
+    basis = [(m // q - m % q, m % q) for m in range(top + 1) if m // q >= m % q]
+    k_mono = len(basis)
+    poles = [a * q + b * (q + 1) for a, b in basis]
+    index = dict(zip(poles, count()))
+    eye = bytes(n_all - 1) + b"\x01" + bytes(n_all - 1)
+    columns = []
+    for k, pt in enumerate(points):
+        x_mul, y_mul, u, v = mul[pt.x.value], mul[pt.y.value], 1, 1
+        x_pows = [1] + [u := x_mul[u] for _ in range(top // q)]
+        y_muls = [mul[1]] + [mul[v := y_mul[v]] for _ in range(q - 1)]  # times y^b
+        columns.append(bytes([y_muls[b][x_pows[a]] for a, b in basis])
+                       + eye[n_all - 1 - k:2 * n_all - 1 - k])
+
+    def advance(stored, js, alone):
+        # The state: the reduced columns so far, by pivot.
+        stored = stored.copy()
+        for j in js:
+            c = columns[j]
+            while True:
+                piv = len(c) - len(c.lstrip(b"\x00"))
+                s = stored.get(piv)
+                if s is None:
+                    break
+                c = add_scaled(c, mul[neg[c[piv]]][inv[s[piv]]], s)
+            if piv >= k_mono:
+                raise AssertionError("the monomials separate distinct points")
+            stored[piv] = c
+        return stored
+
+    for key, stored in _trie_walk(order, {}, advance):
+        pivots = sorted(stored)
+        last = stored[pivots[-1]]
+        x = [last[k_mono + i - 1] for i in reversed(key)]
+        if 0 in x or not _meets_pairs(last, [poles[k] for k in pivots], index):
+            yield key, None
+        else:
+            scale = mul[inv[x[0]]]
+            yield key, tuple([scale[v] for v in x])
+
+
+def _meets_pairs(last: bytes, wstar: list[int], index: dict[int, int]) -> bool:
+    """Whether x annihilates r_i * r_j for every pair of generators with
+    i <= j and i + j <= n - 2, given last[index[m]], x's inner product
+    with the monomial of pole order m, which is 0 below top = wstar[-1].
+
+    The n pole orders are distinct integers up to top, so w_i <= top -
+    (n - 1 - i), and a pair has m = w_i + w_j <= 2 top - n <= top + 2g - 1,
+    as top <= n + 2g - 1. The pair's product x^a y^b has pole order m.
+    With b < q it is the monomial of pole order m; otherwise it is
+    x^(a+q+1) y^(b-q) - x^a y^(b-q+1) on the curve, and the second term
+    has pole order m - q^2 + 1 <= top - q, below top. So x annihilates
+    the product iff last[index[m]] is 0, as it is for every m below top.
+    """
+    n, top = len(wstar), wstar[-1]
+    for i in range(n // 2):
+        wi = wstar[i]
+        for wj in wstar[max(i, bisect_left(wstar, top - wi)):n - 1 - i]:
+            if last[index[wi + wj]]:
+                return False
+    return True
 
 
 def ideal_complement_check(cs: CodeSequence, W: NumericalSemigroup) -> bool:

@@ -312,3 +312,62 @@ def naive_inclusion_pairs(subsets, boundary):
         tuple((c, p) for c, p in pairs if len(c) > boundary),
         tuple((c, p) for c, p in pairs if len(c) == boundary),
     )
+
+
+# -- the isometry vector by row echelon on the generator rows --
+
+
+def _echelon_insert(row, echelon, field):
+    """Reduce `row` against normalized echelon rows (pivot entries are 1)
+    and append the result, normalized, unless it is zero. Each appended row
+    is zero at the pivots of the rows before it. Returns whether the rank grew."""
+    mul, add = field.mul_table, field.add_table
+    r = list(row)
+    for piv, erow in echelon:
+        if r[piv]:
+            f = field.neg(r[piv])
+            r = [add[v][mul[f][w]] for v, w in zip(r, erow)]
+    piv = next((k for k, v in enumerate(r) if v), None)
+    if piv is None:
+        return False
+    scale = field.inv_table[r[piv]]
+    echelon.append((piv, [mul[scale][v] for v in r]))
+    return True
+
+
+def _dot(u, v, field):
+    mul, add = field.mul_table, field.add_table
+    acc = 0
+    for a, b in zip(u, v):
+        acc = add[acc][mul[a][b]]
+    return acc
+
+
+def naive_isometry_vector(cs):
+    """The isometry vector of `cs` with x_1 = 1, or None, from scratch: the
+    nullspace vector of the first n - 1 generator rows by row echelon and
+    back-substitution, then every bilinear condition
+    sum_k x_k r_a[k] r_b[k] = 0 with a + b <= n (1-based) as a dot product."""
+    n, field = cs.n, cs.field
+    mul, inv = field.mul_table, field.inv_table
+    rows = cs.generator_rows
+    echelon = []
+    for row in rows[: n - 1]:
+        _echelon_insert(row, echelon, field)
+    # n - 1 pivots in n columns leave one free column. Each echelon row is
+    # zero at the pivots of the rows before it, so solving the rows last to
+    # first reads only entries of x that are already set.
+    pivots = {piv for piv, _ in echelon}
+    x = [0] * n
+    x[next(k for k in range(n) if k not in pivots)] = 1
+    for piv, erow in reversed(echelon):
+        x[piv] = field.neg(_dot(erow, x, field))
+    if 0 in x:
+        return None
+    scale = inv[x[0]]
+    x = [mul[scale][v] for v in x]
+    for a in range(1, n):
+        xa = [mul[v][w] for v, w in zip(x, rows[a - 1])]
+        if any(_dot(xa, rb, field) for rb in rows[: n - a]):
+            return None
+    return tuple(x)

@@ -11,7 +11,7 @@ from sparse_duals import (
     NumericalSemigroup,
     build_hierarchy,
     divisor_set,
-    find_isometry_vector,
+    find_isometry_vectors,
     gap_pair_count,
     inclusion_report,
     is_maximum_sparse,
@@ -76,14 +76,12 @@ def test_criterion_03_inheritance(q2_sequences):
     )
 
 
-def test_criterion_04_criterion_iff_oracle(q2_sequences):
+def test_criterion_04_criterion_iff_oracle(q2_points, q2_sequences):
     started = time.perf_counter()
     checked = 0
-    for combo, cs in q2_sequences.items():
-        if len(combo) <= 4:
-            continue
-        criterion = isometry_dual_criterion(cs)
-        vector = find_isometry_vector(cs)
+    combos = [combo for combo in q2_sequences if len(combo) > 4]
+    for combo, vector in zip(combos, find_isometry_vectors(q2_points, 2, combos), strict=True):
+        criterion = isometry_dual_criterion(q2_sequences[combo])
         assert criterion == (vector is not None), combo
         if vector is not None:
             assert 0 not in vector

@@ -575,13 +575,15 @@ def test_a_command_builds_one_field(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv,calls,families", [
     # 8 certify the classes of q = 2; one family walk covers the 93
     # subsets above the boundary.
+    # The oracle solves the same 93 subsets in one walk of its own.
     (("verify", "--q", "2"), 8, [93]),
     (("hierarchy", "--q", "2"), 8, []),
 ], ids=["verify", "hierarchy"])
 def test_wstar_computations_per_command(capsys, monkeypatch, argv, calls, families):
-    counted, walked = [], []
+    counted, walked, solved = [], [], []
     compute_wstar = hermitian.compute_wstar
     compute_wstar_family = hermitian.compute_wstar_family
+    find_isometry_vectors = hermitian.find_isometry_vectors
 
     def counting(points, q):
         counted.append(len(points))
@@ -591,11 +593,20 @@ def test_wstar_computations_per_command(capsys, monkeypatch, argv, calls, famili
         walked.append(len(subsets))
         return compute_wstar_family(points, q, subsets)
 
+    def counting_oracle(points, q, subsets):
+        solved.append(len(subsets))
+        return find_isometry_vectors(points, q, subsets)
+
+    def single_oracle(cs):
+        raise AssertionError("the oracle runs on the family")
+
     for module in (cli, puncturing):
         monkeypatch.setattr(module, "compute_wstar", counting)
     monkeypatch.setattr(cli, "compute_wstar_family", counting_family)
+    monkeypatch.setattr(cli, "find_isometry_vectors", counting_oracle)
+    monkeypatch.setattr(cli, "find_isometry_vector", single_oracle)
     assert run(capsys, *argv)[0] == 0
-    assert (len(counted), walked) == (calls, families)
+    assert (len(counted), walked, solved) == (calls, families, families)
 
 
 @pytest.mark.parametrize("error,code", [(RuntimeError, 3), (MemoryError, 2)],

@@ -12,6 +12,7 @@ from oracles import (
     is_division_closed,
     literal_isometry_check,
     naive_curve_coords,
+    naive_isometry_vector,
     naive_wstar,
     naive_wstar_q2,
 )
@@ -27,6 +28,7 @@ from sparse_duals import (
     compute_wstar_family,
     curve_genus,
     find_isometry_vector,
+    find_isometry_vectors,
     hermitian_field,
     hermitian_points,
     ideal_complement_check,
@@ -405,6 +407,7 @@ def test_family_in_any_order_with_a_repeat_equals_compute_wstar():
 
 def test_empty_family_and_one_full_range(q2_points):
     assert compute_wstar_family(q2_points, 2, []) == []
+    assert find_isometry_vectors(q2_points, 2, []) == []
     assert compute_wstar_family(q2_points, 2, [range(1, 9)]) == [compute_wstar(q2_points, 2)]
     with pytest.raises(ValueError, match="at least one evaluation point"):
         compute_wstar_family([], 2, [])
@@ -419,8 +422,9 @@ def test_family_point_errors_match_compute_wstar(q2_points):
                           ([*q2_points[:3], foreign], ValueError)):
         with pytest.raises(error) as single:
             compute_wstar(points, 2)
-        with pytest.raises(error, match=re.escape(str(single.value))):
-            compute_wstar_family(points, 2, [(1,)])
+        for family in (compute_wstar_family, find_isometry_vectors):
+            with pytest.raises(error, match=re.escape(str(single.value))):
+                family(points, 2, [(1,)])
 
 
 @pytest.mark.parametrize("subset,message", [
@@ -433,8 +437,9 @@ def test_family_point_errors_match_compute_wstar(q2_points):
     ((1, 1, 2), "subset (1, 1, 2) is not strictly increasing"),
 ], ids=["zero", "negative", "above", "above-unordered", "empty", "descending", "repeated"])
 def test_family_rejects_bad_subsets(q2_points, subset, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        compute_wstar_family(q2_points, 2, [(1, 2), subset])
+    for family in (compute_wstar_family, find_isometry_vectors):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            family(q2_points, 2, [(1, 2), subset])
 
 
 def test_full_q9_family_runs_in_little_memory():
@@ -524,6 +529,88 @@ def test_x_fibre_unions_get_a_vector_sampled(q):
             chosen = rng.sample(sorted(fibres), k)
             cs = compute_wstar([p for x in chosen for p in fibres[x]], q)
             assert find_isometry_vector(cs) is not None
+
+
+# -- isometry vectors of a subset family in one column walk --
+
+
+def test_isometry_family_matches_naive_solve_on_every_q2_subset(q2_points, q2_sequences):
+    family = [c for k in range(1, 9) for c in combinations(range(1, 9), k)]
+    assert len(family) == 255
+    vectors = find_isometry_vectors(q2_points, 2, family)
+    for subset, vector in zip(family, vectors, strict=True):
+        cs = q2_sequences[subset]
+        assert vector == find_isometry_vector(cs) == naive_isometry_vector(cs), subset
+    assert sum(v is not None for v in vectors) == 87
+
+
+def _vector_family(q, rng):
+    """Seeded subsets of the q^3 points on both sides of the boundary
+    2g + 2: prefix-sharing random draws, which rarely have a vector, x-fibre
+    unions and, at q = 3, qualifying sets, which have one; one subset
+    repeated and the whole in shuffled order."""
+    points = hermitian_points(q)
+    family = _prefix_sharing_family(q, rng, 20, q**3)
+    index = {p.coords(): i for i, p in enumerate(points, 1)}
+    fibres = _x_fibres(points)
+    for _ in range(8):
+        chosen = rng.sample(sorted(fibres), rng.randint(1, q * q))
+        family.append(tuple(sorted(index[p.coords()] for x in chosen for p in fibres[x])))
+    if q == 3:
+        family += rng.sample(qualifying_subsets(3), 20)
+    family.append(family[5])
+    rng.shuffle(family)
+    return points, family
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_isometry_family_matches_naive_solve_sampled(q):
+    points, family = _vector_family(q, random.Random(700 + q))
+    boundary = 2 * curve_genus(q) + 2
+    assert {len(s) <= boundary for s in family} == {True, False}
+    vectors = find_isometry_vectors(points, q, family)
+    for subset, vector in zip(family, vectors, strict=True):
+        cs = compute_wstar([points[i - 1] for i in subset], q)
+        assert vector == find_isometry_vector(cs) == naive_isometry_vector(cs), subset
+    found = [len(s) for s, v in zip(family, vectors) if v is not None]
+    assert min(found) <= boundary < max(found)
+
+
+def test_isometry_walk_pivots_are_wstar(monkeypatch):
+    # The column walk finds the rank jumps itself, as the pivots of its
+    # stored columns (indices into the monomials in pole order).
+    pivots = {}
+    walk = hermitian._trie_walk
+
+    def recording(order, root, advance):
+        for key, state in walk(order, root, advance):
+            if isinstance(state, dict):
+                pivots[key[::-1]] = sorted(state)
+            yield key, state
+
+    monkeypatch.setattr(hermitian, "_trie_walk", recording)
+    for q in (3, 4, 5):
+        points, family = _vector_family(q, random.Random(700 + q))
+        find_isometry_vectors(points, q, family)
+        poles = [m for m in range(2 * q**3 + q**2) if m // q >= m % q]
+        for subset in family:
+            wstar = compute_wstar([points[i - 1] for i in subset], q).wstar
+            assert tuple(poles[k] for k in pivots[subset]) == wstar, subset
+
+
+@pytest.mark.parametrize("q,n,fibres", [(5, 60, False), (5, 60, True), (8, 200, True)])
+def test_isometry_vector_matches_naive_solve_on_large_sets(q, n, fibres):
+    points = hermitian_points(q)
+    rng = random.Random(q * n)
+    if fibres:  # n / q whole x-fibres: a vector exists
+        by_x = _x_fibres(points)
+        chosen = [p for x in rng.sample(sorted(by_x), n // q) for p in by_x[x]]
+    else:
+        chosen = rng.sample(points, n)
+    cs = compute_wstar(chosen, q)
+    vector = find_isometry_vector(cs)
+    assert vector == naive_isometry_vector(cs)
+    assert (vector is not None) == fibres
 
 
 def test_ideal_complement_check(q2_sequences):
