@@ -16,9 +16,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Callable, Optional
 
 from .errors import PreconditionViolated, SparseDualsError, TooManySubsets
 from .hermitian import (
@@ -86,13 +90,36 @@ def _write(path: str, content: str) -> None:
     Path(path).write_text(content, encoding="utf-8")
 
 
-def _join_ints(sep: str, values) -> str:
-    """`sep.join(map(str, values))` for a list or tuple of ints. A long one
-    is joined in slices, so it never holds a str object per element at once."""
-    step = 1 << 16
-    if len(values) <= step:
-        return sep.join(map(str, values))
-    return sep.join([_join_ints(sep, values[k:k + step]) for k in range(0, len(values), step)])
+def _write_json(path: str, value) -> None:
+    """Write `json.dumps(value, indent=2, sort_keys=True)` and a newline to
+    `path`, byte for byte, in the pieces of `_report_json`, so a long
+    report is never held whole.
+
+    The pieces go to a sibling `.part` file that replaces the target once
+    it is whole, so a run that fails part-way leaves the target as it was.
+    A symbolic link is followed, and a target that is not a regular file
+    (a pipe or a device) is written in place.
+    """
+    if os.path.islink(path):
+        path = os.path.realpath(path)
+    try:
+        mode: Optional[int] = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    in_place = mode is not None and not stat.S_ISREG(mode)
+    part = path if in_place else path + ".part"
+    try:
+        with open(part, "w", encoding="utf-8") as out:
+            _report_json(value, out.write)
+            out.write("\n")
+        if not in_place:
+            if mode is not None:  # keep the target's permission bits
+                os.chmod(part, stat.S_IMODE(mode))
+            os.replace(part, path)
+    except BaseException:
+        if not in_place:
+            Path(part).unlink(missing_ok=True)
+        raise
 
 
 def _print_set(prefix: str, values, suffix: str = "") -> None:
@@ -107,32 +134,44 @@ def _print_set(prefix: str, values, suffix: str = "") -> None:
     write("}" + suffix + "\n")
 
 
-def _report_json(value, indent: str = "") -> str:
-    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, with each
-    list of plain ints joined by `str.join` instead of encoded item by item.
+def _report_json(value, write: Callable[[str], object], indent: str = "") -> None:
+    """Pass the text of `json.dumps(value, indent=2, sort_keys=True)`, byte
+    for byte, to `write` in pieces. A list of plain ints is joined by
+    `str.join` instead of encoded item by item, a slice at a time, so no
+    piece and no list of str objects grows with it.
 
     Plain ints, non-empty lists and tuples, and non-empty dicts with str
-    keys are laid out here; anything else, bools and other int subclasses
-    included, goes to `json.dumps`.
+    keys are laid out here; a key is quoted as `json.dumps` quotes it, and
+    any other value, bools and other int subclasses included, goes to
+    `json.dumps`.
     """
     if type(value) is int:
-        return str(value)
+        write(str(value))
+        return
     inner = indent + "  "
+    sep = ",\n" + inner
     if isinstance(value, (list, tuple)) and value:
-        sep = ",\n" + inner
+        write("[\n" + inner)
         if set(map(type, value)) == {int}:
-            items = _join_ints(sep, value)
+            step = 1 << 12
+            for k in range(0, len(value), step):
+                write((sep if k else "") + sep.join(map(str, value[k:k + step])))
         else:
-            items = sep.join([_report_json(v, inner) for v in value])
-        return f"[\n{inner}{items}\n{indent}]"
-    if isinstance(value, dict) and value and set(map(type, value)) == {str}:
-        items = (",\n" + inner).join(
-            [f"{json.dumps(k)}: {_report_json(value[k], inner)}" for k in sorted(value)]
-        )
-        return f"{{\n{inner}{items}\n{indent}}}"
-    if isinstance(value, (list, tuple, dict)):  # empty, or keys that are not all str
-        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-    return json.dumps(value)  # a scalar: the same text with or without indent
+            for k, item in enumerate(value):
+                if k:
+                    write(sep)
+                _report_json(item, write, inner)
+        write(f"\n{indent}]")
+    elif isinstance(value, dict) and value and set(map(type, value)) == {str}:
+        write("{\n" + inner)
+        for k, key in enumerate(sorted(value)):
+            write(f"{sep if k else ''}{encode_basestring_ascii(key)}: ")
+            _report_json(value[key], write, inner)
+        write(f"\n{indent}}}")
+    elif isinstance(value, (list, tuple, dict)):  # empty, or keys that are not all str
+        write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent))
+    else:
+        write(json.dumps(value))  # a scalar: the same text with or without indent
 
 
 def cmd_semigroup(args: argparse.Namespace) -> int:
@@ -164,7 +203,7 @@ def cmd_semigroup(args: argparse.Namespace) -> int:
             "leaders": list(leaders),
             "maximum_sparse_ideals": [ideal.to_json() for ideal in ideals],
         }
-        _write(args.json, _report_json(payload) + "\n")
+        _write_json(args.json, payload)
     return 0
 
 
@@ -198,7 +237,7 @@ def cmd_sparse_ideals(args: argparse.Namespace) -> int:
         payload["compare"] = other.to_json()
         payload["inclusion"] = report.to_json()
     if args.json:
-        _write(args.json, _report_json(payload) + "\n")
+        _write_json(args.json, payload)
     return 0
 
 
@@ -246,7 +285,7 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
         _write(args.dot, export_dot(graph))
         print(f"wrote DOT to {args.dot}")
     if args.json:
-        _write(args.json, _report_json(graph_to_json(graph)) + "\n")
+        _write_json(args.json, graph_to_json(graph))
         print(f"wrote JSON to {args.json}")
     return 0 if report.ok else 1
 

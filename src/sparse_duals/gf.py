@@ -104,10 +104,13 @@ class Field:
         self.add_table = add_table
         self.mul_table = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
         self.inv_table: list[Optional[int]] = [None] + [exp2[q - 1 - la] for la in logs]
-        # Filled on the first read of `add_scaled`. Not a cached_property:
-        # that writes through the instance `__dict__`, after which every
-        # attribute read on the field is about 3x slower in CPython 3.11.
+        # Filled on the first read of `add_scaled`, `mul_bytes` and
+        # `add_rows`. Not cached_property: that writes through the instance
+        # `__dict__`, after which every attribute read on the field is about
+        # 3x slower in CPython 3.11.
         self._add_scaled: Optional[Callable[[bytes, int, bytes], bytes]] = None
+        self._mul_bytes: Optional[Callable[[bytes, bytes], bytes]] = None
+        self._add_rows: Optional[list[bytes]] = None
 
     # -- value-level arithmetic on encodings --
 
@@ -202,6 +205,56 @@ class Field:
             return total.to_bytes(len(u), "little")
 
         return add_scaled
+
+    @property
+    def mul_bytes(self) -> Callable[[bytes, bytes], bytes]:
+        """The function (u, v) -> u * v, entry by entry, on byte strings u, v
+        of equal length whose bytes are encodings. It and its tables are
+        built on first read and kept with the field.
+
+        Up to GF(64) both strings are translated to logs and added as ints,
+        and one more translate takes each lane s to exp[s mod (q - 1)]. A
+        zero entry has no log; it gets the sentinel z = 2q - 3, one above the
+        largest sum of two logs, so every sum with a zero lies above the
+        sums of two logs and translates to 0. Since 2z = 4q - 6 <= 255, no
+        lane carries into the next. In larger fields the product is one
+        table lookup per entry.
+        """
+        if self._mul_bytes is None:
+            self._mul_bytes = self._byte_multiplier()
+        return self._mul_bytes
+
+    def _byte_multiplier(self) -> Callable[[bytes, bytes], bytes]:
+        q = self.q
+        z = 2 * q - 3  # the log of 0: one above the largest sum of two logs
+        if 2 * z > 255:
+            mul = self.mul_table
+
+            def mul_bytes(u: bytes, v: bytes) -> bytes:
+                return bytes([mul[a][b] for a, b in zip(u, v)])
+
+            return mul_bytes
+
+        log = bytes([z] + self._log[1:]) + bytes(256 - q)
+        antilog = bytes(self._exp[s % (q - 1)] for s in range(z)) + bytes(256 - z)
+
+        def mul_bytes(u: bytes, v: bytes) -> bytes:
+            lanes = int.from_bytes(u.translate(log), "little") + int.from_bytes(
+                v.translate(log), "little"
+            )
+            return lanes.to_bytes(len(u), "little").translate(antilog)
+
+        return mul_bytes
+
+    @property
+    def add_rows(self) -> list[bytes]:
+        """The rows of the add table as `bytes.translate` tables:
+        u.translate(add_rows[c]) is c + u, entry by entry. Built on first
+        read and kept with the field."""
+        if self._add_rows is None:
+            pad = bytes(256 - self.q)
+            self._add_rows = [bytes(row) + pad for row in self.add_table]
+        return self._add_rows
 
     # -- elements, for the API edge --
 

@@ -22,7 +22,7 @@ import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count
+from itertools import accumulate, compress, count, repeat
 from operator import gt, ne
 from typing import Iterator, Optional, Sequence
 
@@ -138,14 +138,6 @@ def weierstrass_semigroup(q: int) -> NumericalSemigroup:
     return NumericalSemigroup([q, q + 1])
 
 
-def _powers(values: list[int], top: int, mul) -> list[list[int]]:
-    """[values^0, values^1, ..., values^top], componentwise."""
-    pows = [[1] * len(values)]
-    for _ in range(top):
-        pows.append([mul[v][w] for v, w in zip(pows[-1], values)])
-    return pows
-
-
 @dataclass(frozen=True)
 class CodeSequence:
     """Nested code sequence from evaluating the monomial basis at a point set.
@@ -173,14 +165,15 @@ class CodeSequence:
 
     @cached_property
     def generator_rows(self) -> tuple[tuple[int, ...], ...]:
-        q, mul = self.q, self.field.mul_table
-        x_pows = _powers([pt.x.value for pt in self.points], self.wstar[-1] // q, mul)
-        y_pows = _powers([pt.y.value for pt in self.points], q - 1, mul)
+        q, mul_bytes, one = self.q, self.field.mul_bytes, b"\x01" * self.n
+        xs = bytes([pt.x.value for pt in self.points])
+        ys = bytes([pt.y.value for pt in self.points])
+        x_pows = list(accumulate(repeat(xs, self.wstar[-1] // q), mul_bytes, initial=one))
+        y_pows = list(accumulate(repeat(ys, q - 1), mul_bytes, initial=one))
         rows = []
         for w in self.wstar:
             b = w % q
-            a = (w - b * (q + 1)) // q
-            rows.append(tuple([mul[v][u] for v, u in zip(x_pows[a], y_pows[b])]))
+            rows.append(tuple(mul_bytes(x_pows[(w - b * (q + 1)) // q], y_pows[b])))
         return tuple(rows)
 
 
@@ -197,9 +190,11 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
     with the least rho_s is replaced by (x - alpha) g_s, the other nonzero
     generators are reduced by g_s without changing their pole orders, and
     rho_s joins W*. Each g_b is kept only as its values at the points not
-    yet added, as `bytes` with one encoding per point, and is reduced by
-    `Field.add_scaled`: a few `bytes.translate` and big-int operations
-    instead of a Python step per entry. Points are added last to first, so
+    yet added, as `bytes` with one encoding per point. It is reduced by
+    `Field.add_scaled`, and (x - alpha) g_s is one `Field.mul_bytes` of g_s
+    and the x-coordinates shifted by one `bytes.translate` with an add-table
+    row: a few `bytes.translate` and big-int operations per generator, and
+    up to q = 8 no Python step per entry. Points are added last to first, so
     once the point at 0-based position j is added only earlier points are
     still to come, and every vector is cut to [:j]: a point costs q vector
     operations, O(q n^2) in total, in O(q n) memory.
@@ -324,9 +319,10 @@ def _wstar_walk(
     """(key, W*) for each key of `order`, by the Groebner update of
     `compute_wstar` on the trie walk of `_trie_walk`."""
     g = curve_genus(q)
-    mul, add, inv = field.mul_table, field.add_table, field.inv_table
-    add_scaled, neg = field.add_scaled, mul[field.p - 1]  # -a = neg[a]
-    xs = [pt.x.value for pt in points]
+    mul, inv, shift = field.mul_table, field.inv_table, field.add_rows
+    add_scaled, mul_bytes = field.add_scaled, field.mul_bytes
+    neg = mul[field.p - 1]  # -a = neg[a]
+    xs = bytes([pt.x.value for pt in points])
 
     def advance(state, js, alone):
         # The state: the generators g_b as vectors, their rho_b, and the
@@ -340,7 +336,7 @@ def _wstar_walk(
             # the cut costs more than it saves.
             pos = js[::-1]
             gens = [bytes(map(gb.__getitem__, pos)) for gb in gens]
-            js, xv = range(len(pos) - 1, -1, -1), [xs[j] for j in pos]
+            js, xv = range(len(pos) - 1, -1, -1), bytes(map(xs.__getitem__, pos))
         for j in js:
             live = [b for b, gb in enumerate(gens) if gb[j]]
             if not live:
@@ -350,9 +346,8 @@ def _wstar_walk(
             scale = inv[neg[gs[j]]]  # g_b + g_b[j] * scale * g_s vanishes at the point
             gs = gs[:j]
             for b, gb in enumerate(gens):
-                if b == s:
-                    shift = add[neg[xv[j]]]
-                    gens[b] = bytes([mul[shift[x]][v] for x, v in zip(xv, gs)])
+                if b == s:  # (x - alpha) g_s
+                    gens[b] = mul_bytes(xv[:j].translate(shift[neg[xv[j]]]), gs)
                 elif gb[j]:
                     gens[b] = add_scaled(gb[:j], mul[gb[j]][scale], gs)
                 else:
@@ -361,7 +356,8 @@ def _wstar_walk(
             rho[s] += q
         return gens, rho, ws
 
-    root = (list(map(bytes, _powers([pt.y.value for pt in points], q - 1, mul))),  # y^b
+    ys = bytes([pt.y.value for pt in points])
+    root = (list(accumulate(repeat(ys, q - 1), mul_bytes, initial=b"\x01" * len(ys))),  # y^b
             [b * (q + 1) for b in range(q)], [])
     for key, (_, _, ws) in _trie_walk(order, root, advance):
         ws = sorted(ws)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from contextlib import redirect_stdout
@@ -206,7 +207,9 @@ def test_report_json_is_json_dumps_byte_for_byte(capsys):
             expected = json.dumps(value, indent=2, sort_keys=True)
         except TypeError:  # keys of mixed types do not sort
             continue
-        assert cli._report_json(value) == expected, value
+        pieces: list[str] = []
+        cli._report_json(value, pieces.append)
+        assert "".join(pieces) == expected, value
     long = tuple(range(2**17 + 3))
     for values in (long, (), (7,)):
         cli._print_set("set: ", values, ", end")
@@ -376,6 +379,53 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not target.exists()
+
+
+def test_failed_json_report_leaves_the_target_as_it_was(capsys, monkeypatch, tmp_path):
+    target = tmp_path / "out.json"
+    target.write_text("earlier report\n", encoding="utf-8")
+    target.chmod(0o640)
+    write_report = cli._report_json
+
+    def fail_part_way(value, write, indent=""):
+        write("[\n  1")
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_report_json", fail_part_way)
+    code, _, err = run(capsys, "semigroup", "--generators", "3,5", "--json", str(target))
+    assert (code, err) == (2, "error: out of memory\n")
+    assert target.read_text(encoding="utf-8") == "earlier report\n"
+    assert sorted(tmp_path.iterdir()) == [target]
+
+    monkeypatch.setattr(cli, "_report_json", write_report)
+    code, _, _ = run(capsys, "semigroup", "--generators", "3,5", "--json", str(target))
+    assert code == 0 and json.loads(target.read_text(encoding="utf-8"))["bound"] == 16
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(tmp_path.iterdir()) == [target]
+
+
+def test_json_report_through_a_link_writes_the_linked_file(capsys, tmp_path):
+    target, link = tmp_path / "out.json", tmp_path / "link.json"
+    target.write_text("earlier report\n", encoding="utf-8")
+    link.symlink_to(target.name)
+    code, _, _ = run(capsys, "semigroup", "--generators", "3,5", "--json", str(link))
+    assert code == 0 and link.is_symlink()
+    assert json.loads(target.read_text(encoding="utf-8"))["bound"] == 16
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_json_report_to_a_pipe_is_written_in_place(capsys, tmp_path):
+    pipe = tmp_path / "report"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_text(encoding="utf-8")))
+    reader.daemon = True
+    reader.start()
+    code, _, _ = run(capsys, "semigroup", "--generators", "3,5", "--json", str(pipe))
+    reader.join(timeout=30)
+    assert code == 0 and received and json.loads(received[0])["bound"] == 16
+    assert sorted(tmp_path.iterdir()) == [pipe] and not pipe.is_file()
 
 
 def test_isometry_subset_with_vector(capsys):

@@ -134,6 +134,43 @@ def test_add_scaled_needs_a_digit_sum_to_fit_in_a_byte():
         Field(131).add_scaled
 
 
+def _check_mul_bytes(F):
+    mul, elements = F.mul_table, range(F.q)
+
+    def expected(u, v):
+        return bytes([mul[a][b] for a, b in zip(u, v)])
+
+    # every pair (a, b) of entries, zeros inside long strings, both orders
+    u = bytes([a for a in elements for _ in elements])
+    v = bytes([b for _ in elements for b in elements])
+    assert F.mul_bytes(u, v) == F.mul_bytes(v, u) == expected(u, v)
+    assert F.mul_bytes(b"", b"") == b""
+    for a in elements:
+        for b in (0, 1, F.generator, F.q - 1):
+            assert F.mul_bytes(bytes([a]), bytes([b])) == expected([a], [b])
+            assert F.mul_bytes(bytes([b]), bytes([a])) == expected([b], [a])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_mul_bytes_matches_the_tables_on_every_hermitian_field(q):
+    _check_mul_bytes(hermitian_field(q))
+
+
+# Both sides of the lane limit: GF(64) is the largest field whose zero log
+# 2Q - 3 sums with itself inside a byte, GF(67) the smallest looked up per
+# entry.
+@pytest.mark.parametrize("p,m", [(2, 6), (67, 1)])
+def test_mul_bytes_on_both_sides_of_the_lane_limit(p, m):
+    _check_mul_bytes(Field(p, m))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 16])
+def test_add_rows_translate_to_the_add_table(q):
+    F = hermitian_field(q)
+    for c in range(F.q):
+        assert bytes(range(F.q)).translate(F.add_rows[c]) == bytes(F.add_table[c])
+
+
 @pytest.mark.parametrize("p,m", SMALL_ORDERS)
 def test_frobenius_is_additive(p, m):
     F = Field(p, m)

@@ -1,5 +1,8 @@
+import json
+import os
 import random
 import tracemalloc
+from contextlib import redirect_stdout
 from math import gcd
 
 import pytest
@@ -32,6 +35,7 @@ from sparse_duals import (
     leader_set,
     maximum_sparse_from_leader,
 )
+from sparse_duals import cli
 from sparse_duals.sparse_ideals import division_escape
 
 S23 = NumericalSemigroup([2, 3])
@@ -379,3 +383,22 @@ def test_large_leader_ideal_runs_in_little_memory():
         tracemalloc.stop()
     assert ideal.leader == lam and len(ideal.complement) == lam - 2 * S35.genus + 1
     assert peak < 64_000_000
+
+
+def test_large_leader_json_report_is_written_in_pieces(tmp_path):
+    # `sparse-ideals --leader 300000` peaks at about 17 MB with or without
+    # --json; a JSON report built whole and then encoded on write took about
+    # 6 MB more (at leader 10^6: 75.8 MB against 48.2 MB).
+    path = tmp_path / "ideal.json"
+    argv = ["sparse-ideals", "--generators", "3,5", "--leader", "300000", "--json", str(path)]
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 19_000_000
+    ideal = json.loads(path.read_text(encoding="utf-8"))["ideal"]
+    assert ideal["leader"] == 300000 and len(ideal["complement"]) == 300000 - 2 * S35.genus + 1
