@@ -31,6 +31,7 @@ from .hermitian import (
     hermitian_points,
     ideal_complement_check,
     isometry_dual_criterion,
+    isometry_sequence,
     monomial_basis,
     weierstrass_semigroup,
 )

@@ -25,16 +25,18 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import PreconditionViolated, SparseDualsError, TooManySubsets
+from .gf import FieldElement
 from .hermitian import (
-    compute_wstar,
+    CurvePoint,
     compute_wstar_family,
     curve_genus,
-    find_isometry_vector,
     find_isometry_vectors,
+    hermitian_coords,
     hermitian_field,
     hermitian_points,
     ideal_complement_check,
     isometry_dual_criterion,
+    isometry_sequence,
     weierstrass_semigroup,
 )
 from .puncturing import (
@@ -54,9 +56,9 @@ from .sparse_ideals import inclusion_report, leader_set, maximum_sparse_from_lea
 # leaders up to a bound hold at most bound * (bound + 1) / 2 in total.
 MAX_REPORT_ELEMENTS = 10**7
 
-# Largest point set `isometry` hands to the isometry-vector solve: the
-# full q = 8 set, about 1 s (0.8-1.0 s on a 2-vCPU x86-64 host under
-# CPython 3.11).
+# Largest point set `isometry` hands to its one column walk: the full
+# q = 8 set, about 1 s (0.85-1.0 s in-process on a 2-vCPU x86-64 host
+# under CPython 3.11).
 MAX_ORACLE_POINTS = 512
 
 # Largest curve `hierarchy` and `verify` run on without --sample: q = 2.
@@ -84,6 +86,11 @@ def _int_csv(text: str) -> list[int]:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text}") from exc
+
+
+def _csv(indices) -> str:
+    """Point indices as `--points` takes them."""
+    return ",".join(map(str, indices))
 
 
 def _write(path: str, content: str) -> None:
@@ -314,18 +321,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "dual-complement-ideal",
             "PASS" if not bad else "FAIL",
             f"W \\ W* is an ideal of W for {len(big_subsets) - len(bad)}"
-            f"/{len(big_subsets)} subsets with n > {boundary}",
+            f"/{len(big_subsets)} subsets with n > {boundary}"
+            + (f"; first failing subset {_csv(bad[0])}" if bad else ""),
         )
     )
 
     graph = build_hierarchy(subsets, boundary=boundary)
     report = verify_inheritance(graph, W, g)
+    witness = ""
+    if report.violations:
+        child, parent = report.violations[0]
+        witness = f"; first violation {_csv(child)} < {_csv(parent)}"
     results.append(
         (
             "inheritance",
             "PASS" if report.ok else "FAIL",
             f"{len(report.checked)} inclusion pairs above the boundary,"
-            f" {len(report.violations)} violations",
+            f" {len(report.violations)} violations{witness}",
         )
     )
 
@@ -343,7 +355,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "criterion-oracle",
                 "PASS" if not mismatches else "FAIL",
                 f"criterion matches isometry-vector solve on"
-                f" {len(big_subsets) - len(mismatches)}/{len(big_subsets)} subsets",
+                f" {len(big_subsets) - len(mismatches)}/{len(big_subsets)} subsets"
+                + (f"; first failing subset {_csv(mismatches[0])}" if mismatches else ""),
             )
         )
 
@@ -359,19 +372,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_isometry(args: argparse.Namespace) -> int:
     q = args.q
-    points = hermitian_points(q)
-    indices = args.points if args.points is not None else list(range(1, len(points) + 1))
+    field = hermitian_field(q)  # held while the command runs: built at most once
+    coords = hermitian_coords(q)
+    indices = args.points if args.points is not None else list(range(1, len(coords) + 1))
     for i in indices:
-        if not 1 <= i <= len(points):
-            raise ValueError(f"point index {i} outside 1..{len(points)}")
+        if not 1 <= i <= len(coords):
+            raise ValueError(f"point index {i} outside 1..{len(coords)}")
     if len(indices) > MAX_ORACLE_POINTS:
         raise PreconditionViolated(
             f"isometry on {len(indices)} points exceeds the limit of"
             f" {MAX_ORACLE_POINTS}; choose a subset with --points"
         )
-    cs = compute_wstar([points[i - 1] for i in indices], q)
-    vector = find_isometry_vector(cs)
-    print(f"q={q} subset {','.join(map(str, indices))}: n={cs.n}, genus={cs.genus}")
+    points = [CurvePoint(FieldElement(field, x), FieldElement(field, y))
+              for x, y in (coords[i - 1] for i in indices)]
+    cs, vector = isometry_sequence(points, q)
+    print(f"q={q} subset {_csv(indices)}: n={cs.n}, genus={cs.genus}")
     print(f"W*: {' '.join(map(str, cs.wstar))}")
     print(f"criterion (n+2g-1 = {cs.n + 2 * cs.genus - 1} in W*): "
           f"{str(isometry_dual_criterion(cs)).lower()}")

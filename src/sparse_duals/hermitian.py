@@ -14,6 +14,8 @@ one pole order from the module into W*. `compute_wstar_family` does the
 same for many subsets of one point list, sharing their common steps, and
 `find_isometry_vectors` solves for their isometry vectors on the same
 walk, by column elimination on the values of the monomials at the points.
+That elimination finds W* as well, and `isometry_sequence` takes both
+from it for one point set.
 """
 
 from __future__ import annotations
@@ -95,8 +97,17 @@ def _on_curve(field: Field, x: int, y: int, q: int) -> bool:
 
 
 def hermitian_points(q: int) -> list[CurvePoint]:
-    """All q^3 affine points; for q = 2 in the frozen eight-point order,
-    otherwise sorted by coordinate encodings."""
+    """All q^3 affine points, in the order of `hermitian_coords`."""
+    field = hermitian_field(q)
+    elements = field.all_elements()  # immutable, so the points share them
+    return [CurvePoint(elements[x], elements[y]) for (x, y) in hermitian_coords(q)]
+
+
+def hermitian_coords(q: int) -> list[tuple[int, int]]:
+    """The (x, y) encodings of the q^3 affine points over `hermitian_field(q)`;
+    for q = 2 in the frozen eight-point order, otherwise sorted. A caller
+    that wraps some of them as points should hold the field first, so that
+    it is not built twice."""
     field = hermitian_field(q)
     # Bucket every y by y^q + y, then read the bucket of x^(q+1) for each x:
     # O(q^2) field operations, in the order of a scan over (x, y).
@@ -112,8 +123,7 @@ def hermitian_points(q: int) -> list[CurvePoint]:
     if q == 2:
         assert sorted(coords) == sorted(_Q2_POINT_ORDER)
         coords = list(_Q2_POINT_ORDER)
-    elements = field.all_elements()  # immutable, so the points share them
-    return [CurvePoint(elements[x], elements[y]) for (x, y) in coords]
+    return coords
 
 
 def monomial_basis(q: int, count: int) -> list[tuple[int, int]]:
@@ -386,10 +396,25 @@ def find_isometry_vector(cs: CodeSequence) -> Optional[tuple[int, ...]]:
     i + j <= n - 2 (0-based), which suffice because with x all-nonzero the
     dimensions already match. The candidate and the conditions come from
     the column walk of `find_isometry_vectors`, run on the one subset of
-    all of `cs.points`, which a `CodeSequence` holds checked already.
+    all of `cs.points`, which a `CodeSequence` holds checked already; the
+    walk finds W* again on the way, and `isometry_sequence` returns both.
     """
-    [(_, x)] = _isometry_walk(cs.points, cs.q, cs.field, [tuple(range(cs.n, 0, -1))])
+    [(_, _, x)] = _isometry_walk(cs.points, cs.q, cs.field, [tuple(range(cs.n, 0, -1))])
     return x
+
+
+def isometry_sequence(
+    points: Sequence[CurvePoint], q: int
+) -> tuple[CodeSequence, Optional[tuple[int, ...]]]:
+    """`compute_wstar(points, q)` and the `find_isometry_vector` of it, from
+    one column walk of `find_isometry_vectors`: W* is read from the pivots
+    the walk stores, so it is not computed a second time. The points are
+    checked as `compute_wstar` checks them.
+    """
+    points = tuple(points)
+    field = _checked_field(points, q)
+    [(_, wstar, x)] = _isometry_walk(points, q, field, [tuple(range(len(points), 0, -1))])
+    return CodeSequence(q=q, field=field, points=points, wstar=wstar), x
 
 
 def find_isometry_vectors(
@@ -407,7 +432,8 @@ def find_isometry_vectors(
     combination of points a column stands for. A new column is reduced by
     the stored one whose pivot, its first nonzero monomial entry, equals
     its own, until its pivot is new, so the stored pivots are the rank
-    jumps: the indices of W*. At a subset's last point, the column with
+    jumps: the indices of W*, which `isometry_sequence` returns with the
+    rank check of `compute_wstar`. At a subset's last point, the column with
     the largest pivot is zero on every monomial below W*[n-1], so its
     unit-vector part is the candidate x up to scale, and its monomial
     entries are x's inner products with the monomials. Each bilinear
@@ -419,16 +445,18 @@ def find_isometry_vectors(
     points = tuple(points)
     field = _checked_field(points, q)
     keys = _subset_keys(len(points), subsets)
-    found = dict(_isometry_walk(points, q, field, sorted(set(keys))))
+    found = {key: x for key, _, x in _isometry_walk(points, q, field, sorted(set(keys)))}
     return [found[key] for key in keys]
 
 
 def _isometry_walk(
     points: tuple[CurvePoint, ...], q: int, field: Field, order: list[tuple[int, ...]]
-) -> Iterator[tuple[tuple[int, ...], Optional[tuple[int, ...]]]]:
-    """(key, isometry vector or None) for each key of `order`, by the
-    column walk of `find_isometry_vectors` on the walk of `_trie_walk`."""
-    n_all, top = len(points), max(map(len, order), default=1) + 4 * curve_genus(q) - 2
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Optional[tuple[int, ...]]]]:
+    """(key, W*, isometry vector or None) for each key of `order`, by the
+    column walk of `find_isometry_vectors` on the walk of `_trie_walk`; W*
+    is the stored pivots as pole orders."""
+    g = curve_genus(q)
+    n_all, top = len(points), max(map(len, order), default=1) + 4 * g - 2
     mul, inv = field.mul_table, field.inv_table
     add_scaled, neg = field.add_scaled, mul[field.p - 1]  # -a = neg[a]
     # The monomials x^a y^b of pole order m <= top, and the index of each
@@ -464,16 +492,19 @@ def _isometry_walk(
 
     for key, stored in _trie_walk(order, {}, advance):
         pivots = sorted(stored)
+        wstar = tuple([poles[k] for k in pivots])
+        if wstar[-1] > len(key) + 2 * g - 1:
+            raise AssertionError("rank must reach n by pole order n + 2g - 1")
         last = stored[pivots[-1]]
         x = [last[k_mono + i - 1] for i in reversed(key)]
-        if 0 in x or not _meets_pairs(last, [poles[k] for k in pivots], index):
-            yield key, None
-        else:
+        vector = None
+        if 0 not in x and _meets_pairs(last, wstar, index):
             scale = mul[inv[x[0]]]
-            yield key, tuple([scale[v] for v in x])
+            vector = tuple([scale[v] for v in x])
+        yield key, wstar, vector
 
 
-def _meets_pairs(last: bytes, wstar: list[int], index: dict[int, int]) -> bool:
+def _meets_pairs(last: bytes, wstar: tuple[int, ...], index: dict[int, int]) -> bool:
     """Whether x annihilates r_i * r_j for every pair of generators with
     i <= j and i + j <= n - 2, given last[index[m]], x's inner product
     with the monomial of pole order m, which is 0 below top = wstar[-1].

@@ -8,6 +8,7 @@ import threading
 import tracemalloc
 import weakref
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -341,6 +342,78 @@ def test_verify_skip_oracle(capsys):
     assert "SKIP criterion-oracle" in out
 
 
+VERIFY_Q2_PASS = (
+    "verify q=2: n=8, genus=1, boundary=4\n"
+    "PASS dual-complement-ideal: W \\ W* is an ideal of W for 93/93 subsets with n > 4\n"
+    "PASS inheritance: 12 inclusion pairs above the boundary, 0 violations\n"
+    "PASS criterion-oracle: criterion matches isometry-vector solve on 93/93 subsets\n"
+    "result: PASS (3 passed, 0 failed, 0 skipped)\n"
+)
+
+
+def test_verify_pass_report_byte_identical(capsys):
+    assert run(capsys, "verify", "--q", "2") == (0, VERIFY_Q2_PASS, "")
+
+
+# Each injects one failure into a `verify --q 2` check and returns the
+# detail its FAIL line must print.
+
+
+def _fail_ideal_check(monkeypatch):
+    # Two subsets fail; the 6-point one comes first (sizes run downwards).
+    index = {p.coords(): i for i, p in enumerate(hermitian.hermitian_points(2), 1)}
+    failing = {(2, 3, 5, 7, 8), (1, 2, 3, 4, 5, 6)}
+    check = cli.ideal_complement_check
+
+    def ideal_check(cs, W):
+        subset = tuple(sorted(index[p.coords()] for p in cs.points))
+        return subset not in failing and check(cs, W)
+
+    monkeypatch.setattr(cli, "ideal_complement_check", ideal_check)
+    return ("W \\ W* is an ideal of W for 91/93 subsets with n > 4;"
+            " first failing subset 1,2,3,4,5,6")
+
+
+def _fail_inheritance(monkeypatch):
+    verify_inheritance = cli.verify_inheritance
+
+    def violating(graph, W, g):
+        report = verify_inheritance(graph, W, g)
+        return replace(report, violations=report.checked[4:6])
+
+    monkeypatch.setattr(cli, "verify_inheritance", violating)
+    return ("12 inclusion pairs above the boundary, 2 violations;"
+            " first violation 1,2,3,4,8 < 1,2,3,4,5,6,7,8")
+
+
+def _fail_oracle(monkeypatch):
+    find_isometry_vectors = cli.find_isometry_vectors
+
+    def flipping(points, q, subsets):
+        vectors = find_isometry_vectors(points, q, subsets)
+        for k in (17, 40):
+            vectors[k] = (1,) * len(subsets[k]) if vectors[k] is None else None
+        return vectors
+
+    monkeypatch.setattr(cli, "find_isometry_vectors", flipping)
+    return ("criterion matches isometry-vector solve on 91/93 subsets;"
+            " first failing subset 1,2,3,5,7,8")
+
+
+@pytest.mark.parametrize("name,inject", [
+    ("dual-complement-ideal", _fail_ideal_check),
+    ("inheritance", _fail_inheritance),
+    ("criterion-oracle", _fail_oracle),
+], ids=["dual-complement-ideal", "inheritance", "criterion-oracle"])
+def test_verify_failure_names_its_witness(capsys, monkeypatch, name, inject):
+    detail = inject(monkeypatch)
+    code, out, err = run(capsys, "verify", "--q", "2")
+    assert (code, err) == (1, "")
+    lines = [f"FAIL {name}: {detail}" if line.startswith(f"PASS {name}:") else line
+             for line in VERIFY_Q2_PASS.splitlines()[:-1]]
+    assert out == "\n".join(lines + ["result: FAIL (2 passed, 1 failed, 0 skipped)", ""])
+
+
 @pytest.mark.parametrize(
     "q,message",
     [("9999", "exceeds the supported order"), ("3", "refusing to enumerate")],
@@ -455,6 +528,66 @@ def test_isometry_bad_index(capsys):
     assert "outside 1..8" in err
 
 
+def test_isometry_index_zero(capsys):
+    code, out, err = run(capsys, "isometry", "--q", "2", "--points", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: point index 0 outside 1..8\n"
+
+
+def test_isometry_repeated_index_is_usage_error(capsys):
+    code, out, err = run(capsys, "isometry", "--q", "2", "--points", "1,1")
+    assert (code, out) == (2, "")
+    assert err == "error: evaluation points must be pairwise distinct\n"
+
+
+def test_isometry_points_in_the_order_given(capsys):
+    code, out, err = run(capsys, "isometry", "--q", "2", "--points", "3,1,2")
+    assert (code, err) == (0, "")
+    assert out == (
+        "q=2 subset 3,1,2: n=3, genus=1\n"
+        "W*: 0 2 3\n"
+        "criterion (n+2g-1 = 4 in W*): false\n"
+        "isometry vector (encodings): 1,3,2\n"
+    )
+
+
+@pytest.mark.parametrize("q,message", [
+    ("1", "q must be >= 2, got 1"),
+    ("6", "q = 6 is not a prime power"),
+    ("17", "GF(289) exceeds the supported order 256"),
+], ids=["1", "6", "17"])
+def test_isometry_unsupported_q(capsys, q, message):
+    code, out, err = run(capsys, "isometry", "--q", q)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_isometry_builds_only_the_named_points_and_no_groebner_walk(capsys, monkeypatch):
+    # W* comes from the oracle's own column walk, and only the five named
+    # points are wrapped as `CurvePoint`s.
+    package = sys.modules["sparse_duals"]
+    walks, points = [], []
+
+    def no_wstar(*args):
+        walks.append(args)
+        raise AssertionError("a Groebner walk ran")
+
+    for module in (hermitian, puncturing, package):
+        monkeypatch.setattr(module, "compute_wstar", no_wstar)
+    monkeypatch.setattr(hermitian, "_wstar_walk", no_wstar)
+    init = hermitian.CurvePoint.__init__
+
+    def counting_init(self, *args, **kwargs):
+        points.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(hermitian.CurvePoint, "__init__", counting_init)
+    code, out, _ = run(capsys, "isometry", "--q", "4", "--points", "7,15,41,42,52")
+    assert code == 0
+    assert out.encode() == (DATA_DIR / "hermitian_cli" / "isometry_q4_vector.txt").read_bytes()
+    assert (len(walks), len(points)) == (0, 5)
+
+
 def test_isometry_empty_point_list_is_usage_error(capsys):
     # An empty list is not "all points".
     code, out, err = run(capsys, "isometry", "--q", "3", "--points", "")
@@ -464,10 +597,10 @@ def test_isometry_empty_point_list_is_usage_error(capsys):
 
 
 def test_isometry_refuses_more_points_than_the_oracle_limit(capsys, monkeypatch):
-    def no_wstar(*args):
-        raise AssertionError("compute_wstar ran on an oversized set")
+    def no_walk(*args):
+        raise AssertionError("the walk ran on an oversized set")
 
-    monkeypatch.setattr(cli, "compute_wstar", no_wstar)
+    monkeypatch.setattr(cli, "isometry_sequence", no_walk)
     code, out, err = run(capsys, "isometry", "--q", "9")  # 729 points
     assert code == 2
     assert out == ""
@@ -647,14 +780,13 @@ def test_wstar_computations_per_command(capsys, monkeypatch, argv, calls, famili
         solved.append(len(subsets))
         return find_isometry_vectors(points, q, subsets)
 
-    def single_oracle(cs):
+    def single_oracle(points, q):
         raise AssertionError("the oracle runs on the family")
 
-    for module in (cli, puncturing):
-        monkeypatch.setattr(module, "compute_wstar", counting)
+    monkeypatch.setattr(puncturing, "compute_wstar", counting)
     monkeypatch.setattr(cli, "compute_wstar_family", counting_family)
     monkeypatch.setattr(cli, "find_isometry_vectors", counting_oracle)
-    monkeypatch.setattr(cli, "find_isometry_vector", single_oracle)
+    monkeypatch.setattr(cli, "isometry_sequence", single_oracle)
     assert run(capsys, *argv)[0] == 0
     assert (len(counted), walked, solved) == (calls, families, families)
 

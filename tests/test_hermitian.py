@@ -33,6 +33,7 @@ from sparse_duals import (
     hermitian_points,
     ideal_complement_check,
     isometry_dual_criterion,
+    isometry_sequence,
     monomial_basis,
     qualifying_subsets,
     weierstrass_semigroup,
@@ -70,6 +71,7 @@ def test_points_satisfy_curve_equation():
 def test_points_match_exhaustive_scan(q):
     coords = [p.coords() for p in hermitian_points(q)]
     scan = naive_curve_coords(q)
+    assert hermitian.hermitian_coords(q) == coords
     assert sorted(coords) == scan
     assert coords == (Q2_EXPECTED_COORDS if q == 2 else scan)
 
@@ -598,6 +600,62 @@ def test_isometry_walk_pivots_are_wstar(monkeypatch):
         for subset in family:
             wstar = compute_wstar([points[i - 1] for i in subset], q).wstar
             assert tuple(poles[k] for k in pivots[subset]) == wstar, subset
+
+
+# -- W* and the isometry vector of one point set from one column walk --
+
+
+def _check_one_walk(points, q, naive=True):
+    """`isometry_sequence` equals `compute_wstar` and `find_isometry_vector`
+    (and the from-scratch solve, unless `naive` is False); returns the vector."""
+    cs, vector = isometry_sequence(points, q)
+    expected = compute_wstar(points, q)
+    assert cs == expected
+    assert vector == find_isometry_vector(expected)
+    if naive:
+        assert vector == naive_isometry_vector(expected)
+    return vector
+
+
+def test_one_walk_equals_two_walks_on_every_q2_subset(q2_points):
+    rng = random.Random(16)
+    found = 0
+    for k in range(1, 9):
+        for combo in combinations(range(1, 9), k):
+            shuffled = list(combo)
+            rng.shuffle(shuffled)
+            for order in (combo, shuffled):
+                vector = _check_one_walk([q2_points[i - 1] for i in order], 2)
+                found += vector is not None
+    assert found == 2 * 87
+
+
+@pytest.mark.parametrize("q,max_n", [(3, 27), (4, 64), (5, 60), (7, 60), (8, 120)])
+def test_one_walk_equals_two_walks_sampled(q, max_n):
+    # Random sets, which rarely have a vector, and x-fibre unions, which
+    # have one with n + 2g - 1 the top of W*; both in shuffled order.
+    points = hermitian_points(q)
+    fibres = _x_fibres(points)
+    rng = random.Random(1600 + q)
+    inputs = [rng.sample(points, rng.randint(1, max_n)) for _ in range(8)]
+    for _ in range(6):
+        chosen = rng.sample(sorted(fibres), rng.randint(1, max_n // q))
+        union = [p for x in chosen for p in fibres[x]]
+        rng.shuffle(union)
+        inputs.append(union)
+    found = [_check_one_walk(chosen, q, naive=len(chosen) <= 64) is not None
+             for chosen in inputs]
+    assert found[8:] == [True] * 6
+
+
+def test_one_walk_checks_points_as_compute_wstar_does(q2_points):
+    with pytest.raises(ValueError, match="at least one evaluation point"):
+        isometry_sequence([], 2)
+    with pytest.raises(DuplicatePoints):
+        isometry_sequence([q2_points[0], q2_points[3], q2_points[0]], 2)
+    off = CurvePoint(q2_points[1].x, q2_points[0].y)
+    with pytest.raises(PointNotOnCurve):
+        isometry_sequence([q2_points[0], off], 2)
 
 
 @pytest.mark.parametrize("q,n,fibres", [(5, 60, False), (5, 60, True), (8, 200, True)])
