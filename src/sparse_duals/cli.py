@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import stat
 import sys
@@ -97,6 +98,22 @@ def _write(path: str, content: str) -> None:
     Path(path).write_text(content, encoding="utf-8")
 
 
+def _descriptor(path: str) -> Optional[int]:
+    """N when `path` is, or links to, /dev/fd/N or /proc/self/fd/N: a
+    descriptor this process has open, as /dev/stdout and /dev/stderr link
+    to 1 and 2. None for any other path."""
+    for _ in range(40):  # at most as many links as the kernel follows
+        head, name = os.path.split(path)
+        if name.isdigit() and os.path.realpath(head) in (
+            "/dev/fd", os.path.realpath("/proc/self/fd")
+        ):
+            return int(name)
+        if not os.path.islink(path):
+            return None
+        path = os.path.join(head, os.readlink(path))
+    return None
+
+
 def _write_json(path: str, value) -> None:
     """Write `json.dumps(value, indent=2, sort_keys=True)` and a newline to
     `path`, byte for byte, in the pieces of `_report_json`, so a long
@@ -105,8 +122,20 @@ def _write_json(path: str, value) -> None:
     The pieces go to a sibling `.part` file that replaces the target once
     it is whole, so a run that fails part-way leaves the target as it was.
     A symbolic link is followed, and a target that is not a regular file
-    (a pipe or a device) is written in place.
+    (a pipe or a device) is written in place. A path that reaches a
+    descriptor already open in this process (`/dev/stdout`, `/dev/stderr`,
+    `/dev/fd/N`) is written through that descriptor, after whatever was
+    printed before it, whether it is a pipe, a terminal or a file the
+    shell opened.
     """
+    fd = _descriptor(path)
+    if fd is not None:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        with open(os.dup(fd), "w", encoding="utf-8") as out:
+            _report_json(value, out.write)
+            out.write("\n")
+        return
     if os.path.islink(path):
         path = os.path.realpath(path)
     try:
@@ -129,23 +158,48 @@ def _write_json(path: str, value) -> None:
         raise
 
 
+# Ints per written piece of a long set or JSON list: no piece, and no list
+# of str objects, grows with the set.
+_SLICE = 1 << 12
+
+
+@functools.cache  # built on first use, not at import
+def _decimals() -> dict[int, str]:
+    """`str(n)` for 0 <= n <= b, where b is the largest bound `semigroup`
+    accepts, b(b + 1)/2 <= MAX_REPORT_ELEMENTS (b = 4471): every gap,
+    leader and complement element of a report it lets through."""
+    top = (math.isqrt(8 * MAX_REPORT_ELEMENTS + 1) - 1) // 2
+    return {n: str(n) for n in range(top + 1)}
+
+
+def _join(sep: str, values) -> str:
+    """`sep.join(map(str, values))` for plain ints, with each text read
+    from `_decimals`; a slice holding any int outside it, negative or too
+    large, falls back to `str` as a whole."""
+    try:
+        return sep.join(map(_decimals().__getitem__, values))
+    except KeyError:
+        return sep.join(map(str, values))
+
+
 def _print_set(prefix: str, values, suffix: str = "") -> None:
-    """`print(prefix + "{" + ", ".join(map(str, values)) + "}" + suffix)`,
-    written to stdout a slice of the set at a time, so a long line is never
-    held whole."""
+    """`print(prefix + "{" + ", ".join(map(str, values)) + "}" + suffix)`
+    for a sequence of plain ints, written to stdout a slice of the set at a
+    time, so a long line is never held whole. Each slice is joined by
+    `_join`, from the decimal table."""
     write = sys.stdout.write
     write(prefix + "{")
-    step = 1 << 16
-    for k in range(0, len(values), step):
-        write((", " if k else "") + ", ".join(map(str, values[k:k + step])))
+    for k in range(0, len(values), _SLICE):
+        write((", " if k else "") + _join(", ", values[k:k + _SLICE]))
     write("}" + suffix + "\n")
 
 
 def _report_json(value, write: Callable[[str], object], indent: str = "") -> None:
     """Pass the text of `json.dumps(value, indent=2, sort_keys=True)`, byte
     for byte, to `write` in pieces. A list of plain ints is joined by
-    `str.join` instead of encoded item by item, a slice at a time, so no
-    piece and no list of str objects grows with it.
+    `_join` (`str.join` over the decimal table) instead of encoded item by
+    item, a slice at a time, so no piece and no list of str objects grows
+    with it.
 
     Plain ints, non-empty lists and tuples, and non-empty dicts with str
     keys are laid out here; a key is quoted as `json.dumps` quotes it, and
@@ -160,9 +214,8 @@ def _report_json(value, write: Callable[[str], object], indent: str = "") -> Non
     if isinstance(value, (list, tuple)) and value:
         write("[\n" + inner)
         if set(map(type, value)) == {int}:
-            step = 1 << 12
-            for k in range(0, len(value), step):
-                write((sep if k else "") + sep.join(map(str, value[k:k + step])))
+            for k in range(0, len(value), _SLICE):
+                write((sep if k else "") + _join(sep, value[k:k + _SLICE]))
         else:
             for k, item in enumerate(value):
                 if k:
@@ -232,7 +285,6 @@ def cmd_sparse_ideals(args: argparse.Namespace) -> int:
     _print_set("  complement: ", ideal.complement)
     print(f"  frobenius: {ideal.frobenius}")
     print(f"  sparsity bound 2g-1+#complement: {2 * S.genus - 1 + len(ideal.complement)}")
-    payload = {"ideal": ideal.to_json()}
     if args.compare is not None:
         _print_set(f"comparison against leader {other.leader} (complement ",
                    other.complement, "):")
@@ -241,9 +293,11 @@ def cmd_sparse_ideals(args: argparse.Namespace) -> int:
         print(f"  complements nested:          {str(report.complement_nested).lower()}")
         print(f"  complement-size diff in S:   {str(report.size_difference).lower()}")
         print(f"  all four agree:              {str(report.agree).lower()}")
-        payload["compare"] = other.to_json()
-        payload["inclusion"] = report.to_json()
-    if args.json:
+    if args.json:  # only then: `to_json` copies each complement into a list
+        payload = {"ideal": ideal.to_json()}
+        if args.compare is not None:
+            payload["compare"] = other.to_json()
+            payload["inclusion"] = report.to_json()
         _write_json(args.json, payload)
     return 0
 

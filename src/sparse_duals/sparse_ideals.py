@@ -32,26 +32,22 @@ class SemigroupIdeal:
     """An ideal of `parent`, represented by the complement within the parent.
 
     An empty complement represents the (improper) ideal S itself. The
-    complement is validated at construction.
+    complement is validated at construction: any iterable of ints is
+    normalised to a strictly increasing tuple of plain ints (one that
+    already is one is kept as it is), and its byte mask is built and
+    checked by `_check_ideal`. `maximum_sparse_from_leader` skips this
+    constructor and runs the same check on the D(i) mask it computed.
     """
 
     parent: NumericalSemigroup
     complement: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        S, comp = self.parent, self.complement
+        comp = self.complement
         if not _strictly_increasing_ints(comp):
             comp = tuple(sorted(set(int(t) for t in comp)))
             object.__setattr__(self, "complement", comp)
-        T, members = _masks(S, comp)
-        if T & ~members or (comp and comp[0] < 0):
-            t = next(t for t in comp if not S.contains(t))
-            raise NotAnIdeal(f"complement element {t} is not in {S!r}")
-        if _escapes(S, T, members):
-            t, a = _first_escape(S, comp)
-            raise NotAnIdeal(
-                f"complement not division-closed: {t} - {a} = {t - a} escapes"
-            )
+        _check_ideal(self.parent, comp, _mask(comp))
 
     @property
     def frobenius(self) -> int:
@@ -97,8 +93,9 @@ def division_escape(
     One mask test per generator decides whether any (t, a) exists; only
     then is the complement walked for the first one.
     """
-    T, members = _masks(S, complement)
-    return _first_escape(S, complement) if _escapes(S, T, members) else None
+    T = _mask(complement)
+    members = int.from_bytes(S.membership(max(complement, default=-1)), "little")
+    return _first_escape(S, complement) if _escapes(S, T, members & ~T) else None
 
 
 def _strictly_increasing_ints(values: Sequence[int]) -> bool:
@@ -109,20 +106,37 @@ def _strictly_increasing_ints(values: Sequence[int]) -> bool:
     )
 
 
-def _masks(S: NumericalSemigroup, values: Sequence[int]) -> tuple[int, int]:
-    """Byte masks of the non-negative `values` and of the elements of S, up
-    to max(values). A negative t never escapes: t - a is negative too."""
-    top = max(values) if values else -1
-    buf = bytearray(top + 1 if top >= 0 else 0)
+def _mask(values: Sequence[int]) -> int:
+    """Byte mask of the non-negative `values`. A negative t never escapes:
+    t - a is negative too."""
+    buf = bytearray(max(max(values, default=-1) + 1, 0))
     for t in values:
         if t >= 0:
             buf[t] = 1
-    return int.from_bytes(buf, "little"), int.from_bytes(S.membership(top), "little")
+    return int.from_bytes(buf, "little")
 
 
-def _escapes(S: NumericalSemigroup, T: int, members: int) -> bool:
-    """Is some t - a, t in T and a a generator, an element of S outside T?"""
-    outside = members & ~T
+def _check_ideal(S: NumericalSemigroup, comp: tuple[int, ...], T: int) -> None:
+    """Raise `NotAnIdeal` unless `comp`, strictly increasing with byte mask
+    T of its non-negative part, is the complement of an ideal of S: all of
+    it in S, and no t - a (t in comp, a a generator) an element of S
+    outside it. The message names the first witness in `comp` order."""
+    members = int.from_bytes(S.membership(comp[-1] if comp else -1), "little")
+    if (T & members) != T or (comp and comp[0] < 0):  # T & ~members makes 2 more masks
+        t = next(t for t in comp if not S.contains(t))
+        raise NotAnIdeal(f"complement element {t} is not in {S!r}")
+    outside = members ^ T  # the elements of S outside comp: T lies in members
+    del members  # each mask is megabytes at the edge of the report budget
+    if _escapes(S, T, outside):
+        t, a = _first_escape(S, comp)
+        raise NotAnIdeal(
+            f"complement not division-closed: {t} - {a} = {t - a} escapes"
+        )
+
+
+def _escapes(S: NumericalSemigroup, T: int, outside: int) -> bool:
+    """Is some t - a, t in T and a a generator, in `outside` (the mask of
+    the elements of S outside T)?"""
     for a in S.generators:
         if (T >> 8 * a) & outside:
             return True
@@ -139,14 +153,24 @@ def _first_escape(S: NumericalSemigroup, complement: Sequence[int]) -> tuple[int
     )
 
 
+def _divisor_mask(S: NumericalSemigroup, lam: int) -> int:
+    """Byte mask of D(lam): the membership bytes up to lam `&` their mirror
+    image, so byte y is 1 iff y and lam - y are both elements of S."""
+    member = S.membership(lam)
+    return int.from_bytes(member, "little") & int.from_bytes(member, "big")
+
+
+def _mask_values(T: int, top: int) -> tuple[int, ...]:
+    """The n <= top whose byte is 1 in the byte mask T, increasing."""
+    return tuple(compress(range(top + 1), T.to_bytes(top + 1, "little")))
+
+
 def divisor_set(S: NumericalSemigroup, i: int) -> tuple[int, ...]:
     """D(i): elements y of S with element(i) - y also in S. Contains 0 and element(i)."""
     if i < 0:
         raise ValueError("index must be non-negative")
     lam = S.element(i)
-    member = S.membership(lam)
-    both = int.from_bytes(member, "little") & int.from_bytes(member, "big")
-    return tuple(compress(range(lam + 1), both.to_bytes(lam + 1, "little")))
+    return _mask_values(_divisor_mask(S, lam), lam)
 
 
 def gap_pair_count(S: NumericalSemigroup, i: int) -> int:
@@ -180,7 +204,14 @@ def is_maximum_sparse(ideal: SemigroupIdeal) -> bool:
 
 
 def maximum_sparse_from_leader(S: NumericalSemigroup, i: int) -> SemigroupIdeal:
-    """The maximum sparse ideal S \\ D(i); requires i >= 1 and G(i) = 0."""
+    """The maximum sparse ideal S \\ D(i); requires i >= 1 and G(i) = 0.
+
+    D(i) is computed as a byte mask, its complement tuple is read off that
+    mask once, and the ideal is checked on the same mask by `_check_ideal`,
+    the check `SemigroupIdeal(S, complement)` runs; the tuple is already
+    strictly increasing plain ints, so it is neither re-sorted nor masked
+    again element by element.
+    """
     if i < 1:
         raise ValueError("leader index must be >= 1")
     pairs = gap_pair_count(S, i)
@@ -188,8 +219,14 @@ def maximum_sparse_from_leader(S: NumericalSemigroup, i: int) -> SemigroupIdeal:
         raise NotALeader(
             f"element {S.element(i)} has {pairs} two-gap decomposition(s)"
         )
-    ideal = SemigroupIdeal(S, divisor_set(S, i))
-    assert ideal.leader == S.element(i)
+    lam = S.element(i)
+    T = _divisor_mask(S, lam)
+    comp = _mask_values(T, lam)
+    _check_ideal(S, comp, T)
+    ideal = object.__new__(SemigroupIdeal)  # checked above: no __post_init__
+    object.__setattr__(ideal, "parent", S)
+    object.__setattr__(ideal, "complement", comp)
+    assert ideal.leader == lam
     return ideal
 
 

@@ -36,14 +36,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_fresh(cwd, *argv):
+def run_fresh(cwd, *argv, stdout=subprocess.PIPE):
     """`python -m sparse_duals ARGV` in a new interpreter, in directory
-    `cwd`: (exit code, stdout, stderr)."""
+    `cwd`: (exit code, stdout, stderr). Given an open file as `stdout`,
+    the process writes there, and stdout is returned as None."""
     path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sparse_duals", *argv], cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
-        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path), stdout=stdout, stderr=subprocess.PIPE,
+        text=True, timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -160,6 +161,10 @@ REPORT_JSON_CASES = [
     {"b": 1, "a": [True, 1], "c\n": {"d": ()}},
     {1: "int key"}, {"x": {2: [1, 2], "y": 3}}, [{True: 1, "k": 2}],
     {"long": list(range(-5, 2**16 + 5))},  # joined in more than one slice
+    # the edge of the decimal table (0..4471): in it, past it, mixed in one
+    # slice, and a slice inside it followed by one past it
+    [0, 4471], [4472, 0], [-1, 0, 4471, 4472, 10**7],
+    list(range(4472 - 4096, 4472 + 5)), [4471] * 4096 + [4472, -1],
 ]
 
 
@@ -212,7 +217,9 @@ def test_report_json_is_json_dumps_byte_for_byte(capsys):
         cli._report_json(value, pieces.append)
         assert "".join(pieces) == expected, value
     long = tuple(range(2**17 + 3))
-    for values in (long, (), (7,)):
+    edges = ((0, 4471), (4472, 0), (-1, 0, 4471, 4472, 10**7),
+             tuple(range(4472 - 4096, 4472 + 5)), (4471,) * 4096 + (4472, -1))
+    for values in (long, (), (7,), *edges):
         cli._print_set("set: ", values, ", end")
         text = "set: {" + ", ".join(map(str, values)) + "}, end\n"
         assert capsys.readouterr().out == text
@@ -499,6 +506,21 @@ def test_json_report_to_a_pipe_is_written_in_place(capsys, tmp_path):
     reader.join(timeout=30)
     assert code == 0 and received and json.loads(received[0])["bound"] == 16
     assert sorted(tmp_path.iterdir()) == [pipe] and not pipe.is_file()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_json_report_to_dev_stdout_follows_the_report(capsys, tmp_path):
+    code, report, _ = run(capsys, "semigroup", "--generators", "3,5", "--json",
+                          str(tmp_path / "r.json"))
+    text = (tmp_path / "r.json").read_text(encoding="utf-8")
+    assert code == 0
+    argv = ("semigroup", "--generators", "3,5", "--json")
+    assert run_fresh(tmp_path, *argv, "/dev/stdout") == (0, report + text, "")  # a pipe
+    assert run_fresh(tmp_path, *argv, "/dev/stderr") == (0, report, text)
+    with open(tmp_path / "out.txt", "w", encoding="utf-8") as out:  # a file the caller opened
+        assert run_fresh(tmp_path, *argv, "/dev/stdout", stdout=out) == (0, None, "")
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == report + text
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "out.txt", tmp_path / "r.json"]
 
 
 def test_isometry_subset_with_vector(capsys):

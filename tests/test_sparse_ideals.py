@@ -35,7 +35,7 @@ from sparse_duals import (
     leader_set,
     maximum_sparse_from_leader,
 )
-from sparse_duals import cli
+from sparse_duals import cli, sparse_ideals
 from sparse_duals.sparse_ideals import division_escape
 
 S23 = NumericalSemigroup([2, 3])
@@ -308,6 +308,11 @@ def test_divisor_gap_pair_and_leader_masks_match_naive_loops(gens):
         i = S.index_of(lam)
         assert divisor_set(S, i) == naive_divisors(contains, lam)
         assert gap_pair_count(S, i) == naive_gap_pairs(gaps, lam)
+        if lam and not gap_pair_count(S, i):  # the mask path builds what the public one does
+            ideal = maximum_sparse_from_leader(S, i)
+            assert ideal == SemigroupIdeal(S, divisor_set(S, i))
+            assert type(ideal.complement) is tuple
+            assert set(map(type, ideal.complement)) == {int}
     assert leader_set(S, bound) == naive_leaders(contains, gaps, bound)
 
 
@@ -360,6 +365,29 @@ def test_escape_and_ideal_checks_match_naive_first_witness(gens):
         assert str(info.value) == expected
         outcomes.add("outside" if outside else "escape")
     assert outcomes == {"ideal", "outside", "escape"}
+
+
+@pytest.mark.parametrize("gens", CORPUS_GENERATORS)
+def test_mask_path_raises_the_public_messages_on_a_corrupted_mask(monkeypatch, gens):
+    """`maximum_sparse_from_leader` checks the D(i) mask it computed; fed a
+    mask with a gap added or an element dropped, it must raise the message
+    `SemigroupIdeal` raises on the same complement."""
+    S = NumericalSemigroup(gens)
+    lam = leader_set(S, 2 * S.conductor)[-1]
+    good = sparse_ideals._divisor_mask(S, lam)
+    comp = divisor_set(S, S.index_of(lam))
+    corrupted = [good | 1 << 8 * S.gaps[-1]]  # a gap added
+    corrupted += [good & ~(1 << 8 * t) for t in comp[:-1]]  # one element dropped
+    seen = set()
+    for T in corrupted:
+        monkeypatch.setattr(sparse_ideals, "_divisor_mask", lambda S, lam, T=T: T)
+        with pytest.raises(NotAnIdeal) as from_mask:
+            maximum_sparse_from_leader(S, S.index_of(lam))
+        with pytest.raises(NotAnIdeal) as public:
+            SemigroupIdeal(S, tuple(n for n in range(lam + 1) if T >> 8 * n & 1))
+        assert str(from_mask.value) == str(public.value)
+        seen.add("not in" if " is not in " in str(public.value) else "escapes")
+    assert seen == {"not in", "escapes"}
 
 
 def test_complement_is_normalised_only_when_needed():
