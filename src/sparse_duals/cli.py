@@ -94,10 +94,6 @@ def _csv(indices) -> str:
     return ",".join(map(str, indices))
 
 
-def _write(path: str, content: str) -> None:
-    Path(path).write_text(content, encoding="utf-8")
-
-
 def _descriptor(path: str) -> Optional[int]:
     """N when `path` is, or links to, /dev/fd/N or /proc/self/fd/N: a
     descriptor this process has open, as /dev/stdout and /dev/stderr link
@@ -114,10 +110,9 @@ def _descriptor(path: str) -> Optional[int]:
     return None
 
 
-def _write_json(path: str, value) -> None:
-    """Write `json.dumps(value, indent=2, sort_keys=True)` and a newline to
-    `path`, byte for byte, in the pieces of `_report_json`, so a long
-    report is never held whole.
+def _write(path: str, emit: Callable[[Callable[[str], object]], object]) -> None:
+    """Write to `path` the text that `emit(write)` passes to `write`, in
+    the pieces it passes, so a long output is never held whole.
 
     The pieces go to a sibling `.part` file that replaces the target once
     it is whole, so a run that fails part-way leaves the target as it was.
@@ -133,8 +128,7 @@ def _write_json(path: str, value) -> None:
         sys.stdout.flush()
         sys.stderr.flush()
         with open(os.dup(fd), "w", encoding="utf-8") as out:
-            _report_json(value, out.write)
-            out.write("\n")
+            emit(out.write)
         return
     if os.path.islink(path):
         path = os.path.realpath(path)
@@ -146,8 +140,7 @@ def _write_json(path: str, value) -> None:
     part = path if in_place else path + ".part"
     try:
         with open(part, "w", encoding="utf-8") as out:
-            _report_json(value, out.write)
-            out.write("\n")
+            emit(out.write)
         if not in_place:
             if mode is not None:  # keep the target's permission bits
                 os.chmod(part, stat.S_IMODE(mode))
@@ -234,6 +227,16 @@ def _report_json(value, write: Callable[[str], object], indent: str = "") -> Non
         write(json.dumps(value))  # a scalar: the same text with or without indent
 
 
+def _json_file(value) -> Callable[[Callable[[str], object]], None]:
+    """The `emit` of `_write` for a JSON report file: the pieces of
+    `json.dumps(value, indent=2, sort_keys=True)` from `_report_json`, and
+    a newline."""
+    def emit(write: Callable[[str], object]) -> None:
+        _report_json(value, write)
+        write("\n")
+    return emit
+
+
 def cmd_semigroup(args: argparse.Namespace) -> int:
     bound = args.bound
     if bound is None:
@@ -263,7 +266,7 @@ def cmd_semigroup(args: argparse.Namespace) -> int:
             "leaders": list(leaders),
             "maximum_sparse_ideals": [ideal.to_json() for ideal in ideals],
         }
-        _write_json(args.json, payload)
+        _write(args.json, _json_file(payload))
     return 0
 
 
@@ -298,7 +301,7 @@ def cmd_sparse_ideals(args: argparse.Namespace) -> int:
         if args.compare is not None:
             payload["compare"] = other.to_json()
             payload["inclusion"] = report.to_json()
-        _write_json(args.json, payload)
+        _write(args.json, _json_file(payload))
     return 0
 
 
@@ -343,10 +346,10 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
         out.append(f"  VIOLATION: {child} < {parent}")
     print("\n".join(out))
     if args.dot:
-        _write(args.dot, export_dot(graph))
+        _write(args.dot, lambda write: write(export_dot(graph)))
         print(f"wrote DOT to {args.dot}")
     if args.json:
-        _write_json(args.json, graph_to_json(graph))
+        _write(args.json, _json_file(graph_to_json(graph)))
         print(f"wrote JSON to {args.json}")
     return 0 if report.ok else 1
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, compress, count, repeat
 from operator import gt, ne
 from typing import Iterator, Optional, Sequence
@@ -152,12 +151,10 @@ def weierstrass_semigroup(q: int) -> NumericalSemigroup:
 class CodeSequence:
     """Nested code sequence from evaluating the monomial basis at a point set.
 
-    `wstar` lists the pole orders at which the rank grew, starting with 0.
-    `generator_rows` are the n evaluation rows (integer encodings) of the
-    monomials with those pole orders, so the first i of them generate the
-    i-dimensional code of the sequence. They are a function of `points`,
-    `wstar` and `q`, built on first read and kept: equality, hashing and
-    `dataclasses.replace` see only the fields.
+    `wstar` lists the pole orders at which the rank grew, starting with 0:
+    the i-dimensional code of the sequence is spanned by the evaluations at
+    `points` of the monomials with the first i of them as pole orders. The
+    package works from W* alone and builds no generator rows.
     """
 
     q: int
@@ -172,19 +169,6 @@ class CodeSequence:
     @property
     def genus(self) -> int:
         return curve_genus(self.q)
-
-    @cached_property
-    def generator_rows(self) -> tuple[tuple[int, ...], ...]:
-        q, mul_bytes, one = self.q, self.field.mul_bytes, b"\x01" * self.n
-        xs = bytes([pt.x.value for pt in self.points])
-        ys = bytes([pt.y.value for pt in self.points])
-        x_pows = list(accumulate(repeat(xs, self.wstar[-1] // q), mul_bytes, initial=one))
-        y_pows = list(accumulate(repeat(ys, q - 1), mul_bytes, initial=one))
-        rows = []
-        for w in self.wstar:
-            b = w % q
-            rows.append(tuple(mul_bytes(x_pows[(w - b * (q + 1)) // q], y_pows[b])))
-        return tuple(rows)
 
 
 def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
@@ -219,9 +203,7 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
     from; a single subset saves none and holds no more than one walk. A
     subset's tail that no other subset shares, whose points fill less than
     half the positions below its top, first cuts the vectors down to them.
-
-    The generator rows are not built here; `CodeSequence.generator_rows`
-    evaluates them on first read.
+    No generator row is built.
     """
     points = tuple(points)
     field = _checked_field(points, q)
@@ -383,12 +365,14 @@ def isometry_dual_criterion(cs: CodeSequence) -> bool:
 
 def find_isometry_vector(cs: CodeSequence) -> Optional[tuple[int, ...]]:
     """The all-nonzero x with x_1 = 1 making the sequence isometry-dual, as
-    integer encodings like `generator_rows`, or None.
+    integer encodings of the field elements, or None.
 
     x works iff for every i the componentwise product x * C^i equals the
-    dual of C^(n-i). The first generator row is the constant function, so
-    x * C^1 is the line through x, and it must equal the dual of C^(n-1),
-    which is one-dimensional because the n generator rows are independent.
+    dual of C^(n-i). C^i is spanned by the rows r_0, ..., r_(i-1), r_i the
+    values at the points of the monomial of pole order W*[i]. r_0 is the
+    constant function, so x * C^1 is the line through x, and it must equal
+    the dual of C^(n-1), which is one-dimensional because the n rows are
+    independent.
     Solutions are closed under global scaling, so fixing x_1 = 1 leaves at
     most one candidate: the vector orthogonal to the first n-1 rows. It
     works iff it has no zero entry and meets the bilinear conditions

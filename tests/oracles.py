@@ -155,6 +155,11 @@ def naive_curve_coords(q):
     ]
 
 
+def _monomial_row(points, a, b, field):
+    """x^a y^b at each point, by `field.pow` and `field.mul`."""
+    return tuple(field.mul(field.pow(pt.x.value, a), field.pow(pt.y.value, b)) for pt in points)
+
+
 def naive_wstar(points, q):
     """W* and generator rows by Gaussian elimination of the monomial rows.
 
@@ -171,16 +176,25 @@ def naive_wstar(points, q):
         b = m % q
         if m < b * (q + 1):
             continue
-        a = (m - b * (q + 1)) // q
-        row = [field.mul(field.pow(pt.x.value, a), field.pow(pt.y.value, b)) for pt in points]
+        row = _monomial_row(points, (m - b * (q + 1)) // q, b, field)
         before = len(echelon)
         _rref([row], n, field, echelon)
         if len(echelon) > before:
             wstar.append(m)
-            rows.append(tuple(row))
+            rows.append(row)
         if len(echelon) == n:
             return tuple(wstar), tuple(rows)
 
+
+def generator_rows(cs):
+    """The n generator rows of `cs`, built independently: for each pole order w
+    in W*, the monomial x^a y^b with b = w mod q and a = (w - b(q+1)) / q
+    evaluated at the points of `cs`, as integer encodings."""
+    q, rows = cs.q, []
+    for w in cs.wstar:
+        b = w % q
+        rows.append(_monomial_row(cs.points, (w - b * (q + 1)) // q, b, cs.field))
+    return tuple(rows)
 
 
 def naive_zero_set_relations(q, points):
@@ -264,7 +278,7 @@ def span_vectors(rows, n, field):
 def literal_isometry_check(cs, x_values):
     """Check x * C^i == dual(C^(n-i)) for every i by full vector enumeration."""
     n, field = cs.n, cs.field
-    rows = cs.generator_rows
+    rows = generator_rows(cs)
     for i in range(n + 1):
         twisted = [
             [field.mul(x_values[k], row[k]) for k in range(n)] for row in rows[:i]
@@ -350,7 +364,7 @@ def naive_isometry_vector(cs):
     sum_k x_k r_a[k] r_b[k] = 0 with a + b <= n (1-based) as a dot product."""
     n, field = cs.n, cs.field
     mul, inv = field.mul_table, field.inv_table
-    rows = cs.generator_rows
+    rows = generator_rows(cs)
     echelon = []
     for row in rows[: n - 1]:
         _echelon_insert(row, echelon, field)

@@ -447,16 +447,20 @@ def test_long_report_lines_are_not_held_whole():
     assert peak < 19_000_000
 
 
+DOT_ARGV = ("hierarchy", "--q", "2", "--dot")
+
+
 @pytest.mark.parametrize(
     "argv",
-    [("hierarchy", "--q", "2", "--json"), ("semigroup", "--generators", "3,5", "--json")],
-    ids=["hierarchy", "semigroup"],
+    [("hierarchy", "--q", "2", "--json"), ("semigroup", "--generators", "3,5", "--json"),
+     DOT_ARGV],
+    ids=["hierarchy", "semigroup", "hierarchy-dot"],
 )
 def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
     target = tmp_path / "missing-dir" / "out.json"
     code, _, err = run(capsys, *argv, str(target))
     assert code == 2
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.endswith(f"'{target}.part'\n")
     assert "Traceback" not in err
     assert not target.exists()
 
@@ -484,6 +488,41 @@ def test_failed_json_report_leaves_the_target_as_it_was(capsys, monkeypatch, tmp
     assert sorted(tmp_path.iterdir()) == [target]
 
 
+def _q2_dot(capsys, tmp_path):
+    """The report lines before the file line, and the DOT text, of
+    `hierarchy --q 2 --dot` into a file of its own."""
+    target = tmp_path / "ref.dot"
+    code, out, _ = run(capsys, *DOT_ARGV, str(target))
+    assert code == 0 and out.endswith(f"wrote DOT to {target}\n")
+    text = target.read_text(encoding="utf-8")
+    target.unlink()
+    return out.removesuffix(f"wrote DOT to {target}\n"), text
+
+
+def test_failed_dot_file_leaves_the_target_as_it_was(capsys, monkeypatch, tmp_path):
+    _, text = _q2_dot(capsys, tmp_path)
+    target = tmp_path / "out.dot"
+    target.write_text("earlier graph\n", encoding="utf-8")
+    target.chmod(0o640)
+    export_dot = cli.export_dot
+
+    def fail_part_way(graph):
+        assert sorted(tmp_path.iterdir()) == [target, tmp_path / "out.dot.part"]
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "export_dot", fail_part_way)
+    code, _, err = run(capsys, *DOT_ARGV, str(target))
+    assert (code, err) == (2, "error: out of memory\n")
+    assert target.read_text(encoding="utf-8") == "earlier graph\n"
+    assert sorted(tmp_path.iterdir()) == [target]
+
+    monkeypatch.setattr(cli, "export_dot", export_dot)
+    code, _, _ = run(capsys, *DOT_ARGV, str(target))
+    assert code == 0 and target.read_text(encoding="utf-8") == text
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(tmp_path.iterdir()) == [target]
+
+
 def test_json_report_through_a_link_writes_the_linked_file(capsys, tmp_path):
     target, link = tmp_path / "out.json", tmp_path / "link.json"
     target.write_text("earlier report\n", encoding="utf-8")
@@ -494,17 +533,46 @@ def test_json_report_through_a_link_writes_the_linked_file(capsys, tmp_path):
     assert sorted(tmp_path.iterdir()) == [link, target]
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_json_report_to_a_pipe_is_written_in_place(capsys, tmp_path):
-    pipe = tmp_path / "report"
+def test_dot_file_through_a_link_writes_the_linked_file(capsys, tmp_path):
+    _, text = _q2_dot(capsys, tmp_path)
+    target, link = tmp_path / "out.dot", tmp_path / "link.dot"
+    target.write_text("earlier graph\n", encoding="utf-8")
+    link.symlink_to(target.name)
+    code, _, _ = run(capsys, *DOT_ARGV, str(link))
+    assert code == 0 and link.is_symlink()
+    assert target.read_text(encoding="utf-8") == text
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+def _read_pipe_while(pipe, *argv):
+    """The exit code of `main(argv)` and the text it wrote into the named
+    pipe `pipe`, read by another thread."""
     os.mkfifo(pipe)
     received = []
     reader = threading.Thread(target=lambda: received.append(pipe.read_text(encoding="utf-8")))
     reader.daemon = True
     reader.start()
-    code, _, _ = run(capsys, "semigroup", "--generators", "3,5", "--json", str(pipe))
+    code = main(list(argv))
     reader.join(timeout=30)
-    assert code == 0 and received and json.loads(received[0])["bound"] == 16
+    assert not reader.is_alive()
+    return code, received[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_json_report_to_a_pipe_is_written_in_place(capsys, tmp_path):
+    pipe = tmp_path / "report"
+    code, received = _read_pipe_while(pipe, "semigroup", "--generators", "3,5", "--json",
+                                      str(pipe))
+    assert code == 0 and json.loads(received)["bound"] == 16
+    assert sorted(tmp_path.iterdir()) == [pipe] and not pipe.is_file()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_dot_file_to_a_pipe_is_written_in_place(capsys, tmp_path):
+    _, text = _q2_dot(capsys, tmp_path)
+    pipe = tmp_path / "graph"
+    code, received = _read_pipe_while(pipe, *DOT_ARGV, str(pipe))
+    assert (code, received) == (0, text)
     assert sorted(tmp_path.iterdir()) == [pipe] and not pipe.is_file()
 
 
@@ -521,6 +589,21 @@ def test_json_report_to_dev_stdout_follows_the_report(capsys, tmp_path):
         assert run_fresh(tmp_path, *argv, "/dev/stdout", stdout=out) == (0, None, "")
     assert (tmp_path / "out.txt").read_text(encoding="utf-8") == report + text
     assert sorted(tmp_path.iterdir()) == [tmp_path / "out.txt", tmp_path / "r.json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_dot_file_to_dev_stdout_follows_the_report(capsys, tmp_path):
+    report, text = _q2_dot(capsys, tmp_path)
+    line = "wrote DOT to {}\n".format
+    assert run_fresh(tmp_path, *DOT_ARGV, "/dev/stdout") == (
+        0, report + text + line("/dev/stdout"), "")  # a pipe
+    assert run_fresh(tmp_path, *DOT_ARGV, "/dev/stderr") == (
+        0, report + line("/dev/stderr"), text)
+    with open(tmp_path / "out.txt", "w", encoding="utf-8") as out:  # a file the caller opened
+        assert run_fresh(tmp_path, *DOT_ARGV, "/dev/stdout", stdout=out) == (0, None, "")
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == (
+        report + text + line("/dev/stdout"))
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "out.txt"]
 
 
 def test_isometry_subset_with_vector(capsys):

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 from oracles import (
+    generator_rows,
     is_division_closed,
     literal_isometry_check,
     naive_curve_coords,
@@ -106,7 +107,7 @@ def test_points_of_a_separately_built_field_are_accepted():
     moved = [CurvePoint(other.element(p.x.value), other.element(p.y.value)) for p in points]
     cs = compute_wstar(moved, 3)
     assert cs.wstar == compute_wstar(points, 3).wstar
-    assert cs.generator_rows == compute_wstar(points, 3).generator_rows
+    assert generator_rows(cs) == generator_rows(compute_wstar(points, 3))
     wrong = Field(3, 4)  # GF(81), not GF(9)
     with pytest.raises(ValueError, match="does not live in"):
         compute_wstar([CurvePoint(wrong.element(0), wrong.element(0))], 3)
@@ -189,7 +190,7 @@ def test_wstar_matches_naive_elimination_sampled(q):
         inputs.append([p for x in chosen for p in fibres[x]])
     for chosen in inputs:
         cs = compute_wstar(chosen, q)
-        assert (cs.wstar, cs.generator_rows) == naive_wstar(chosen, q)
+        assert (cs.wstar, generator_rows(cs)) == naive_wstar(chosen, q)
 
 
 @pytest.mark.parametrize("q,walks", [(2, 8), (3, 4), (4, 2)])
@@ -266,28 +267,6 @@ def test_complement_duality_sampled(q, draws):
         assert large.wstar == _complement_wstar(q, small.wstar)
 
 
-def test_generator_rows_are_built_once():
-    cs = compute_wstar(hermitian_points(3)[:10], 3)
-    assert "generator_rows" not in vars(cs)
-    rows = cs.generator_rows
-    assert cs.generator_rows is rows
-    assert len(rows) == cs.n
-
-
-def test_rows_read_or_not_are_the_same_sequence():
-    pts = hermitian_points(3)[:12]
-    read, unread = compute_wstar(pts, 3), compute_wstar(pts, 3)
-    read.generator_rows
-    assert read == unread and hash(read) == hash(unread)
-    assert {read, unread} == {unread}
-    fewer = compute_wstar(pts[:-1], 3)
-    for cs in (read, unread):
-        assert replace(cs) == read
-        assert replace(cs).generator_rows == read.generator_rows
-        moved = replace(cs, points=fewer.points, wstar=fewer.wstar)
-        assert moved == fewer and moved.generator_rows == fewer.generator_rows
-
-
 def test_full_q9_set_runs_in_little_memory():
     # Without the n x n generator rows, W* of all 729 points needs q
     # vectors of n ints; the rows alone would take several MB.
@@ -310,7 +289,7 @@ def test_wstar_structure(q2_sequences):
         assert max(cs.wstar) <= n + 2 * cs.genus - 1
         assert all(W.contains(m) for m in cs.wstar)
         assert (max(cs.wstar) == n + 2 * cs.genus - 1) == isometry_dual_criterion(cs)
-        assert len(cs.generator_rows) == n
+        assert len(generator_rows(cs)) == n
 
 
 def test_wstar_monotone_under_puncturing(q2_sequences):
@@ -360,7 +339,7 @@ def _check_family_against_naive(points, q, family):
     for subset, cs in zip(family, compute_wstar_family(points, q, family), strict=True):
         chosen = [points[i - 1] for i in subset]
         assert cs.points == tuple(chosen)
-        assert (cs.wstar, cs.generator_rows) == naive_wstar(chosen, q)
+        assert (cs.wstar, generator_rows(cs)) == naive_wstar(chosen, q)
 
 
 def test_family_matches_naive_elimination_on_every_q2_subset(q2_points):
@@ -406,7 +385,7 @@ def test_family_in_any_order_with_a_repeat_equals_compute_wstar():
         single = compute_wstar([points[i - 1] for i in subset], 3)
         assert cs == single
         assert (cs.points, cs.wstar) == (single.points, single.wstar)
-        assert cs.generator_rows == single.generator_rows
+        assert generator_rows(cs) == generator_rows(single)
 
 
 def test_empty_family_and_one_full_range(q2_points):
