@@ -29,16 +29,14 @@ from .errors import PreconditionViolated, SparseDualsError, TooManySubsets
 from .gf import FieldElement
 from .hermitian import (
     CurvePoint,
-    compute_wstar_family,
     curve_genus,
-    find_isometry_vectors,
     hermitian_coords,
     hermitian_field,
     hermitian_points,
-    ideal_complement_check,
     isometry_dual_criterion,
     isometry_sequence,
     weierstrass_semigroup,
+    wstar_and_vectors,
 )
 from .puncturing import (
     build_hierarchy,
@@ -49,7 +47,12 @@ from .puncturing import (
     verify_inheritance,
 )
 from .semigroup import NumericalSemigroup, semigroup_conductor
-from .sparse_ideals import inclusion_report, leader_set, maximum_sparse_from_leader
+from .sparse_ideals import (
+    division_escape,
+    inclusion_report,
+    leader_set,
+    maximum_sparse_from_leader,
+)
 
 
 # Largest number of complement elements a semigroup report may hold. A
@@ -370,9 +373,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for size in range(n, boundary, -1)
         for combo in combinations(range(1, n + 1), size)
     ]
-    sequences = dict(zip(big_subsets, compute_wstar_family(points, q, big_subsets)))
-
-    bad = [c for c, cs in sequences.items() if not ideal_complement_check(cs, W)]
+    # W* and, unless skipped, the oracle's (W*, vector) of each subset.
+    walked = wstar_and_vectors(points, q, big_subsets, oracle=not args.skip_oracle)
+    wstars = [wstar for wstar, _ in walked]
+    ideal = {w: division_escape(W, w) is None for w in set(wstars)}  # W \ W* an ideal of W
+    bad = [c for c, w in zip(big_subsets, wstars) if not ideal[w]]
     results.append(
         (
             "dual-complement-ideal",
@@ -401,11 +406,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.skip_oracle:
         results.append(("criterion-oracle", "SKIP", "disabled by --skip-oracle"))
     else:
-        vectors = find_isometry_vectors(points, q, big_subsets)
+        # The criterion against the vector, and the two walks' W* against each other.
         mismatches = [
             combo
-            for combo, vector in zip(big_subsets, vectors)
-            if isometry_dual_criterion(sequences[combo]) != (vector is not None)
+            for combo, (wstar, (pivots, vector)) in zip(big_subsets, walked)
+            if pivots != wstar or (len(combo) + 2 * g - 1 in wstar) != (vector is not None)
         ]
         results.append(
             (

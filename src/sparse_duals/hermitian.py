@@ -15,7 +15,7 @@ same for many subsets of one point list, sharing their common steps, and
 `find_isometry_vectors` solves for their isometry vectors on the same
 walk, by column elimination on the values of the monomials at the points.
 That elimination finds W* as well, and `isometry_sequence` takes both
-from it for one point set.
+from it for one point set. `wstar_and_vectors` runs both on one walk.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
     """
     points = tuple(points)
     field = _checked_field(points, q)
-    [(_, wstar)] = _wstar_walk(points, q, field, [tuple(range(len(points), 0, -1))])
+    [(_, wstar)] = _trie_walk([tuple(range(len(points), 0, -1))], *_wstar_walk(points, q, field))
     return CodeSequence(q=q, field=field, points=points, wstar=wstar)
 
 
@@ -228,7 +228,7 @@ def compute_wstar_family(
     found = {
         key: CodeSequence(q=q, field=field, wstar=wstar,
                           points=tuple([points[i - 1] for i in reversed(key)]))
-        for key, wstar in _wstar_walk(points, q, field, sorted(set(keys)))
+        for key, wstar in _trie_walk(sorted(set(keys)), *_wstar_walk(points, q, field))
     }
     return [found[key] for key in keys]
 
@@ -268,18 +268,18 @@ def _subset_keys(n: int, subsets: Sequence[Sequence[int]]) -> list[tuple[int, ..
 
 
 def _trie_walk(
-    order: list[tuple[int, ...]], root, advance
+    order: list[tuple[int, ...]], root, advance, finish
 ) -> Iterator[tuple[tuple[int, ...], object]]:
-    """(key, state) for each key of `order`, by one walk over their trie
-    (see `compute_wstar`). The keys are distinct and sorted, a key being a
-    subset's 1-based indices into the points from the largest down, so a
-    node's subtree is a run of keys.
+    """(key, finish(key, state)) for each key of `order`, by one walk over
+    their trie (see `compute_wstar`) from the state `root`. The keys are
+    distinct and sorted, a key being a subset's 1-based indices into the
+    points from the largest down, so a node's subtree is a run of keys.
 
     `advance(state, js, alone)` returns the state after the 0-based points
     `js` are added to `state`, in that order, and leaves `state` as it
     was: siblings start from one state. `alone` says that no other key
-    shares these points, so they end a key. The state is yielded as it
-    stands and must not be modified.
+    shares these points, so they end a key. `finish` reads the key's
+    state as it stands and must not modify it.
     """
     # The trie depth at which each key and the next part: their first
     # difference, or the end of the first when it is a prefix of the next.
@@ -299,17 +299,15 @@ def _trie_walk(
                 cuts = [lo] + [k + 1 for k in range(lo, hi - 1) if shared[k] == depth] + [hi]
                 frames += [(a, b, depth, state) for a, b in zip(cuts, cuts[1:])]
                 break
-            yield key, state
+            yield key, finish(key, state)
             lo += 1
             if lo == hi:
                 break
 
 
-def _wstar_walk(
-    points: tuple[CurvePoint, ...], q: int, field: Field, order: list[tuple[int, ...]]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(key, W*) for each key of `order`, by the Groebner update of
-    `compute_wstar` on the trie walk of `_trie_walk`."""
+def _wstar_walk(points: tuple[CurvePoint, ...], q: int, field: Field):
+    """The Groebner update of `compute_wstar` as the (root, advance,
+    finish) of a `_trie_walk` whose finish is the key's W*."""
     g = curve_genus(q)
     mul, inv, shift = field.mul_table, field.inv_table, field.add_rows
     add_scaled, mul_bytes = field.add_scaled, field.mul_bytes
@@ -348,14 +346,16 @@ def _wstar_walk(
             rho[s] += q
         return gens, rho, ws
 
+    def finish(key, state):
+        ws = sorted(state[2])
+        if ws[-1] > len(key) + 2 * g - 1:
+            raise AssertionError("rank must reach n by pole order n + 2g - 1")
+        return tuple(ws)
+
     ys = bytes([pt.y.value for pt in points])
     root = (list(accumulate(repeat(ys, q - 1), mul_bytes, initial=b"\x01" * len(ys))),  # y^b
             [b * (q + 1) for b in range(q)], [])
-    for key, (_, _, ws) in _trie_walk(order, root, advance):
-        ws = sorted(ws)
-        if ws[-1] > len(key) + 2 * g - 1:
-            raise AssertionError("rank must reach n by pole order n + 2g - 1")
-        yield key, tuple(ws)
+    return root, advance, finish
 
 
 def isometry_dual_criterion(cs: CodeSequence) -> bool:
@@ -383,7 +383,8 @@ def find_isometry_vector(cs: CodeSequence) -> Optional[tuple[int, ...]]:
     all of `cs.points`, which a `CodeSequence` holds checked already; the
     walk finds W* again on the way, and `isometry_sequence` returns both.
     """
-    [(_, _, x)] = _isometry_walk(cs.points, cs.q, cs.field, [tuple(range(cs.n, 0, -1))])
+    [(_, (_, x))] = _trie_walk([tuple(range(cs.n, 0, -1))],
+                               *_isometry_walk(cs.points, cs.q, cs.field, cs.n))
     return x
 
 
@@ -397,7 +398,8 @@ def isometry_sequence(
     """
     points = tuple(points)
     field = _checked_field(points, q)
-    [(_, wstar, x)] = _isometry_walk(points, q, field, [tuple(range(len(points), 0, -1))])
+    n = len(points)
+    [(_, (wstar, x))] = _trie_walk([tuple(range(n, 0, -1))], *_isometry_walk(points, q, field, n))
     return CodeSequence(q=q, field=field, points=points, wstar=wstar), x
 
 
@@ -429,18 +431,44 @@ def find_isometry_vectors(
     points = tuple(points)
     field = _checked_field(points, q)
     keys = _subset_keys(len(points), subsets)
-    found = {key: x for key, _, x in _isometry_walk(points, q, field, sorted(set(keys)))}
+    walk = _isometry_walk(points, q, field, max(map(len, keys), default=1))
+    found = {key: x for key, (_, x) in _trie_walk(sorted(set(keys)), *walk)}
     return [found[key] for key in keys]
 
 
-def _isometry_walk(
-    points: tuple[CurvePoint, ...], q: int, field: Field, order: list[tuple[int, ...]]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Optional[tuple[int, ...]]]]:
-    """(key, W*, isometry vector or None) for each key of `order`, by the
-    column walk of `find_isometry_vectors` on the walk of `_trie_walk`; W*
-    is the stored pivots as pole orders."""
+def wstar_and_vectors(
+    points: Sequence[CurvePoint], q: int, subsets: Sequence[Sequence[int]], oracle: bool
+) -> list[tuple[tuple[int, ...], Optional[tuple]]]:
+    """(W*, found) for each subset, in the order given: W* by the walk of
+    `compute_wstar_family`, and found the (W*, vector) of the column walk
+    of `find_isometry_vectors` with `oracle`, None without. One trie walk,
+    with the checks of both, advances the two states side by side: they
+    share no arithmetic, so the two W* are independent answers."""
+    points = tuple(points)
+    field = _checked_field(points, q)
+    keys = _subset_keys(len(points), subsets)
+    w_root, w_advance, w_finish = _wstar_walk(points, q, field)
+    c_root, c_advance, c_finish = (
+        _isometry_walk(points, q, field, max(map(len, keys), default=1)) if oracle
+        else (None, lambda state, js, alone: None, lambda key, state: None))
+
+    def advance(state, js, alone):
+        return w_advance(state[0], js, alone), c_advance(state[1], js, alone)
+
+    def finish(key, state):
+        return w_finish(key, state[0]), c_finish(key, state[1])
+
+    found = dict(_trie_walk(sorted(set(keys)), (w_root, c_root), advance, finish))
+    return [found[key] for key in keys]
+
+
+def _isometry_walk(points: tuple[CurvePoint, ...], q: int, field: Field, n: int):
+    """The column walk of `find_isometry_vectors` for subsets of up to n
+    points, as the (root, advance, finish) of a `_trie_walk` whose finish
+    is the key's (W*, isometry vector or None); W* is the stored pivots as
+    pole orders."""
     g = curve_genus(q)
-    n_all, top = len(points), max(map(len, order), default=1) + 4 * g - 2
+    n_all, top = len(points), n + 4 * g - 2
     mul, inv = field.mul_table, field.inv_table
     add_scaled, neg = field.add_scaled, mul[field.p - 1]  # -a = neg[a]
     # The monomials x^a y^b of pole order m <= top, and the index of each
@@ -474,18 +502,19 @@ def _isometry_walk(
             stored[piv] = c
         return stored
 
-    for key, stored in _trie_walk(order, {}, advance):
+    def finish(key, stored):
         pivots = sorted(stored)
         wstar = tuple([poles[k] for k in pivots])
         if wstar[-1] > len(key) + 2 * g - 1:
             raise AssertionError("rank must reach n by pole order n + 2g - 1")
         last = stored[pivots[-1]]
         x = [last[k_mono + i - 1] for i in reversed(key)]
-        vector = None
         if 0 not in x and _meets_pairs(last, wstar, index):
             scale = mul[inv[x[0]]]
-            vector = tuple([scale[v] for v in x])
-        yield key, wstar, vector
+            return wstar, tuple([scale[v] for v in x])
+        return wstar, None
+
+    return {}, advance, finish
 
 
 def _meets_pairs(last: bytes, wstar: tuple[int, ...], index: dict[int, int]) -> bool:

@@ -22,8 +22,10 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import TooManySubsets
 from .hermitian import (
+    _trie_walk,
     _wstar_walk,
     compute_wstar,
+    compute_wstar_family,
     curve_genus,
     hermitian_field,
     hermitian_points,
@@ -203,10 +205,11 @@ def divisor_classes(q: int) -> DivisorClasses:
     diagonal form gives G' = Z^n / L'. L' = L exactly when L / L', a
     subgroup of G', is 0, and a nonzero one would hold a class of prime
     order whose subsets all qualify. So one subset of every class of prime
-    order is checked with `compute_wstar`: a failing one rules its class
-    out, and a qualifying one is a relation L' lacks, so it is added and
-    the check starts over. A class with no subset cannot be ruled out and
-    raises AssertionError; more than 2^27 subsets raise TooManySubsets.
+    order is checked, W* of them all from one `compute_wstar_family` walk:
+    a failing one rules its class out, and the first qualifying one is a
+    relation L' lacks, so it is added and the check starts over. A class
+    with no subset cannot be ruled out and raises AssertionError; more
+    than 2^27 subsets raise TooManySubsets.
     """
     points = hermitian_points(q)
     n = len(points)
@@ -220,11 +223,13 @@ def divisor_classes(q: int) -> DivisorClasses:
             orders=tuple(d[t] for t in factors),
             point_classes=tuple(tuple(row[t] % d[t] for t in factors) for row in V),
         )
-        for cls in classes.prime_order_classes():
-            witness = next(classes.subsets(cls), None)
+        primes = list(classes.prime_order_classes())
+        witnesses = [next(classes.subsets(cls), None) for cls in primes]
+        found = iter(compute_wstar_family(points, q, [w for w in witnesses if w is not None]))
+        for cls, witness in zip(primes, witnesses):
             if witness is None:
                 raise AssertionError(f"no subset has class {cls}; cannot certify")
-            if subset_qualifies(q, witness, points):
+            if isometry_dual_criterion(next(found)):
                 relations.append(sum(1 << (i - 1) for i in witness))
                 break
         else:
@@ -260,7 +265,7 @@ def sample_qualifying_subsets(
         for _ in range(per_size):
             drawn.add(tuple(sorted(rng.sample(range(1, n + 1), size), reverse=True)))
     jump = 2 * curve_genus(q) - 1
-    walk = _wstar_walk(points, q, hermitian_field(q), sorted(drawn))
+    walk = _trie_walk(sorted(drawn), *_wstar_walk(points, q, hermitian_field(q)))
     found = [key[::-1] for key, wstar in walk if len(key) + jump in wstar]
     return sorted(found, key=lambda c: (-len(c), c))
 

@@ -349,6 +349,28 @@ def test_verify_skip_oracle(capsys):
     assert "SKIP criterion-oracle" in out
 
 
+def test_verify_skip_oracle_advances_no_column_state(capsys, monkeypatch):
+    make = hermitian._isometry_walk
+
+    def no_column_step(*args):
+        root, _, finish = make(*args)
+
+        def advance(*step):
+            raise RuntimeError("a column state advanced")
+
+        return root, advance, finish
+
+    monkeypatch.setattr(hermitian, "_isometry_walk", no_column_step)
+    code, out, err = run(capsys, "verify", "--q", "2", "--skip-oracle")
+    assert (code, err) == (0, "")
+    assert out == VERIFY_Q2_PASS.replace(
+        "PASS criterion-oracle: criterion matches isometry-vector solve on 93/93 subsets",
+        "SKIP criterion-oracle: disabled by --skip-oracle",
+    ).replace("(3 passed, 0 failed, 0 skipped)", "(2 passed, 0 failed, 1 skipped)")
+    code, _, err = run(capsys, "verify", "--q", "2")  # the patch is in effect
+    assert code == 3 and err.endswith("RuntimeError: a column state advanced\n")
+
+
 VERIFY_Q2_PASS = (
     "verify q=2: n=8, genus=1, boundary=4\n"
     "PASS dual-complement-ideal: W \\ W* is an ideal of W for 93/93 subsets with n > 4\n"
@@ -362,21 +384,30 @@ def test_verify_pass_report_byte_identical(capsys):
     assert run(capsys, "verify", "--q", "2") == (0, VERIFY_Q2_PASS, "")
 
 
+def _alter_walk(monkeypatch, name, alter):
+    """Pass each subset's result of the walk `hermitian.<name>` through
+    alter(subset, result) before its caller reads it."""
+    make = getattr(hermitian, name)
+
+    def altered(*args):
+        root, advance, finish = make(*args)
+        return root, advance, lambda key, state: alter(key[::-1], finish(key, state))
+
+    monkeypatch.setattr(hermitian, name, altered)
+
+
 # Each injects one failure into a `verify --q 2` check and returns the
 # detail its FAIL line must print.
 
 
 def _fail_ideal_check(monkeypatch):
     # Two subsets fail; the 6-point one comes first (sizes run downwards).
-    index = {p.coords(): i for i, p in enumerate(hermitian.hermitian_points(2), 1)}
-    failing = {(2, 3, 5, 7, 8), (1, 2, 3, 4, 5, 6)}
-    check = cli.ideal_complement_check
-
-    def ideal_check(cs, W):
-        subset = tuple(sorted(index[p.coords()] for p in cs.points))
-        return subset not in failing and check(cs, W)
-
-    monkeypatch.setattr(cli, "ideal_complement_check", ideal_check)
+    # 4 leaves each W* while 4 + 3 or 4 + 2 stays in it, so W \ W* is no
+    # ideal; n + 2g - 1 stays out of W*, and both walks read the new W*.
+    wrong = {(2, 3, 5, 7, 8): (0, 2, 3, 5, 7), (1, 2, 3, 4, 5, 6): (0, 2, 3, 5, 6, 8)}
+    _alter_walk(monkeypatch, "_wstar_walk", lambda subset, wstar: wrong.get(subset, wstar))
+    _alter_walk(monkeypatch, "_isometry_walk",
+                lambda subset, found: (wrong.get(subset, found[0]), found[1]))
     return ("W \\ W* is an ideal of W for 91/93 subsets with n > 4;"
             " first failing subset 1,2,3,4,5,6")
 
@@ -394,24 +425,36 @@ def _fail_inheritance(monkeypatch):
 
 
 def _fail_oracle(monkeypatch):
-    find_isometry_vectors = cli.find_isometry_vectors
+    def flipping(subset, found):
+        wstar, vector = found
+        if subset in ((1, 2, 3, 5, 7, 8), (1, 2, 3, 4, 8)):  # subsets 17 and 40
+            vector = (1,) * len(subset) if vector is None else None
+        return wstar, vector
 
-    def flipping(points, q, subsets):
-        vectors = find_isometry_vectors(points, q, subsets)
-        for k in (17, 40):
-            vectors[k] = (1,) * len(subsets[k]) if vectors[k] is None else None
-        return vectors
-
-    monkeypatch.setattr(cli, "find_isometry_vectors", flipping)
+    _alter_walk(monkeypatch, "_isometry_walk", flipping)
     return ("criterion matches isometry-vector solve on 91/93 subsets;"
             " first failing subset 1,2,3,5,7,8")
+
+
+def _fail_cross_check(monkeypatch):
+    # Only the column walk's W* of one subset is wrong: the ideal check
+    # and the criterion read the Groebner walk's, which the oracle line
+    # compares it with.
+    def shifted(subset, found):
+        wstar, vector = found
+        return (wstar[:-1] + (wstar[-1] + 1,) if subset == (1, 3, 4, 6, 7) else wstar), vector
+
+    _alter_walk(monkeypatch, "_isometry_walk", shifted)
+    return ("criterion matches isometry-vector solve on 92/93 subsets;"
+            " first failing subset 1,3,4,6,7")
 
 
 @pytest.mark.parametrize("name,inject", [
     ("dual-complement-ideal", _fail_ideal_check),
     ("inheritance", _fail_inheritance),
     ("criterion-oracle", _fail_oracle),
-], ids=["dual-complement-ideal", "inheritance", "criterion-oracle"])
+    ("criterion-oracle", _fail_cross_check),
+], ids=["dual-complement-ideal", "inheritance", "criterion-oracle", "two-walks-differ"])
 def test_verify_failure_names_its_witness(capsys, monkeypatch, name, inject):
     detail = inject(monkeypatch)
     code, out, err = run(capsys, "verify", "--q", "2")
@@ -860,40 +903,39 @@ def test_a_command_builds_one_field(capsys, monkeypatch, argv):
     assert hermitian.hermitian_field(int(argv[2])) is held
 
 
-@pytest.mark.parametrize("argv,calls,families", [
-    # 8 certify the classes of q = 2; one family walk covers the 93
-    # subsets above the boundary.
-    # The oracle solves the same 93 subsets in one walk of its own.
-    (("verify", "--q", "2"), 8, [93]),
-    (("hierarchy", "--q", "2"), 8, []),
+@pytest.mark.parametrize("argv,walks", [
+    # The certificate of q = 2 walks its 8 witnesses in one family, with
+    # the Groebner state alone. `verify` then walks the 93 subsets above
+    # the boundary once, the Groebner and the column state side by side.
+    (("verify", "--q", "2"), ["groebner", 8, "groebner", "columns", 93]),
+    (("hierarchy", "--q", "2"), ["groebner", 8]),
 ], ids=["verify", "hierarchy"])
-def test_wstar_computations_per_command(capsys, monkeypatch, argv, calls, families):
-    counted, walked, solved = [], [], []
-    compute_wstar = hermitian.compute_wstar
-    compute_wstar_family = hermitian.compute_wstar_family
-    find_isometry_vectors = hermitian.find_isometry_vectors
-
-    def counting(points, q):
-        counted.append(len(points))
-        return compute_wstar(points, q)
+def test_wstar_computations_per_command(capsys, monkeypatch, argv, walks):
+    # Logs each walk state a command makes and the size of each trie walk.
+    log, families = [], []
+    compute_wstar_family = puncturing.compute_wstar_family
 
     def counting_family(points, q, subsets):
-        walked.append(len(subsets))
+        families.append(len(subsets))
         return compute_wstar_family(points, q, subsets)
 
-    def counting_oracle(points, q, subsets):
-        solved.append(len(subsets))
-        return find_isometry_vectors(points, q, subsets)
+    def logging(name, make):
+        return lambda *args: log.append(name) or make(*args)
 
-    def single_oracle(points, q):
-        raise AssertionError("the oracle runs on the family")
+    def one_computation(*args):
+        raise AssertionError("a subset is computed on its own")
 
-    monkeypatch.setattr(puncturing, "compute_wstar", counting)
-    monkeypatch.setattr(cli, "compute_wstar_family", counting_family)
-    monkeypatch.setattr(cli, "find_isometry_vectors", counting_oracle)
-    monkeypatch.setattr(cli, "isometry_sequence", single_oracle)
+    monkeypatch.setattr(hermitian, "_wstar_walk", logging("groebner", hermitian._wstar_walk))
+    monkeypatch.setattr(hermitian, "_isometry_walk",
+                        logging("columns", hermitian._isometry_walk))
+    trie_walk = hermitian._trie_walk
+    monkeypatch.setattr(hermitian, "_trie_walk",
+                        lambda order, *walk: log.append(len(order)) or trie_walk(order, *walk))
+    monkeypatch.setattr(puncturing, "compute_wstar_family", counting_family)
+    monkeypatch.setattr(puncturing, "compute_wstar", one_computation)
+    monkeypatch.setattr(cli, "isometry_sequence", one_computation)
     assert run(capsys, *argv)[0] == 0
-    assert (len(counted), walked, solved) == (calls, families, families)
+    assert (log, families) == (walks, [8])
 
 
 @pytest.mark.parametrize("error,code", [(RuntimeError, 3), (MemoryError, 2)],

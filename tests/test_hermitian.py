@@ -396,6 +396,10 @@ def test_empty_family_and_one_full_range(q2_points):
         compute_wstar_family([], 2, [])
 
 
+def _both_walks(points, q, subsets):
+    return hermitian.wstar_and_vectors(points, q, subsets, True)
+
+
 def test_family_point_errors_match_compute_wstar(q2_points):
     field = hermitian_field(2)
     off = CurvePoint(field.element(1), field.element(1))  # 1 != 1^2 + 1
@@ -405,7 +409,7 @@ def test_family_point_errors_match_compute_wstar(q2_points):
                           ([*q2_points[:3], foreign], ValueError)):
         with pytest.raises(error) as single:
             compute_wstar(points, 2)
-        for family in (compute_wstar_family, find_isometry_vectors):
+        for family in (compute_wstar_family, find_isometry_vectors, _both_walks):
             with pytest.raises(error, match=re.escape(str(single.value))):
                 family(points, 2, [(1,)])
 
@@ -420,7 +424,7 @@ def test_family_point_errors_match_compute_wstar(q2_points):
     ((1, 1, 2), "subset (1, 1, 2) is not strictly increasing"),
 ], ids=["zero", "negative", "above", "above-unordered", "empty", "descending", "repeated"])
 def test_family_rejects_bad_subsets(q2_points, subset, message):
-    for family in (compute_wstar_family, find_isometry_vectors):
+    for family in (compute_wstar_family, find_isometry_vectors, _both_walks):
         with pytest.raises(ValueError, match=re.escape(message)):
             family(q2_points, 2, [(1, 2), subset])
 
@@ -565,11 +569,13 @@ def test_isometry_walk_pivots_are_wstar(monkeypatch):
     pivots = {}
     walk = hermitian._trie_walk
 
-    def recording(order, root, advance):
-        for key, state in walk(order, root, advance):
+    def recording(order, root, advance, finish):
+        def reading(key, state):
             if isinstance(state, dict):
                 pivots[key[::-1]] = sorted(state)
-            yield key, state
+            return finish(key, state)
+
+        return walk(order, root, advance, reading)
 
     monkeypatch.setattr(hermitian, "_trie_walk", recording)
     for q in (3, 4, 5):
@@ -579,6 +585,18 @@ def test_isometry_walk_pivots_are_wstar(monkeypatch):
         for subset in family:
             wstar = compute_wstar([points[i - 1] for i in subset], q).wstar
             assert tuple(poles[k] for k in pivots[subset]) == wstar, subset
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_one_walk_with_both_states_equals_each_walk(q):
+    # The walk `verify` runs advances the Groebner and the column state
+    # together and answers as the two family walks do apart.
+    points, family = _vector_family(q, random.Random(800 + q))
+    wstars = [cs.wstar for cs in compute_wstar_family(points, q, family)]
+    vectors = find_isometry_vectors(points, q, family)
+    assert hermitian.wstar_and_vectors(points, q, family, True) == [
+        (w, (w, v)) for w, v in zip(wstars, vectors, strict=True)]
+    assert hermitian.wstar_and_vectors(points, q, family, False) == [(w, None) for w in wstars]
 
 
 # -- W* and the isometry vector of one point set from one column walk --

@@ -123,12 +123,21 @@ def test_certificate_adds_the_relations_it_misses(monkeypatch, q2_points):
     relations = puncturing._zero_set_relations
     monkeypatch.setattr(puncturing, "_zero_set_relations", lambda q, points: [
         m for m in relations(q, points) if m.bit_count() == q + 1])
-    calls = []
-    qualifies = puncturing.subset_qualifies
-    monkeypatch.setattr(puncturing, "subset_qualifies",
-                        lambda *args: calls.append(args) or qualifies(*args))
+    rounds = []  # the witnesses whose W* each round of the check computes
+    family = puncturing.compute_wstar_family
+
+    def counting(points, q, subsets):
+        rounds.append(subsets)
+        return family(points, q, subsets)
+
+    monkeypatch.setattr(puncturing, "compute_wstar_family", counting)
     classes = divisor_classes(2)
-    assert prod(classes.orders) == 9 and len(calls) > 8
+    walked = [w for witnesses in rounds for w in witnesses]
+    assert prod(classes.orders) == 9 and len(walked) > 8
+    # One witness of each of the 26 classes of order 3 in the group of
+    # index 3 first (two qualify), then of each of the 8 in the true one.
+    assert list(map(len, rounds)) == [26, 8]
+    assert list(map(classes.class_of, rounds[-1])) == list(classes.prime_order_classes())
     assert qualifying_subsets(2, 1) == naive_qualifying_subsets(2, 1)
 
 
