@@ -10,9 +10,10 @@ field is built in the call), `compute_wstar` times and
 `tracemalloc` peaks on the full point sets for q = 5, 7, 8, 9, 11, 13, on
 three seeded large subsets and on seeded subsets of the sizes `verify` and
 `isometry` pass (q = 2 with n = 5 and 8, q = 3 with n = 6 and 7),
-`find_isometry_vector` alone on those four subsets, on a seeded qualifying
-q = 3 set and on a union of 25 x-fibres at q = 8 (200 points; the last
-two have a vector, so the bilinear conditions are all checked),
+`isometry_sequence` (W* and the isometry vector from one column walk,
+the points checked) on those four subsets, on a seeded qualifying q = 3
+set and on a union of 25 x-fibres at q = 8 (200 points; the last two have
+a vector, so the bilinear conditions are all checked),
 `compute_wstar_family` times and `tracemalloc` peaks on the 93 subsets
 `verify --q 2` checks and on the 31 687 qualifying q = 3 sets above the
 boundary, `find_isometry_vectors` on the 93 subsets, `qualifying_subsets`
@@ -58,10 +59,10 @@ from sparse_duals import (  # noqa: E402
     compute_wstar,
     compute_wstar_family,
     curve_genus,
-    find_isometry_vector,
     find_isometry_vectors,
     hermitian_field,
     hermitian_points,
+    isometry_sequence,
     qualifying_subsets,
     verify_inheritance,
     weierstrass_semigroup,
@@ -191,8 +192,8 @@ def measure(tmp: Path) -> dict:
     oracle_sets = {name: compute_wstar(pts, q) for name, (q, pts, _) in wstar_sets.items() if q <= 3}
     oracle_sets.update({name: compute_wstar(pts, q) for name, (q, pts) in oracle_subsets().items()})
     for name, cs in oracle_sets.items():
-        entries["find_isometry_vector", name] = (
-            (lambda cs=cs: find_isometry_vector(cs)), 300 if cs.n <= 27 else 3)
+        entries["isometry_sequence", name] = (
+            (lambda cs=cs: isometry_sequence(cs.points, cs.q)), 300 if cs.n <= 27 else 3)
     wstar_families = {
         name: (q, hermitian_points(q), family, 30 if len(family) < 1000 else 1)
         for name, (q, family) in families().items()
@@ -211,7 +212,7 @@ def measure(tmp: Path) -> dict:
     entries["puncturing", "build_hierarchy(q=2)"] = (
         lambda: build_hierarchy(q2_subsets, boundary=4), 30)
     entries["puncturing", "verify_inheritance(q=2)"] = (
-        lambda: verify_inheritance(q2_graph, W2, curve_genus(2)), 30)
+        lambda: verify_inheritance(q2_graph, W2), 30)
     for command in CLI_COMMANDS:
         entries["cli", command] = (cli_call(command, tmp), 30)
 
@@ -227,8 +228,8 @@ def measure(tmp: Path) -> dict:
         run["compute_wstar"][name].update(
             q=q, n=len(pts), tracemalloc_peak_mb=peak_mb(lambda: compute_wstar(pts, q)))
     for name, cs in oracle_sets.items():
-        run["find_isometry_vector"][name].update(
-            q=cs.q, n=cs.n, found=find_isometry_vector(cs) is not None)
+        run["isometry_sequence"][name].update(
+            q=cs.q, n=cs.n, found=isometry_sequence(cs.points, cs.q)[1] is not None)
     run["find_isometry_vectors"]["verify_q2_n_gt_4"].update(
         q=2, subsets=len(verify_family),
         found=sum(v is not None for v in find_isometry_vectors(q2_points, 2, verify_family)))

@@ -25,11 +25,9 @@ from .hermitian import (
     compute_wstar,
     compute_wstar_family,
     curve_genus,
-    find_isometry_vector,
     find_isometry_vectors,
     hermitian_field,
     hermitian_points,
-    ideal_complement_check,
     isometry_dual_criterion,
     isometry_sequence,
     monomial_basis,

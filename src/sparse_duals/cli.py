@@ -326,7 +326,7 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
             raise TooManySubsets(f"{exc}; use --sample N (and --seed) instead") from exc
         mode = "exhaustive"
     graph = build_hierarchy(subsets, boundary=boundary)
-    report = verify_inheritance(graph, W, g)
+    report = verify_inheritance(graph, W)
 
     sizes: dict[int, int] = {}
     for node in graph.nodes:
@@ -389,7 +389,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
 
     graph = build_hierarchy(subsets, boundary=boundary)
-    report = verify_inheritance(graph, W, g)
+    report = verify_inheritance(graph, W)
     witness = ""
     if report.violations:
         child, parent = report.violations[0]

@@ -16,6 +16,7 @@ same for many subsets of one point list, sharing their common steps, and
 walk, by column elimination on the values of the monomials at the points.
 That elimination finds W* as well, and `isometry_sequence` takes both
 from it for one point set. `wstar_and_vectors` runs both on one walk.
+Every entry point checks its input and runs its walk through `_walk`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Iterator, Optional, Sequence
 from .errors import DuplicatePoints, FieldTooLarge, PointNotOnCurve
 from .gf import MAX_ORDER, Field, FieldElement
 from .semigroup import NumericalSemigroup
-from .sparse_ideals import division_escape
 
 # Point order over GF(4), frozen: (x, y) encodings with 2 = class of x,
 # 3 = class of x + 1.
@@ -206,8 +206,7 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
     No generator row is built.
     """
     points = tuple(points)
-    field = _checked_field(points, q)
-    [(_, wstar)] = _trie_walk([tuple(range(len(points), 0, -1))], *_wstar_walk(points, q, field))
+    field, [(_, wstar)] = _walk(points, q, [range(1, len(points) + 1)], _wstar_walk)
     return CodeSequence(q=q, field=field, points=points, wstar=wstar)
 
 
@@ -223,14 +222,23 @@ def compute_wstar_family(
     points (see `compute_wstar`). A repeated subset is computed once.
     """
     points = tuple(points)
+    field, found = _walk(points, q, subsets, _wstar_walk)
+    return [CodeSequence(q=q, field=field, wstar=wstar,
+                         points=tuple([points[i - 1] for i in reversed(key)]))
+            for key, wstar in found]
+
+
+def _walk(points: tuple[CurvePoint, ...], q: int, subsets: Sequence[Sequence[int]], make_walk):
+    """GF(q^2) and, for each subset in the order given, its trie key (see
+    `_subset_keys`) and its finish on the walk `make_walk(points, q, field,
+    n)`, n the largest subset size. The points are checked once
+    (`_checked_field`), then the subsets (`_subset_keys`); the walk runs
+    once over the distinct keys, so a repeated subset is computed once."""
     field = _checked_field(points, q)
     keys = _subset_keys(len(points), subsets)
-    found = {
-        key: CodeSequence(q=q, field=field, wstar=wstar,
-                          points=tuple([points[i - 1] for i in reversed(key)]))
-        for key, wstar in _trie_walk(sorted(set(keys)), *_wstar_walk(points, q, field))
-    }
-    return [found[key] for key in keys]
+    walk = make_walk(points, q, field, max(map(len, keys), default=1))
+    found = dict(_trie_walk(sorted(set(keys)), *walk))
+    return field, [(key, found[key]) for key in keys]
 
 
 def _checked_field(points: tuple[CurvePoint, ...], q: int) -> Field:
@@ -305,9 +313,10 @@ def _trie_walk(
                 break
 
 
-def _wstar_walk(points: tuple[CurvePoint, ...], q: int, field: Field):
+def _wstar_walk(points: tuple[CurvePoint, ...], q: int, field: Field, n: int):
     """The Groebner update of `compute_wstar` as the (root, advance,
-    finish) of a `_trie_walk` whose finish is the key's W*."""
+    finish) of a `_trie_walk` whose finish is the key's W*. It holds
+    nothing per subset size, so n, the largest one, goes unused."""
     g = curve_genus(q)
     mul, inv, shift = field.mul_table, field.inv_table, field.add_rows
     add_scaled, mul_bytes = field.add_scaled, field.mul_bytes
@@ -363,9 +372,13 @@ def isometry_dual_criterion(cs: CodeSequence) -> bool:
     return (cs.n + 2 * cs.genus - 1) in cs.wstar
 
 
-def find_isometry_vector(cs: CodeSequence) -> Optional[tuple[int, ...]]:
-    """The all-nonzero x with x_1 = 1 making the sequence isometry-dual, as
-    integer encodings of the field elements, or None.
+def isometry_sequence(
+    points: Sequence[CurvePoint], q: int
+) -> tuple[CodeSequence, Optional[tuple[int, ...]]]:
+    """`compute_wstar(points, q)` and the all-nonzero x with x_1 = 1 making
+    its sequence isometry-dual, as integer encodings of the field elements,
+    or None; both from one column walk of `find_isometry_vectors`, with the
+    points checked as `compute_wstar` checks them.
 
     x works iff for every i the componentwise product x * C^i equals the
     dual of C^(n-i). C^i is spanned by the rows r_0, ..., r_(i-1), r_i the
@@ -378,37 +391,21 @@ def find_isometry_vector(cs: CodeSequence) -> Optional[tuple[int, ...]]:
     works iff it has no zero entry and meets the bilinear conditions
     sum_k x_k r_i[k] r_j[k] = 0 over all generator pairs with
     i + j <= n - 2 (0-based), which suffice because with x all-nonzero the
-    dimensions already match. The candidate and the conditions come from
-    the column walk of `find_isometry_vectors`, run on the one subset of
-    all of `cs.points`, which a `CodeSequence` holds checked already; the
-    walk finds W* again on the way, and `isometry_sequence` returns both.
-    """
-    [(_, (_, x))] = _trie_walk([tuple(range(cs.n, 0, -1))],
-                               *_isometry_walk(cs.points, cs.q, cs.field, cs.n))
-    return x
-
-
-def isometry_sequence(
-    points: Sequence[CurvePoint], q: int
-) -> tuple[CodeSequence, Optional[tuple[int, ...]]]:
-    """`compute_wstar(points, q)` and the `find_isometry_vector` of it, from
-    one column walk of `find_isometry_vectors`: W* is read from the pivots
-    the walk stores, so it is not computed a second time. The points are
-    checked as `compute_wstar` checks them.
+    dimensions already match. The walk finds the candidate and the
+    conditions, and W* on the way: it is read from the pivots the walk
+    stores, so it is not computed a second time.
     """
     points = tuple(points)
-    field = _checked_field(points, q)
-    n = len(points)
-    [(_, (wstar, x))] = _trie_walk([tuple(range(n, 0, -1))], *_isometry_walk(points, q, field, n))
+    field, [(_, (wstar, x))] = _walk(points, q, [range(1, len(points) + 1)], _isometry_walk)
     return CodeSequence(q=q, field=field, points=points, wstar=wstar), x
 
 
 def find_isometry_vectors(
     points: Sequence[CurvePoint], q: int, subsets: Sequence[Sequence[int]]
 ) -> list[Optional[tuple[int, ...]]]:
-    """`find_isometry_vector` of the code sequence of each subset of the
-    points, in the order given, with subsets and points checked as
-    `compute_wstar_family` checks them.
+    """The isometry vector of `isometry_sequence` for the code sequence of
+    each subset of the points, in the order given, with subsets and points
+    checked as `compute_wstar_family` checks them.
 
     The subsets share the steps of their common top points on the trie
     walk of `compute_wstar`, but a step here is column elimination: each
@@ -428,12 +425,8 @@ def find_isometry_vectors(
     operation per point before it, and no generator row is built. A
     repeated subset is computed once.
     """
-    points = tuple(points)
-    field = _checked_field(points, q)
-    keys = _subset_keys(len(points), subsets)
-    walk = _isometry_walk(points, q, field, max(map(len, keys), default=1))
-    found = {key: x for key, (_, x) in _trie_walk(sorted(set(keys)), *walk)}
-    return [found[key] for key in keys]
+    _, found = _walk(tuple(points), q, subsets, _isometry_walk)
+    return [x for _, (_, x) in found]
 
 
 def wstar_and_vectors(
@@ -441,16 +434,21 @@ def wstar_and_vectors(
 ) -> list[tuple[tuple[int, ...], Optional[tuple]]]:
     """(W*, found) for each subset, in the order given: W* by the walk of
     `compute_wstar_family`, and found the (W*, vector) of the column walk
-    of `find_isometry_vectors` with `oracle`, None without. One trie walk,
-    with the checks of both, advances the two states side by side: they
-    share no arithmetic, so the two W* are independent answers."""
+    of `find_isometry_vectors` with `oracle`, None without. With `oracle`,
+    one trie walk, with the checks of both, advances the two states side
+    by side: they share no arithmetic, so the two W* are independent
+    answers."""
     points = tuple(points)
-    field = _checked_field(points, q)
-    keys = _subset_keys(len(points), subsets)
-    w_root, w_advance, w_finish = _wstar_walk(points, q, field)
-    c_root, c_advance, c_finish = (
-        _isometry_walk(points, q, field, max(map(len, keys), default=1)) if oracle
-        else (None, lambda state, js, alone: None, lambda key, state: None))
+    if oracle:
+        return [found for _, found in _walk(points, q, subsets, _side_by_side)[1]]
+    return [(wstar, None) for _, wstar in _walk(points, q, subsets, _wstar_walk)[1]]
+
+
+def _side_by_side(points: tuple[CurvePoint, ...], q: int, field: Field, n: int):
+    """`_wstar_walk` and `_isometry_walk` as one walk, whose states and
+    finishes are the pairs of theirs."""
+    w_root, w_advance, w_finish = _wstar_walk(points, q, field, n)
+    c_root, c_advance, c_finish = _isometry_walk(points, q, field, n)
 
     def advance(state, js, alone):
         return w_advance(state[0], js, alone), c_advance(state[1], js, alone)
@@ -458,8 +456,7 @@ def wstar_and_vectors(
     def finish(key, state):
         return w_finish(key, state[0]), c_finish(key, state[1])
 
-    found = dict(_trie_walk(sorted(set(keys)), (w_root, c_root), advance, finish))
-    return [found[key] for key in keys]
+    return (w_root, c_root), advance, finish
 
 
 def _isometry_walk(points: tuple[CurvePoint, ...], q: int, field: Field, n: int):
@@ -537,10 +534,3 @@ def _meets_pairs(last: bytes, wstar: tuple[int, ...], index: dict[int, int]) -> 
             if last[index[wi + wj]]:
                 return False
     return True
-
-
-def ideal_complement_check(cs: CodeSequence, W: NumericalSemigroup) -> bool:
-    """Whether W \\ W* is an ideal of W. The paper states it for n > 2g + 2;
-    it holds for every point set, since a function that vanishes on the
-    points, times any f in L(inf P_inf), still vanishes on them."""
-    return division_escape(W, cs.wstar) is None

@@ -22,12 +22,8 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import TooManySubsets
 from .hermitian import (
-    _trie_walk,
-    _wstar_walk,
     compute_wstar,
     compute_wstar_family,
-    curve_genus,
-    hermitian_field,
     hermitian_points,
     isometry_dual_criterion,
 )
@@ -253,27 +249,25 @@ def sample_qualifying_subsets(
 ) -> list[tuple[int, ...]]:
     """Seeded random probe: draw `per_size` subsets uniformly at each size
     from n down to min_size and keep the qualifying ones (deduplicated).
-    W* of all the draws comes from one walk over their trie (see
-    `compute_wstar_family`), and only the qualifying ones are kept."""
+    W* of all the draws comes from one `compute_wstar_family` walk."""
     if min_size < 1:
         raise ValueError("min_size must be >= 1")
     points = hermitian_points(q)
     n = len(points)
     rng = random.Random(seed)
-    drawn: set[tuple[int, ...]] = set()  # each draw from its largest index down
-    for size in range(n, min_size - 1, -1):
-        for _ in range(per_size):
-            drawn.add(tuple(sorted(rng.sample(range(1, n + 1), size), reverse=True)))
-    jump = 2 * curve_genus(q) - 1
-    walk = _trie_walk(sorted(drawn), *_wstar_walk(points, q, hermitian_field(q)))
-    found = [key[::-1] for key, wstar in walk if len(key) + jump in wstar]
+    drawn = list({
+        tuple(sorted(rng.sample(range(1, n + 1), size)))
+        for size in range(n, min_size - 1, -1) for _ in range(per_size)
+    })
+    found = [c for c, cs in zip(drawn, compute_wstar_family(points, q, drawn))
+             if isometry_dual_criterion(cs)]
     return sorted(found, key=lambda c: (-len(c), c))
 
 
 @dataclass(frozen=True)
 class HierarchyNode:
     subset: tuple[int, ...]
-    left_of_line: Optional[bool]  # #subset > boundary; None if no boundary given
+    left_of_line: bool  # #subset > boundary
 
     @property
     def size(self) -> int:
@@ -290,7 +284,7 @@ class HierarchyGraph:
 
     nodes: tuple[HierarchyNode, ...]
     edges: tuple[tuple[int, int], ...]
-    boundary: Optional[int]
+    boundary: int
 
 
 def _mask(subset: Sequence[int]) -> int:
@@ -301,10 +295,9 @@ def _mask(subset: Sequence[int]) -> int:
     return mask
 
 
-def build_hierarchy(
-    subsets: Sequence[Sequence[int]], boundary: Optional[int] = None
-) -> HierarchyGraph:
-    """Covering relations of the inclusion order restricted to `subsets`."""
+def build_hierarchy(subsets: Sequence[Sequence[int]], boundary: int) -> HierarchyGraph:
+    """Covering relations of the inclusion order restricted to `subsets`,
+    each node flagged by whether it has more than `boundary` points."""
     canon = [tuple(sorted(int(i) for i in s)) for s in subsets]
     if len(set(canon)) != len(canon):
         raise ValueError("subsets must be distinct")
@@ -319,10 +312,7 @@ def build_hierarchy(
             (ci, pi) for pi in ups
             if not any(masks[mi] & masks[pi] == masks[mi] and mi != pi for mi in ups)
         ]
-    nodes = tuple(
-        HierarchyNode(s, None if boundary is None else len(s) > boundary)
-        for s in canon
-    )
+    nodes = tuple(HierarchyNode(s, len(s) > boundary) for s in canon)
     return HierarchyGraph(nodes=nodes, edges=tuple(edges), boundary=boundary)
 
 
@@ -347,15 +337,10 @@ class InheritanceReport:
         return not self.violations
 
 
-def verify_inheritance(
-    graph: HierarchyGraph,
-    W: NumericalSemigroup,
-    g: int,
-    boundary: Optional[int] = None,
-) -> InheritanceReport:
-    """Check #P - #P' in W over all node inclusions P' < P with #P' > boundary."""
-    if boundary is None:
-        boundary = 2 * g + 2
+def verify_inheritance(graph: HierarchyGraph, W: NumericalSemigroup) -> InheritanceReport:
+    """Check #P - #P' in W over all node inclusions P' < P with #P' above
+    the graph's boundary."""
+    boundary = graph.boundary
     masks = [_mask(node.subset) for node in graph.nodes]
     checked, violations, at_boundary = [], [], []
     for child, c in zip(graph.nodes, masks):
@@ -393,20 +378,17 @@ def export_dot(graph: HierarchyGraph) -> str:
     dashed styling for nodes at or below the boundary."""
     compact = all(i <= 9 for node in graph.nodes for i in node.subset)
     labels = [node_label(node.subset, compact) for node in graph.nodes]
-    lines = ["digraph point_hierarchy {", "  rankdir=RL;", "  node [shape=box];"]
-    if graph.boundary is not None:
-        lines.append(
-            f"  // dashed nodes have at most {graph.boundary} points: below the"
-        )
-        lines.append(
-            "  // boundary, membership is only a necessary condition for duality"
-        )
+    lines = [
+        "digraph point_hierarchy {", "  rankdir=RL;", "  node [shape=box];",
+        f"  // dashed nodes have at most {graph.boundary} points: below the",
+        "  // boundary, membership is only a necessary condition for duality",
+    ]
     for size in sorted({node.size for node in graph.nodes}, reverse=True):
         decls = []
         for node, label in zip(graph.nodes, labels):
             if node.size != size:
                 continue
-            style = " [style=dashed]" if node.left_of_line is False else ""
+            style = "" if node.left_of_line else " [style=dashed]"
             decls.append(f'"{label}"{style};')
         lines.append("  { rank=same; " + " ".join(decls) + " }")
     for ci, pi in graph.edges:

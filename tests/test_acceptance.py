@@ -62,7 +62,7 @@ def test_criterion_02_hierarchy_edges(expected_hierarchy):
 def test_criterion_03_inheritance(q2_sequences):
     W = weierstrass_semigroup(2)
     graph = build_hierarchy(qualifying_subsets(2, min_size=2), boundary=4)
-    report = verify_inheritance(graph, W, g=1)
+    report = verify_inheritance(graph, W)
     assert report.violations == ()
     assert len(report.checked) > 0
     for child, parent in report.checked:

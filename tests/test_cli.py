@@ -415,8 +415,8 @@ def _fail_ideal_check(monkeypatch):
 def _fail_inheritance(monkeypatch):
     verify_inheritance = cli.verify_inheritance
 
-    def violating(graph, W, g):
-        report = verify_inheritance(graph, W, g)
+    def violating(graph, W):
+        report = verify_inheritance(graph, W)
         return replace(report, violations=report.checked[4:6])
 
     monkeypatch.setattr(cli, "verify_inheritance", violating)

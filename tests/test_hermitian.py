@@ -28,17 +28,16 @@ from sparse_duals import (
     compute_wstar,
     compute_wstar_family,
     curve_genus,
-    find_isometry_vector,
     find_isometry_vectors,
     hermitian_field,
     hermitian_points,
-    ideal_complement_check,
     isometry_dual_criterion,
     isometry_sequence,
     monomial_basis,
     qualifying_subsets,
     weierstrass_semigroup,
 )
+from sparse_duals.sparse_ideals import division_escape
 
 Q2_EXPECTED_COORDS = [(0, 0), (2, 2), (3, 2), (1, 2), (2, 3), (3, 3), (1, 3), (0, 1)]
 
@@ -107,7 +106,6 @@ def test_points_of_a_separately_built_field_are_accepted():
     moved = [CurvePoint(other.element(p.x.value), other.element(p.y.value)) for p in points]
     cs = compute_wstar(moved, 3)
     assert cs.wstar == compute_wstar(points, 3).wstar
-    assert generator_rows(cs) == generator_rows(compute_wstar(points, 3))
     wrong = Field(3, 4)  # GF(81), not GF(9)
     with pytest.raises(ValueError, match="does not live in"):
         compute_wstar([CurvePoint(wrong.element(0), wrong.element(0))], 3)
@@ -190,7 +188,7 @@ def test_wstar_matches_naive_elimination_sampled(q):
         inputs.append([p for x in chosen for p in fibres[x]])
     for chosen in inputs:
         cs = compute_wstar(chosen, q)
-        assert (cs.wstar, generator_rows(cs)) == naive_wstar(chosen, q)
+        assert cs.wstar == naive_wstar(chosen, q)[0]
 
 
 @pytest.mark.parametrize("q,walks", [(2, 8), (3, 4), (4, 2)])
@@ -339,7 +337,7 @@ def _check_family_against_naive(points, q, family):
     for subset, cs in zip(family, compute_wstar_family(points, q, family), strict=True):
         chosen = [points[i - 1] for i in subset]
         assert cs.points == tuple(chosen)
-        assert (cs.wstar, generator_rows(cs)) == naive_wstar(chosen, q)
+        assert cs.wstar == naive_wstar(chosen, q)[0]
 
 
 def test_family_matches_naive_elimination_on_every_q2_subset(q2_points):
@@ -385,7 +383,6 @@ def test_family_in_any_order_with_a_repeat_equals_compute_wstar():
         single = compute_wstar([points[i - 1] for i in subset], 3)
         assert cs == single
         assert (cs.points, cs.wstar) == (single.points, single.wstar)
-        assert generator_rows(cs) == generator_rows(single)
 
 
 def test_empty_family_and_one_full_range(q2_points):
@@ -453,13 +450,18 @@ def test_criterion_examples(q2_sequences):
     assert isometry_dual_criterion(q2_sequences[(1, 2, 6)])
 
 
+def _vector(cs):
+    """The isometry vector of the sequence, from `isometry_sequence`."""
+    return isometry_sequence(cs.points, cs.q)[1]
+
+
 def test_isometry_vector_full_set(q2_sequences):
     cs = q2_sequences[tuple(range(1, 9))]
-    assert find_isometry_vector(cs) == (1,) * 8
+    assert _vector(cs) == (1,) * 8
 
 
 def test_isometry_vector_absent_for_seven_points(q2_sequences):
-    assert find_isometry_vector(q2_sequences[tuple(range(1, 8))]) is None
+    assert _vector(q2_sequences[tuple(range(1, 8))]) is None
 
 
 @pytest.mark.parametrize(
@@ -473,7 +475,7 @@ def test_isometry_vector_absent_for_seven_points(q2_sequences):
 )
 def test_isometry_vectors_literally_verified(q2_sequences, combo, expected):
     cs = q2_sequences[combo]
-    vec = find_isometry_vector(cs)
+    vec = _vector(cs)
     assert vec == expected
     assert all(v != 0 for v in vec)
     assert literal_isometry_check(cs, vec)
@@ -481,7 +483,7 @@ def test_isometry_vectors_literally_verified(q2_sequences, combo, expected):
 
 def test_single_point_sequence_is_trivially_dual(q2_sequences):
     # n = 1: the only code chain is {0} < F, which is its own dual chain.
-    vec = find_isometry_vector(q2_sequences[(1,)])
+    vec = _vector(q2_sequences[(1,)])
     assert vec is not None and len(vec) == 1
     assert literal_isometry_check(q2_sequences[(1,)], (1,))
 
@@ -489,7 +491,7 @@ def test_single_point_sequence_is_trivially_dual(q2_sequences):
 def test_every_q2_isometry_vector_literally_verified(q2_sequences):
     found = 0
     for cs in q2_sequences.values():
-        vec = find_isometry_vector(cs)
+        vec = _vector(cs)
         if vec is not None:
             found += 1
             assert literal_isometry_check(cs, vec)
@@ -504,7 +506,7 @@ def test_criterion_matches_oracle_above_boundary_sampled(q, per_size):
     for n in range(boundary + 1, len(pts) + 1):
         for _ in range(per_size):
             cs = compute_wstar(rng.sample(pts, n), q)
-            assert isometry_dual_criterion(cs) == (find_isometry_vector(cs) is not None)
+            assert isometry_dual_criterion(cs) == (_vector(cs) is not None)
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -515,7 +517,7 @@ def test_x_fibre_unions_get_a_vector_sampled(q):
         for _ in range(5):
             chosen = rng.sample(sorted(fibres), k)
             cs = compute_wstar([p for x in chosen for p in fibres[x]], q)
-            assert find_isometry_vector(cs) is not None
+            assert _vector(cs) is not None
 
 
 # -- isometry vectors of a subset family in one column walk --
@@ -527,7 +529,7 @@ def test_isometry_family_matches_naive_solve_on_every_q2_subset(q2_points, q2_se
     vectors = find_isometry_vectors(q2_points, 2, family)
     for subset, vector in zip(family, vectors, strict=True):
         cs = q2_sequences[subset]
-        assert vector == find_isometry_vector(cs) == naive_isometry_vector(cs), subset
+        assert vector == _vector(cs) == naive_isometry_vector(cs), subset
     assert sum(v is not None for v in vectors) == 87
 
 
@@ -558,7 +560,7 @@ def test_isometry_family_matches_naive_solve_sampled(q):
     vectors = find_isometry_vectors(points, q, family)
     for subset, vector in zip(family, vectors, strict=True):
         cs = compute_wstar([points[i - 1] for i in subset], q)
-        assert vector == find_isometry_vector(cs) == naive_isometry_vector(cs), subset
+        assert vector == _vector(cs) == naive_isometry_vector(cs), subset
     found = [len(s) for s, v in zip(family, vectors) if v is not None]
     assert min(found) <= boundary < max(found)
 
@@ -603,12 +605,13 @@ def test_one_walk_with_both_states_equals_each_walk(q):
 
 
 def _check_one_walk(points, q, naive=True):
-    """`isometry_sequence` equals `compute_wstar` and `find_isometry_vector`
-    (and the from-scratch solve, unless `naive` is False); returns the vector."""
+    """`isometry_sequence` equals `compute_wstar` and `find_isometry_vectors`
+    of the one full subset (and the from-scratch solve, unless `naive` is
+    False); returns the vector."""
     cs, vector = isometry_sequence(points, q)
     expected = compute_wstar(points, q)
     assert cs == expected
-    assert vector == find_isometry_vector(expected)
+    assert [vector] == find_isometry_vectors(points, q, [range(1, len(points) + 1)])
     if naive:
         assert vector == naive_isometry_vector(expected)
     return vector
@@ -665,17 +668,18 @@ def test_isometry_vector_matches_naive_solve_on_large_sets(q, n, fibres):
     else:
         chosen = rng.sample(points, n)
     cs = compute_wstar(chosen, q)
-    vector = find_isometry_vector(cs)
+    vector = _vector(cs)
     assert vector == naive_isometry_vector(cs)
     assert (vector is not None) == fibres
 
 
-def test_ideal_complement_check(q2_sequences):
+def test_division_escape_finds_no_escape_for_every_q2_subset(q2_sequences):
+    # W \ W* is an ideal of W exactly when no generator multiple escapes it.
     W = weierstrass_semigroup(2)
-    assert ideal_complement_check(q2_sequences[tuple(range(1, 9))], W)
+    assert division_escape(W, q2_sequences[tuple(range(1, 9))].wstar) is None
     assert len(q2_sequences) == 255
     for cs in q2_sequences.values():  # at and below the boundary n = 2g + 2 too
-        assert ideal_complement_check(cs, W)
+        assert division_escape(W, cs.wstar) is None
 
 
 def test_dual_complement_is_an_ideal_for_every_q2_subset(q2_sequences):
@@ -686,7 +690,7 @@ def test_dual_complement_is_an_ideal_for_every_q2_subset(q2_sequences):
         assert is_division_closed(W.contains, cs.wstar)
 
 
-def test_ideal_complement_check_matches_definition(q2_sequences):
+def test_division_escape_matches_definition_above_boundary(q2_sequences):
     """On the 93 subsets above the boundary, and on each with one W* element
     dropped (near misses, mostly not ideals), the generator test agrees with
     the definition."""
@@ -695,11 +699,11 @@ def test_ideal_complement_check_matches_definition(q2_sequences):
     assert len(big) == 93
     rejected = 0
     for cs in big:
-        assert ideal_complement_check(cs, W)
+        assert division_escape(W, cs.wstar) is None
         for k in range(len(cs.wstar)):
             near = replace(cs, wstar=cs.wstar[:k] + cs.wstar[k + 1:])
             closed = is_division_closed(W.contains, near.wstar)
-            assert ideal_complement_check(near, W) == closed
+            assert (division_escape(W, near.wstar) is None) == closed
             rejected += not closed
     assert rejected > 0
 
@@ -712,7 +716,7 @@ def test_below_boundary_criterion_is_only_necessary(q2_sequences):
         if len(combo) > 4:
             continue
         criterion = isometry_dual_criterion(cs)
-        exists = find_isometry_vector(cs) is not None
+        exists = _vector(cs) is not None
         if criterion:
             assert exists  # criterion still implies a vector
         if exists and not criterion:
@@ -728,8 +732,8 @@ def test_q3_full_sequence(q2_points):
     assert isometry_dual_criterion(cs)
     # Frobenius-collapsed monomials (x^9 = x, ...) leave pole-order holes.
     assert 27 not in cs.wstar and 30 not in cs.wstar and 31 not in cs.wstar
-    assert ideal_complement_check(cs, weierstrass_semigroup(3))
-    assert find_isometry_vector(cs) == (1,) * 27
+    assert division_escape(weierstrass_semigroup(3), cs.wstar) is None
+    assert _vector(cs) == (1,) * 27
 
 
 # -- the automorphisms of the curve that fix the point at infinity --

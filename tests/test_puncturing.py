@@ -167,25 +167,23 @@ def test_left_of_line_flags():
     graph = build_hierarchy(qualifying_subsets(2, min_size=2), boundary=4)
     for node in graph.nodes:
         assert node.left_of_line == (node.size > 4)
-    unflagged = build_hierarchy([(1, 2)], boundary=None)
-    assert unflagged.nodes[0].left_of_line is None
 
 
 def test_build_hierarchy_small_shapes():
-    single = build_hierarchy([(1, 2, 3)])
+    single = build_hierarchy([(1, 2, 3)], boundary=4)
     assert len(single.nodes) == 1 and single.edges == ()
-    chain = build_hierarchy([(1,), (1, 2), (1, 2, 3)])
+    chain = build_hierarchy([(1,), (1, 2), (1, 2, 3)], boundary=4)
     labels = [n.subset for n in chain.nodes]
     assert labels == [(1, 2, 3), (1, 2), (1,)]
     assert sorted(chain.edges) == [(1, 0), (2, 1)]  # only covering steps
     with pytest.raises(ValueError):
-        build_hierarchy([(1, 2), (2, 1)])
+        build_hierarchy([(1, 2), (2, 1)], boundary=4)
 
 
 def test_verify_inheritance_on_full_graph():
     W = weierstrass_semigroup(2)
     graph = build_hierarchy(qualifying_subsets(2, min_size=2), boundary=4)
-    report = verify_inheritance(graph, W, g=1)
+    report = verify_inheritance(graph, W)
     assert report.boundary == 4
     assert report.ok
     assert len(report.checked) == 12
@@ -204,7 +202,7 @@ def test_bitmask_hierarchy_matches_frozenset_loops():
         graph = build_hierarchy(list(family), boundary=boundary)
         subsets = [node.subset for node in graph.nodes]
         assert graph.edges == naive_covering_edges(subsets)
-        report = verify_inheritance(graph, W, g=1, boundary=boundary)
+        report = verify_inheritance(graph, W)
         checked, at_boundary = naive_inclusion_pairs(subsets, boundary)
         assert (report.checked, report.boundary_pairs) == (checked, at_boundary)
         assert report.violations == tuple(
@@ -214,14 +212,14 @@ def test_bitmask_hierarchy_matches_frozenset_loops():
 def test_verify_inheritance_flags_fabricated_pair():
     W = weierstrass_semigroup(2)
     graph = build_hierarchy([(1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)], boundary=4)
-    report = verify_inheritance(graph, W, g=1)
+    report = verify_inheritance(graph, W)
     assert not report.ok
     assert report.violations == (((1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)),)
     assert report.min_edge_gap == 1
 
 
 def test_verify_inheritance_empty_graph():
-    report = verify_inheritance(build_hierarchy([]), weierstrass_semigroup(2), g=1)
+    report = verify_inheritance(build_hierarchy([], boundary=4), weierstrass_semigroup(2))
     assert report.ok and report.checked == ()
 
 
@@ -236,11 +234,11 @@ def test_export_dot_deterministic(expected_hierarchy):
 
 
 def test_export_dot_edge_cases():
-    empty = export_dot(build_hierarchy([]))
+    empty = export_dot(build_hierarchy([], boundary=4))
     assert empty.startswith("digraph") and empty.rstrip().endswith("}")
-    two = export_dot(build_hierarchy([(1,), (1, 2)]))
+    two = export_dot(build_hierarchy([(1,), (1, 2)], boundary=4))
     assert two.count(" -> ") == 1
-    wide = export_dot(build_hierarchy([(1, 12)]))
+    wide = export_dot(build_hierarchy([(1, 12)], boundary=4))
     assert '"1-12"' in wide  # indices above 9 switch to separated labels
 
 
