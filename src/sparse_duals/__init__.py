@@ -36,7 +36,6 @@ from .hermitian import (
 from .puncturing import (
     DivisorClasses,
     HierarchyGraph,
-    HierarchyNode,
     InheritanceReport,
     build_hierarchy,
     divisor_classes,
@@ -44,7 +43,6 @@ from .puncturing import (
     graph_to_json,
     qualifying_subsets,
     sample_qualifying_subsets,
-    subset_qualifies,
     verify_inheritance,
 )
 from .semigroup import NumericalSemigroup

@@ -330,7 +330,7 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
 
     sizes: dict[int, int] = {}
     for node in graph.nodes:
-        sizes[node.size] = sizes.get(node.size, 0) + 1
+        sizes[len(node)] = sizes.get(len(node), 0) + 1
     out = [
         f"q={q}: {q ** 3} points, genus {g}, boundary {boundary}, {mode}",
         f"qualifying subsets (size >= {args.min_size}): {len(graph.nodes)}",
@@ -410,7 +410,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         mismatches = [
             combo
             for combo, (wstar, (pivots, vector)) in zip(big_subsets, walked)
-            if pivots != wstar or (len(combo) + 2 * g - 1 in wstar) != (vector is not None)
+            if pivots != wstar or isometry_dual_criterion(wstar, q) != (vector is not None)
         ]
         results.append(
             (
@@ -451,7 +451,7 @@ def cmd_isometry(args: argparse.Namespace) -> int:
     print(f"q={q} subset {_csv(indices)}: n={cs.n}, genus={cs.genus}")
     print(f"W*: {' '.join(map(str, cs.wstar))}")
     print(f"criterion (n+2g-1 = {cs.n + 2 * cs.genus - 1} in W*): "
-          f"{str(isometry_dual_criterion(cs)).lower()}")
+          f"{str(isometry_dual_criterion(cs.wstar, q)).lower()}")
     if vector is None:
         print("isometry vector: none")
     else:

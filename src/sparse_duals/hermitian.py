@@ -154,11 +154,11 @@ class CodeSequence:
     `wstar` lists the pole orders at which the rank grew, starting with 0:
     the i-dimensional code of the sequence is spanned by the evaluations at
     `points` of the monomials with the first i of them as pole orders. The
-    package works from W* alone and builds no generator rows.
+    package works from W* alone and builds no generator rows; the field is
+    that of the points.
     """
 
     q: int
-    field: Field
     points: tuple[CurvePoint, ...]
     wstar: tuple[int, ...]
 
@@ -206,14 +206,15 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
     No generator row is built.
     """
     points = tuple(points)
-    field, [(_, wstar)] = _walk(points, q, [range(1, len(points) + 1)], _wstar_walk)
-    return CodeSequence(q=q, field=field, points=points, wstar=wstar)
+    [wstar] = _walk(points, q, [range(1, len(points) + 1)], _wstar_walk)
+    return CodeSequence(q=q, points=points, wstar=wstar)
 
 
 def compute_wstar_family(
     points: Sequence[CurvePoint], q: int, subsets: Sequence[Sequence[int]]
-) -> list[CodeSequence]:
-    """`compute_wstar` of each subset of the points, in the order given.
+) -> list[tuple[int, ...]]:
+    """W* of each subset of the points, as `compute_wstar` finds it, in the
+    order given.
 
     A subset is a strictly increasing sequence of 1-based indices into
     `points`; an empty one, one out of order and an index outside 1..n
@@ -221,24 +222,20 @@ def compute_wstar_family(
     checks it, and the subsets share the point steps of their common top
     points (see `compute_wstar`). A repeated subset is computed once.
     """
-    points = tuple(points)
-    field, found = _walk(points, q, subsets, _wstar_walk)
-    return [CodeSequence(q=q, field=field, wstar=wstar,
-                         points=tuple([points[i - 1] for i in reversed(key)]))
-            for key, wstar in found]
+    return _walk(tuple(points), q, subsets, _wstar_walk)
 
 
 def _walk(points: tuple[CurvePoint, ...], q: int, subsets: Sequence[Sequence[int]], make_walk):
-    """GF(q^2) and, for each subset in the order given, its trie key (see
-    `_subset_keys`) and its finish on the walk `make_walk(points, q, field,
-    n)`, n the largest subset size. The points are checked once
-    (`_checked_field`), then the subsets (`_subset_keys`); the walk runs
-    once over the distinct keys, so a repeated subset is computed once."""
+    """Each subset's finish on the walk `make_walk(points, q, field, n)`,
+    in the order given, n the largest subset size. The points are checked
+    once (`_checked_field`), then the subsets (`_subset_keys`); the walk
+    runs once over the distinct keys, so a repeated subset is computed
+    once."""
     field = _checked_field(points, q)
     keys = _subset_keys(len(points), subsets)
     walk = make_walk(points, q, field, max(map(len, keys), default=1))
     found = dict(_trie_walk(sorted(set(keys)), *walk))
-    return field, [(key, found[key]) for key in keys]
+    return [found[key] for key in keys]
 
 
 def _checked_field(points: tuple[CurvePoint, ...], q: int) -> Field:
@@ -367,9 +364,9 @@ def _wstar_walk(points: tuple[CurvePoint, ...], q: int, field: Field, n: int):
     return root, advance, finish
 
 
-def isometry_dual_criterion(cs: CodeSequence) -> bool:
-    """True iff n + 2g - 1 is one of the rank-jump pole orders."""
-    return (cs.n + 2 * cs.genus - 1) in cs.wstar
+def isometry_dual_criterion(wstar: Sequence[int], q: int) -> bool:
+    """True iff n + 2g - 1 is one of the n rank-jump pole orders `wstar`."""
+    return len(wstar) + 2 * curve_genus(q) - 1 in wstar
 
 
 def isometry_sequence(
@@ -396,8 +393,8 @@ def isometry_sequence(
     stores, so it is not computed a second time.
     """
     points = tuple(points)
-    field, [(_, (wstar, x))] = _walk(points, q, [range(1, len(points) + 1)], _isometry_walk)
-    return CodeSequence(q=q, field=field, points=points, wstar=wstar), x
+    [(wstar, x)] = _walk(points, q, [range(1, len(points) + 1)], _isometry_walk)
+    return CodeSequence(q=q, points=points, wstar=wstar), x
 
 
 def find_isometry_vectors(
@@ -425,8 +422,7 @@ def find_isometry_vectors(
     operation per point before it, and no generator row is built. A
     repeated subset is computed once.
     """
-    _, found = _walk(tuple(points), q, subsets, _isometry_walk)
-    return [x for _, (_, x) in found]
+    return [x for _, x in _walk(tuple(points), q, subsets, _isometry_walk)]
 
 
 def wstar_and_vectors(
@@ -438,10 +434,9 @@ def wstar_and_vectors(
     one trie walk, with the checks of both, advances the two states side
     by side: they share no arithmetic, so the two W* are independent
     answers."""
-    points = tuple(points)
     if oracle:
-        return [found for _, found in _walk(points, q, subsets, _side_by_side)[1]]
-    return [(wstar, None) for _, wstar in _walk(points, q, subsets, _wstar_walk)[1]]
+        return _walk(tuple(points), q, subsets, _side_by_side)
+    return [(wstar, None) for wstar in compute_wstar_family(points, q, subsets)]
 
 
 def _side_by_side(points: tuple[CurvePoint, ...], q: int, field: Field, n: int):

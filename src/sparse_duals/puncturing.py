@@ -21,28 +21,13 @@ from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .errors import TooManySubsets
-from .hermitian import (
-    compute_wstar,
-    compute_wstar_family,
-    hermitian_points,
-    isometry_dual_criterion,
-)
+from .hermitian import compute_wstar_family, hermitian_points, isometry_dual_criterion
 from .semigroup import NumericalSemigroup
 
 # Largest point set whose subsets are listed by class: 2^27, the q = 3
 # curve. The listing joins the classes of the subsets of two halves of the
 # points, 2^(n/2) each; at q = 4 (64 points) about 7.6e10 subsets qualify.
 EXHAUSTIVE_LIMIT = 27
-
-
-def subset_qualifies(q: int, subset: Sequence[int], points=None) -> bool:
-    """Does the punctured sequence on the 1-based point indices qualify?"""
-    if points is None:
-        points = hermitian_points(q)
-    for i in subset:
-        if not 1 <= i <= len(points):
-            raise ValueError(f"point index {i} outside 1..{len(points)}")
-    return isometry_dual_criterion(compute_wstar([points[i - 1] for i in subset], q))
 
 
 def _zero_set_relations(q: int, points) -> list[int]:
@@ -225,7 +210,7 @@ def divisor_classes(q: int) -> DivisorClasses:
         for cls, witness in zip(primes, witnesses):
             if witness is None:
                 raise AssertionError(f"no subset has class {cls}; cannot certify")
-            if isometry_dual_criterion(next(found)):
+            if isometry_dual_criterion(next(found), q):
                 relations.append(sum(1 << (i - 1) for i in witness))
                 break
         else:
@@ -259,30 +244,22 @@ def sample_qualifying_subsets(
         tuple(sorted(rng.sample(range(1, n + 1), size)))
         for size in range(n, min_size - 1, -1) for _ in range(per_size)
     })
-    found = [c for c, cs in zip(drawn, compute_wstar_family(points, q, drawn))
-             if isometry_dual_criterion(cs)]
+    found = [c for c, wstar in zip(drawn, compute_wstar_family(points, q, drawn))
+             if isometry_dual_criterion(wstar, q)]
     return sorted(found, key=lambda c: (-len(c), c))
-
-
-@dataclass(frozen=True)
-class HierarchyNode:
-    subset: tuple[int, ...]
-    left_of_line: bool  # #subset > boundary
-
-    @property
-    def size(self) -> int:
-        return len(self.subset)
 
 
 @dataclass(frozen=True)
 class HierarchyGraph:
     """Qualifying subsets with their covering (Hasse) edges.
 
-    Edges are (child_index, parent_index) pairs into `nodes`, child
-    strictly contained in parent with nothing in between.
+    `nodes` are the subsets as increasing index tuples. Edges are
+    (child_index, parent_index) pairs into `nodes`, child strictly
+    contained in parent with nothing in between. A node with more than
+    `boundary` points is left of the line.
     """
 
-    nodes: tuple[HierarchyNode, ...]
+    nodes: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
     boundary: int
 
@@ -297,7 +274,7 @@ def _mask(subset: Sequence[int]) -> int:
 
 def build_hierarchy(subsets: Sequence[Sequence[int]], boundary: int) -> HierarchyGraph:
     """Covering relations of the inclusion order restricted to `subsets`,
-    each node flagged by whether it has more than `boundary` points."""
+    in a graph that holds `boundary`."""
     canon = [tuple(sorted(int(i) for i in s)) for s in subsets]
     if len(set(canon)) != len(canon):
         raise ValueError("subsets must be distinct")
@@ -312,8 +289,7 @@ def build_hierarchy(subsets: Sequence[Sequence[int]], boundary: int) -> Hierarch
             (ci, pi) for pi in ups
             if not any(masks[mi] & masks[pi] == masks[mi] and mi != pi for mi in ups)
         ]
-    nodes = tuple(HierarchyNode(s, len(s) > boundary) for s in canon)
-    return HierarchyGraph(nodes=nodes, edges=tuple(edges), boundary=boundary)
+    return HierarchyGraph(nodes=tuple(canon), edges=tuple(edges), boundary=boundary)
 
 
 @dataclass(frozen=True)
@@ -326,7 +302,6 @@ class InheritanceReport:
     boundary are not asserted, only listed.
     """
 
-    boundary: int
     checked: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     violations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     boundary_pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
@@ -341,27 +316,23 @@ def verify_inheritance(graph: HierarchyGraph, W: NumericalSemigroup) -> Inherita
     """Check #P - #P' in W over all node inclusions P' < P with #P' above
     the graph's boundary."""
     boundary = graph.boundary
-    masks = [_mask(node.subset) for node in graph.nodes]
+    masks = [_mask(node) for node in graph.nodes]
     checked, violations, at_boundary = [], [], []
     for child, c in zip(graph.nodes, masks):
-        if child.size < boundary:
+        if len(child) < boundary:
             continue
         for parent, p in zip(graph.nodes, masks):
             if not (c & p == c and c != p):
                 continue
-            pair = (child.subset, parent.subset)
-            if child.size == boundary:
+            pair = (child, parent)
+            if len(child) == boundary:
                 at_boundary.append(pair)
                 continue
             checked.append(pair)
-            if not W.contains(parent.size - child.size):
+            if not W.contains(len(parent) - len(child)):
                 violations.append(pair)
-    gaps = [
-        len(graph.nodes[pi].subset) - len(graph.nodes[ci].subset)
-        for ci, pi in graph.edges
-    ]
+    gaps = [len(graph.nodes[pi]) - len(graph.nodes[ci]) for ci, pi in graph.edges]
     return InheritanceReport(
-        boundary=boundary,
         checked=tuple(checked),
         violations=tuple(violations),
         boundary_pairs=tuple(at_boundary),
@@ -376,19 +347,19 @@ def node_label(subset: Sequence[int], compact: bool) -> str:
 def export_dot(graph: HierarchyGraph) -> str:
     """Deterministic DOT text: one rank per cardinality, covering edges,
     dashed styling for nodes at or below the boundary."""
-    compact = all(i <= 9 for node in graph.nodes for i in node.subset)
-    labels = [node_label(node.subset, compact) for node in graph.nodes]
+    compact = all(i <= 9 for node in graph.nodes for i in node)
+    labels = [node_label(node, compact) for node in graph.nodes]
     lines = [
         "digraph point_hierarchy {", "  rankdir=RL;", "  node [shape=box];",
         f"  // dashed nodes have at most {graph.boundary} points: below the",
         "  // boundary, membership is only a necessary condition for duality",
     ]
-    for size in sorted({node.size for node in graph.nodes}, reverse=True):
+    for size in sorted(set(map(len, graph.nodes)), reverse=True):
         decls = []
         for node, label in zip(graph.nodes, labels):
-            if node.size != size:
+            if len(node) != size:
                 continue
-            style = "" if node.left_of_line else " [style=dashed]"
+            style = "" if size > graph.boundary else " [style=dashed]"
             decls.append(f'"{label}"{style};')
         lines.append("  { rank=same; " + " ".join(decls) + " }")
     for ci, pi in graph.edges:
@@ -400,7 +371,7 @@ def export_dot(graph: HierarchyGraph) -> str:
 def graph_to_json(graph: HierarchyGraph) -> dict:
     return {
         "nodes": [
-            {"set": list(node.subset), "left_of_line": node.left_of_line}
+            {"set": list(node), "left_of_line": len(node) > graph.boundary}
             for node in graph.nodes
         ],
         "edges": [[ci, pi] for ci, pi in graph.edges],

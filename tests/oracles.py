@@ -9,8 +9,12 @@ bilinear shortcuts.
 
 from itertools import combinations, count, product
 
-from sparse_duals.hermitian import hermitian_field, hermitian_points
-from sparse_duals.puncturing import subset_qualifies
+from sparse_duals.hermitian import (
+    compute_wstar,
+    hermitian_field,
+    hermitian_points,
+    isometry_dual_criterion,
+)
 
 # GF(4): 0, 1, 2 = a, 3 = a+1 with a^2 = a+1; addition is XOR.
 GF4_MUL = (
@@ -190,10 +194,10 @@ def generator_rows(cs):
     """The n generator rows of `cs`, built independently: for each pole order w
     in W*, the monomial x^a y^b with b = w mod q and a = (w - b(q+1)) / q
     evaluated at the points of `cs`, as integer encodings."""
-    q, rows = cs.q, []
+    q, field, rows = cs.q, cs.points[0].x.field, []
     for w in cs.wstar:
         b = w % q
-        rows.append(_monomial_row(cs.points, (w - b * (q + 1)) // q, b, cs.field))
+        rows.append(_monomial_row(cs.points, (w - b * (q + 1)) // q, b, field))
     return tuple(rows)
 
 
@@ -277,7 +281,7 @@ def span_vectors(rows, n, field):
 
 def literal_isometry_check(cs, x_values):
     """Check x * C^i == dual(C^(n-i)) for every i by full vector enumeration."""
-    n, field = cs.n, cs.field
+    n, field = cs.n, cs.points[0].x.field
     rows = generator_rows(cs)
     for i in range(n + 1):
         twisted = [
@@ -292,8 +296,14 @@ def literal_isometry_check(cs, x_values):
 # -- qualifying subsets by sweeping every subset through W* --
 
 
+def wstar_qualifies(q, points, subset):
+    """The criterion on W* of the points at the 1-based indices, from their
+    own `compute_wstar`."""
+    return isometry_dual_criterion(compute_wstar([points[i - 1] for i in subset], q).wstar, q)
+
+
 def naive_qualifying_subsets(q, min_size):
-    """Subsets with at least `min_size` points that pass `subset_qualifies`,
+    """Subsets with at least `min_size` points that meet the criterion,
     by running W* on every subset, cardinality descending then
     lexicographic: the sweep the divisor-class listing replaced."""
     points = hermitian_points(q)
@@ -302,7 +312,7 @@ def naive_qualifying_subsets(q, min_size):
         combo
         for size in range(n, min_size - 1, -1)
         for combo in combinations(range(1, n + 1), size)
-        if subset_qualifies(q, combo, points)
+        if wstar_qualifies(q, points, combo)
     ]
 
 
@@ -362,7 +372,7 @@ def naive_isometry_vector(cs):
     nullspace vector of the first n - 1 generator rows by row echelon and
     back-substitution, then every bilinear condition
     sum_k x_k r_a[k] r_b[k] = 0 with a + b <= n (1-based) as a dot product."""
-    n, field = cs.n, cs.field
+    n, field = cs.n, cs.points[0].x.field
     mul, inv = field.mul_table, field.inv_table
     rows = generator_rows(cs)
     echelon = []

@@ -51,7 +51,7 @@ def test_criterion_01_hierarchy_nodes(tmp_path, expected_hierarchy, capsys):
 
 def test_criterion_02_hierarchy_edges(expected_hierarchy):
     graph = build_hierarchy(qualifying_subsets(2, min_size=2), boundary=4)
-    labels = [node_label(n.subset, compact=True) for n in graph.nodes]
+    labels = [node_label(n, compact=True) for n in graph.nodes]
     edges = sorted((labels[c], labels[p]) for c, p in graph.edges)
     assert edges == sorted(tuple(e) for e in expected_hierarchy["edges"])
     for spot in (("18", "1258"), ("126", "12467"), ("123568", "12345678")):
@@ -81,7 +81,7 @@ def test_criterion_04_criterion_iff_oracle(q2_points, q2_sequences):
     checked = 0
     combos = [combo for combo in q2_sequences if len(combo) > 4]
     for combo, vector in zip(combos, find_isometry_vectors(q2_points, 2, combos), strict=True):
-        criterion = isometry_dual_criterion(q2_sequences[combo])
+        criterion = isometry_dual_criterion(q2_sequences[combo].wstar, 2)
         assert criterion == (vector is not None), combo
         if vector is not None:
             assert 0 not in vector

@@ -720,7 +720,7 @@ def test_isometry_builds_only_the_named_points_and_no_groebner_walk(capsys, monk
         walks.append(args)
         raise AssertionError("a Groebner walk ran")
 
-    for module in (hermitian, puncturing, package):
+    for module in (hermitian, package):
         monkeypatch.setattr(module, "compute_wstar", no_wstar)
     monkeypatch.setattr(hermitian, "_wstar_walk", no_wstar)
     init = hermitian.CurvePoint.__init__
@@ -908,8 +908,10 @@ def test_a_command_builds_one_field(capsys, monkeypatch, argv):
     # the Groebner state alone. `verify` then walks the 93 subsets above
     # the boundary once, the Groebner and the column state side by side.
     (("verify", "--q", "2"), ["groebner", 8, "groebner", "columns", 93]),
+    # Without the oracle, the 93 subsets are one Groebner-only family walk.
+    (("verify", "--q", "2", "--skip-oracle"), ["groebner", 8, "groebner", 93]),
     (("hierarchy", "--q", "2"), ["groebner", 8]),
-], ids=["verify", "hierarchy"])
+], ids=["verify", "verify-skip-oracle", "hierarchy"])
 def test_wstar_computations_per_command(capsys, monkeypatch, argv, walks):
     # Logs each walk state a command makes and the size of each trie walk.
     log, families = [], []
@@ -932,7 +934,6 @@ def test_wstar_computations_per_command(capsys, monkeypatch, argv, walks):
     monkeypatch.setattr(hermitian, "_trie_walk",
                         lambda order, *walk: log.append(len(order)) or trie_walk(order, *walk))
     monkeypatch.setattr(puncturing, "compute_wstar_family", counting_family)
-    monkeypatch.setattr(puncturing, "compute_wstar", one_computation)
     monkeypatch.setattr(cli, "isometry_sequence", one_computation)
     assert run(capsys, *argv)[0] == 0
     assert (log, families) == (walks, [8])

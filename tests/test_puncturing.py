@@ -10,10 +10,12 @@ from oracles import (
     naive_inclusion_pairs,
     naive_qualifying_subsets,
     naive_zero_set_relations,
+    wstar_qualifies,
 )
 from sparse_duals import (
     TooManySubsets,
     build_hierarchy,
+    compute_wstar_family,
     divisor_classes,
     export_dot,
     graph_to_json,
@@ -21,7 +23,6 @@ from sparse_duals import (
     puncturing,
     qualifying_subsets,
     sample_qualifying_subsets,
-    subset_qualifies,
     verify_inheritance,
     weierstrass_semigroup,
 )
@@ -65,7 +66,7 @@ def test_class_test_matches_wstar_on_every_q2_subset(q2_points):
     assert len(puncturing._zero_set_relations(2, q2_points)) == 18
     for size in range(1, 9):
         for combo in combinations(range(1, 9), size):
-            assert classes.qualifies(combo) == subset_qualifies(2, combo, q2_points), combo
+            assert classes.qualifies(combo) == wstar_qualifies(2, q2_points, combo), combo
 
 
 @pytest.mark.parametrize("min_size", range(1, 9))
@@ -106,7 +107,7 @@ def test_q3_class_membership_matches_wstar():
     rng = random.Random(3)
     drawn = [tuple(sorted(rng.sample(range(1, 28), rng.randint(1, 27)))) for _ in range(300)]
     for combo in list(smallest.values()) + drawn:
-        assert classes.qualifies(combo) == subset_qualifies(3, combo, points), combo
+        assert classes.qualifies(combo) == wstar_qualifies(3, points, combo), combo
 
 
 @pytest.mark.parametrize("q,count", [(2, 18), (3, 135), (4, 328)])
@@ -152,7 +153,7 @@ def test_relations_of_too_low_rank_raise(monkeypatch):
 
 def test_covering_edges_match_fixture(expected_hierarchy):
     graph = build_hierarchy(qualifying_subsets(2, min_size=2), boundary=4)
-    labels = [node_label(n.subset, compact=True) for n in graph.nodes]
+    labels = [node_label(n, compact=True) for n in graph.nodes]
     edge_labels = sorted((labels[c], labels[p]) for c, p in graph.edges)
     expected = sorted((c, p) for c, p in expected_hierarchy["edges"])
     assert edge_labels == expected
@@ -165,16 +166,17 @@ def test_covering_edges_match_fixture(expected_hierarchy):
 
 def test_left_of_line_flags():
     graph = build_hierarchy(qualifying_subsets(2, min_size=2), boundary=4)
-    for node in graph.nodes:
-        assert node.left_of_line == (node.size > 4)
+    nodes = graph_to_json(graph)["nodes"]
+    assert {node["left_of_line"] for node in nodes} == {True, False}
+    for node in nodes:
+        assert node["left_of_line"] == (len(node["set"]) > 4)
 
 
 def test_build_hierarchy_small_shapes():
     single = build_hierarchy([(1, 2, 3)], boundary=4)
     assert len(single.nodes) == 1 and single.edges == ()
     chain = build_hierarchy([(1,), (1, 2), (1, 2, 3)], boundary=4)
-    labels = [n.subset for n in chain.nodes]
-    assert labels == [(1, 2, 3), (1, 2), (1,)]
+    assert chain.nodes == ((1, 2, 3), (1, 2), (1,))
     assert sorted(chain.edges) == [(1, 0), (2, 1)]  # only covering steps
     with pytest.raises(ValueError):
         build_hierarchy([(1, 2), (2, 1)], boundary=4)
@@ -184,7 +186,7 @@ def test_verify_inheritance_on_full_graph():
     W = weierstrass_semigroup(2)
     graph = build_hierarchy(qualifying_subsets(2, min_size=2), boundary=4)
     report = verify_inheritance(graph, W)
-    assert report.boundary == 4
+    assert graph.boundary == 4
     assert report.ok
     assert len(report.checked) == 12
     assert report.violations == ()
@@ -200,7 +202,7 @@ def test_bitmask_hierarchy_matches_frozenset_loops():
                   for _ in range(rng.randint(0, 40))}
         boundary = rng.randint(0, 8)
         graph = build_hierarchy(list(family), boundary=boundary)
-        subsets = [node.subset for node in graph.nodes]
+        subsets = list(graph.nodes)
         assert graph.edges == naive_covering_edges(subsets)
         report = verify_inheritance(graph, W)
         checked, at_boundary = naive_inclusion_pairs(subsets, boundary)
@@ -254,19 +256,14 @@ def test_graph_json_schema():
     }
 
 
-def test_subset_qualifies_helper(q2_points):
-    assert subset_qualifies(2, (1, 8), q2_points)
-    assert not subset_qualifies(2, (1, 2))
-
-
 @pytest.mark.parametrize("index", [0, -1, 9])
 def test_point_indices_outside_1_to_n_are_rejected(q2_points, index):
     # Index 0 once read the last point (points[-1]) without a word.
     message = f"point index {index} outside 1..8"
     with pytest.raises(ValueError, match=message):
-        subset_qualifies(2, [index, 1, 2, 3, 4, 5, 6])
+        compute_wstar_family(q2_points, 2, [[index, 1, 2, 3, 4, 5, 6]])
     with pytest.raises(ValueError, match=message):
-        subset_qualifies(2, [1, index], q2_points)
+        compute_wstar_family(q2_points, 2, [[1, index]])
     with pytest.raises(ValueError, match=message):
         divisor_classes(2).class_of([index])
 
