@@ -378,6 +378,23 @@ VERIFY_Q2_PASS = (
     "PASS criterion-oracle: criterion matches isometry-vector solve on 93/93 subsets\n"
     "result: PASS (3 passed, 0 failed, 0 skipped)\n"
 )
+VERIFY_Q2_SKIP_ORACLE_PASS = VERIFY_Q2_PASS.replace(
+    "PASS criterion-oracle: criterion matches isometry-vector solve on 93/93 subsets",
+    "SKIP criterion-oracle: disabled by --skip-oracle",
+).replace("(3 passed, 0 failed, 0 skipped)", "(2 passed, 0 failed, 1 skipped)")
+
+
+@pytest.mark.parametrize("flags,report", [((), VERIFY_Q2_PASS),
+                                          (("--skip-oracle",), VERIFY_Q2_SKIP_ORACLE_PASS)],
+                         ids=["oracle", "skip-oracle"])
+def test_verify_lists_no_divisor_classes(capsys, monkeypatch, flags, report):
+    # Above the boundary the walk's W* decides which subsets qualify.
+    def listing(*args, **kwargs):
+        raise AssertionError("verify listed divisor classes")
+
+    monkeypatch.setattr(puncturing, "divisor_classes", listing)
+    monkeypatch.setattr(cli, "qualifying_subsets", listing)
+    assert run(capsys, "verify", "--q", "2", *flags) == (0, report, "")
 
 
 def test_verify_pass_report_byte_identical(capsys):
@@ -449,19 +466,37 @@ def _fail_cross_check(monkeypatch):
             " first failing subset 1,3,4,6,7")
 
 
+def _fail_walked_inheritance(monkeypatch):
+    # The Groebner W* of one 7-point subset gains 8 = n + 2g - 1, so the
+    # subset qualifies by the criterion, and W \ W* stays an ideal. It
+    # adds 5 pairs, two of them a size difference of 1, which is not in W:
+    # under the full set and over 2,3,4,5,6,7. The case runs under
+    # --skip-oracle: the cross-check would catch it too.
+    wrong = {(1, 2, 3, 4, 5, 6, 7): (0, 2, 3, 4, 5, 6, 8)}
+    _alter_walk(monkeypatch, "_wstar_walk", lambda subset, wstar: wrong.get(subset, wstar))
+    return ("17 inclusion pairs above the boundary, 2 violations;"
+            " first violation 1,2,3,4,5,6,7 < 1,2,3,4,5,6,7,8")
+
+
 @pytest.mark.parametrize("name,inject", [
     ("dual-complement-ideal", _fail_ideal_check),
     ("inheritance", _fail_inheritance),
     ("criterion-oracle", _fail_oracle),
     ("criterion-oracle", _fail_cross_check),
-], ids=["dual-complement-ideal", "inheritance", "criterion-oracle", "two-walks-differ"])
+    ("inheritance", _fail_walked_inheritance),
+], ids=["dual-complement-ideal", "inheritance", "criterion-oracle", "two-walks-differ",
+        "inheritance-reads-the-walk"])
 def test_verify_failure_names_its_witness(capsys, monkeypatch, name, inject):
     detail = inject(monkeypatch)
-    code, out, err = run(capsys, "verify", "--q", "2")
+    skip = inject is _fail_walked_inheritance
+    code, out, err = run(capsys, "verify", "--q", "2", *(("--skip-oracle",) if skip else ()))
     assert (code, err) == (1, "")
+    report = VERIFY_Q2_SKIP_ORACLE_PASS if skip else VERIFY_Q2_PASS
     lines = [f"FAIL {name}: {detail}" if line.startswith(f"PASS {name}:") else line
-             for line in VERIFY_Q2_PASS.splitlines()[:-1]]
-    assert out == "\n".join(lines + ["result: FAIL (2 passed, 1 failed, 0 skipped)", ""])
+             for line in report.splitlines()[:-1]]
+    passed = sum(line.startswith("PASS") for line in lines)
+    result = f"result: FAIL ({passed} passed, 1 failed, {int(skip)} skipped)"
+    assert out == "\n".join(lines + [result, ""])
 
 
 @pytest.mark.parametrize(
@@ -903,16 +938,18 @@ def test_a_command_builds_one_field(capsys, monkeypatch, argv):
     assert hermitian.hermitian_field(int(argv[2])) is held
 
 
-@pytest.mark.parametrize("argv,walks", [
-    # The certificate of q = 2 walks its 8 witnesses in one family, with
-    # the Groebner state alone. `verify` then walks the 93 subsets above
-    # the boundary once, the Groebner and the column state side by side.
-    (("verify", "--q", "2"), ["groebner", 8, "groebner", "columns", 93]),
+@pytest.mark.parametrize("argv,walks,certified", [
+    # `verify` walks the 93 subsets above the boundary once, the Groebner
+    # and the column state side by side, and reads its qualifying sets off
+    # that walk: it certifies no divisor classes.
+    (("verify", "--q", "2"), ["groebner", "columns", 93], []),
     # Without the oracle, the 93 subsets are one Groebner-only family walk.
-    (("verify", "--q", "2", "--skip-oracle"), ["groebner", 8, "groebner", 93]),
-    (("hierarchy", "--q", "2"), ["groebner", 8]),
+    (("verify", "--q", "2", "--skip-oracle"), ["groebner", 93], []),
+    # The certificate of q = 2 walks its 8 witnesses in one family, with
+    # the Groebner state alone.
+    (("hierarchy", "--q", "2"), ["groebner", 8], [8]),
 ], ids=["verify", "verify-skip-oracle", "hierarchy"])
-def test_wstar_computations_per_command(capsys, monkeypatch, argv, walks):
+def test_wstar_computations_per_command(capsys, monkeypatch, argv, walks, certified):
     # Logs each walk state a command makes and the size of each trie walk.
     log, families = [], []
     compute_wstar_family = puncturing.compute_wstar_family
@@ -936,7 +973,7 @@ def test_wstar_computations_per_command(capsys, monkeypatch, argv, walks):
     monkeypatch.setattr(puncturing, "compute_wstar_family", counting_family)
     monkeypatch.setattr(cli, "isometry_sequence", one_computation)
     assert run(capsys, *argv)[0] == 0
-    assert (log, families) == (walks, [8])
+    assert (log, families) == (walks, certified)
 
 
 @pytest.mark.parametrize("error,code", [(RuntimeError, 3), (MemoryError, 2)],
