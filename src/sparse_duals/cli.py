@@ -62,7 +62,8 @@ MAX_REPORT_ELEMENTS = 10**7
 
 # Largest point set `isometry` hands to its one column walk: the full
 # q = 8 set, about 1 s (0.85-1.0 s in-process on a 2-vCPU x86-64 host
-# under CPython 3.11).
+# under CPython 3.11). Also the largest curve `hierarchy --sample` draws
+# from: at q = 9 `--sample 1` ran 16-26 s on that host.
 MAX_ORACLE_POINTS = 512
 
 # Largest curve `hierarchy` and `verify` run on without --sample: q = 2.
@@ -310,12 +311,15 @@ def cmd_sparse_ideals(args: argparse.Namespace) -> int:
 
 def cmd_hierarchy(args: argparse.Namespace) -> int:
     q = args.q
-    g = curve_genus(q)
-    W = weierstrass_semigroup(q)
-    boundary = 2 * g + 2
     if args.sample is not None:
         if args.sample < 1:
             raise ValueError(f"--sample must be at least 1, got {args.sample}")
+        if q**3 > MAX_ORACLE_POINTS:
+            hermitian_field(q)  # an unsupported q is reported as such first
+            raise PreconditionViolated(
+                f"hierarchy --sample on {q ** 3} points exceeds the limit of"
+                f" {MAX_ORACLE_POINTS} (q = 8)"
+            )
         subsets = sample_qualifying_subsets(q, args.min_size, args.sample, args.seed)
         mode = f"sampled ({args.sample} per size, seed {args.seed})"
     else:
@@ -325,6 +329,9 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
         except TooManySubsets as exc:
             raise TooManySubsets(f"{exc}; use --sample N (and --seed) instead") from exc
         mode = "exhaustive"
+    g = curve_genus(q)
+    W = weierstrass_semigroup(q)
+    boundary = 2 * g + 2
     graph = build_hierarchy(subsets, boundary=boundary)
     report = verify_inheritance(graph, W)
 

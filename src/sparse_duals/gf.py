@@ -44,6 +44,10 @@ class Field:
     edge. The generator is the class of x; for p=2, m=2 the modulus is
     x^2 + x + 1.
 
+    Vectors of encodings are byte strings, one byte per entry. Built with
+    the field: `add_rows`, with u.translate(add_rows[c]) = c + u;
+    `add_scaled(u, c, v)` = u + c*v; and `mul_bytes(u, v)` = u * v.
+
     A field may be shared by many holders (`hermitian_field` hands out one
     per q), so its tables are read-only. Fields built separately with the
     same p and m are equal.
@@ -104,13 +108,9 @@ class Field:
         self.add_table = add_table
         self.mul_table = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
         self.inv_table: list[Optional[int]] = [None] + [exp2[q - 1 - la] for la in logs]
-        # Filled on the first read of `add_scaled`, `mul_bytes` and
-        # `add_rows`. Not cached_property: that writes through the instance
-        # `__dict__`, after which every attribute read on the field is about
-        # 3x slower in CPython 3.11.
-        self._add_scaled: Optional[Callable[[bytes, int, bytes], bytes]] = None
-        self._mul_bytes: Optional[Callable[[bytes, bytes], bytes]] = None
-        self._add_rows: Optional[list[bytes]] = None
+        self.add_rows = [bytes(row) + bytes(256 - q) for row in add_table]
+        self.add_scaled = self._byte_adder()
+        self.mul_bytes = self._byte_multiplier()
 
     # -- value-level arithmetic on encodings --
 
@@ -141,11 +141,9 @@ class Field:
 
     # -- vectors of encodings, one byte per entry --
 
-    @property
-    def add_scaled(self) -> Callable[[bytes, int, bytes], bytes]:
+    def _byte_adder(self) -> Callable[[bytes, int, bytes], bytes]:
         """The function (u, c, v) -> u + c*v, entry by entry, on byte strings
-        u, v of equal length whose bytes are encodings. It and its tables are
-        built on first read and kept with the field.
+        u, v of equal length whose bytes are encodings.
 
         c*v is one `bytes.translate`. For p = 2 the sum is the XOR of u and
         c*v read as ints. For odd p, u and c*v are translated to lanes of w
@@ -154,13 +152,9 @@ class Field:
         takes every lane mod p. Where the lanes of all m digits do not fit
         in a byte (GF(81), GF(121), GF(169)), the digits are split into
         groups added one at a time; the group sums share no digit, so they
-        add up as ints to the whole sum.
+        add up as ints to the whole sum. For a prime p > 128 one digit sum
+        needs more than a byte, and the sum is one table lookup per entry.
         """
-        if self._add_scaled is None:
-            self._add_scaled = self._byte_adder()
-        return self._add_scaled
-
-    def _byte_adder(self) -> Callable[[bytes, int, bytes], bytes]:
         p, q = self.p, self.q
         pad = bytes(256 - q)
         mul = [bytes(row) + pad for row in self.mul_table]
@@ -174,7 +168,12 @@ class Field:
 
         width = (2 * p - 2).bit_length()
         if width > 8:
-            raise ValueError(f"a sum of two digits mod {p} does not fit in a byte")
+            add = self.add_table
+
+            def add_scaled(u: bytes, c: int, v: bytes) -> bytes:
+                return bytes([add[a][b] for a, b in zip(u, v.translate(mul[c]))])
+
+            return add_scaled
 
         def add_group(spread: bytes, reduce: bytes) -> Callable[[bytes, int, bytes], bytes]:
             scaled = [row.translate(spread) for row in mul]  # c*v, spread
@@ -206,11 +205,9 @@ class Field:
 
         return add_scaled
 
-    @property
-    def mul_bytes(self) -> Callable[[bytes, bytes], bytes]:
+    def _byte_multiplier(self) -> Callable[[bytes, bytes], bytes]:
         """The function (u, v) -> u * v, entry by entry, on byte strings u, v
-        of equal length whose bytes are encodings. It and its tables are
-        built on first read and kept with the field.
+        of equal length whose bytes are encodings.
 
         Up to GF(64) both strings are translated to logs and added as ints,
         and one more translate takes each lane s to exp[s mod (q - 1)]. A
@@ -220,11 +217,6 @@ class Field:
         lane carries into the next. In larger fields the product is one
         table lookup per entry.
         """
-        if self._mul_bytes is None:
-            self._mul_bytes = self._byte_multiplier()
-        return self._mul_bytes
-
-    def _byte_multiplier(self) -> Callable[[bytes, bytes], bytes]:
         q = self.q
         z = 2 * q - 3  # the log of 0: one above the largest sum of two logs
         if 2 * z > 255:
@@ -245,16 +237,6 @@ class Field:
             return lanes.to_bytes(len(u), "little").translate(antilog)
 
         return mul_bytes
-
-    @property
-    def add_rows(self) -> list[bytes]:
-        """The rows of the add table as `bytes.translate` tables:
-        u.translate(add_rows[c]) is c + u, entry by entry. Built on first
-        read and kept with the field."""
-        if self._add_rows is None:
-            pad = bytes(256 - self.q)
-            self._add_rows = [bytes(row) + pad for row in self.add_table]
-        return self._add_rows
 
     # -- elements, for the API edge --
 

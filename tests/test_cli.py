@@ -91,6 +91,12 @@ def test_semigroup_gcd_error(capsys):
     assert "gcd" in err
 
 
+def test_semigroup_bound_below_the_conductor(capsys):
+    code, out, err = run(capsys, "semigroup", "--generators", "3,5", "--bound", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: --bound must be at least the conductor 8\n"
+
+
 def test_sparse_ideals_inspect_and_compare(capsys, tmp_path):
     out_json = tmp_path / "i.json"
     code, out, _ = run(
@@ -332,6 +338,31 @@ def test_hierarchy_sampled_above_n_points_is_empty(capsys):
     code, out, err = run(capsys, "hierarchy", "--q", "3", "--sample", "1", "--min-size", "28")
     assert (code, err) == (0, "")
     assert "qualifying subsets (size >= 28): 0\ncovering edges: 0\n" in out
+
+
+@pytest.mark.parametrize("q", [9, 16])
+def test_hierarchy_sample_is_refused_above_q8_before_any_draw(capsys, monkeypatch, q):
+    def no_draw(*args):
+        raise AssertionError("subsets drawn before the size check")
+
+    monkeypatch.setattr(cli, "sample_qualifying_subsets", no_draw)
+    code, out, err = run(capsys, "hierarchy", "--q", str(q), "--sample", "1")
+    assert (code, out) == (2, "")
+    assert f"{q ** 3} points exceeds the limit of {cli.MAX_ORACLE_POINTS}" in err
+
+
+def test_hierarchy_sample_at_q8_reaches_the_sampler(capsys, monkeypatch):
+    draws = []
+    monkeypatch.setattr(cli, "sample_qualifying_subsets", lambda *args: draws.append(args) or [])
+    code, out, err = run(capsys, "hierarchy", "--q", "8", "--sample", "1")
+    assert (code, err, draws) == (0, "", [(8, 2, 1, 0)])
+    assert out.startswith("q=8: 512 points, genus 28, boundary 58, sampled")
+
+
+def test_hierarchy_sample_reports_an_unsupported_q_first(capsys):
+    code, out, err = run(capsys, "hierarchy", "--q", "9999", "--sample", "1")
+    assert (code, out) == (2, "")
+    assert "exceeds the supported order" in err
 
 
 def test_verify_passes(capsys):

@@ -101,9 +101,7 @@ def test_negation_on_every_hermitian_field(q):
         assert F.add(a, F.neg(a)) == 0
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
-def test_add_scaled_matches_the_tables_on_every_hermitian_field(q):
-    F = hermitian_field(q)
+def _check_add_scaled(F, seed):
     add, mul, elements = F.add_table, F.mul_table, range(F.q)
 
     def expected(u, c, v):
@@ -114,7 +112,7 @@ def test_add_scaled_matches_the_tables_on_every_hermitian_field(q):
     v = bytes([b for _ in elements for b in elements])
     assert F.add_scaled(u, 1, v) == expected(u, 1, v)
     # every pair (c, b) of scale and entry, against shuffled entries of u
-    u = bytes(random.Random(q).sample(elements, F.q))
+    u = bytes(random.Random(seed).sample(elements, F.q))
     v = bytes(elements)
     for c in elements:
         assert F.add_scaled(u, c, v) == expected(u, c, v)
@@ -128,10 +126,16 @@ def test_add_scaled_matches_the_tables_on_every_hermitian_field(q):
         )
 
 
-def test_add_scaled_needs_a_digit_sum_to_fit_in_a_byte():
-    assert Field(127).add_scaled(bytes([126]), 1, bytes([126])) == bytes([125])
-    with pytest.raises(ValueError, match="does not fit in a byte"):
-        Field(131).add_scaled
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_add_scaled_matches_the_tables_on_every_hermitian_field(q):
+    _check_add_scaled(hermitian_field(q), q)
+
+
+# Both sides of the lane limit: a sum of two digits mod 127 fits in a byte,
+# mod 131 and 251 it does not, and the sum is looked up per entry.
+@pytest.mark.parametrize("p", [127, 131, 251])
+def test_add_scaled_on_both_sides_of_the_lane_limit(p):
+    _check_add_scaled(Field(p), p)
 
 
 def _check_mul_bytes(F):
@@ -227,6 +231,12 @@ def test_default_moduli_are_frozen():
     for frozen in FROZEN_MODULI:
         F = Field(frozen["p"], frozen["m"])
         assert list(F.modulus) == frozen["modulus"], F
+
+
+def test_byte_kernels_are_built_with_the_field():
+    for frozen in FROZEN_MODULI:
+        F = Field(frozen["p"], frozen["m"])
+        assert {"add_rows", "add_scaled", "mul_bytes"} <= vars(F).keys(), F
 
 
 @pytest.mark.parametrize("frozen", FROZEN_MODULI, ids=FROZEN_IDS)
