@@ -29,6 +29,7 @@ from .errors import PreconditionViolated, SparseDualsError, TooManySubsets
 from .gf import FieldElement
 from .hermitian import (
     CurvePoint,
+    compute_wstar_family,
     curve_genus,
     hermitian_coords,
     hermitian_field,
@@ -62,8 +63,9 @@ MAX_REPORT_ELEMENTS = 10**7
 
 # Largest point set `isometry` hands to its one column walk: the full
 # q = 8 set, about 1 s (0.85-1.0 s in-process on a 2-vCPU x86-64 host
-# under CPython 3.11). Also the largest curve `hierarchy --sample` draws
-# from: at q = 9 `--sample 1` ran 16-26 s on that host.
+# under CPython 3.11). `hierarchy --sample N` walks N draws of up to q^3
+# points at each of q^3 sizes; N q^6 may not exceed its square, the work
+# of `--q 8 --sample 1` (1.9-2.4 s on that host, `--sample 2` 4.4-4.7 s).
 MAX_ORACLE_POINTS = 512
 
 # Largest curve `hierarchy` and `verify` run on without --sample: q = 2.
@@ -72,10 +74,10 @@ MAX_ORACLE_POINTS = 512
 MAX_EXHAUSTIVE_POINTS = 8
 
 
-def _refuse_exhaustive(q: int) -> None:
+def _refuse_exhaustive(q: int, hint: str = "") -> None:
     if q**3 > MAX_EXHAUSTIVE_POINTS:
         hermitian_field(q)  # an unsupported q is reported as such first
-        raise TooManySubsets(f"refusing to enumerate 2^{q**3} subsets for q={q}")
+        raise TooManySubsets(f"refusing to enumerate 2^{q**3} subsets for q={q}{hint}")
 
 
 def _check_report_size(elements: int, what: str) -> None:
@@ -314,20 +316,18 @@ def cmd_hierarchy(args: argparse.Namespace) -> int:
     if args.sample is not None:
         if args.sample < 1:
             raise ValueError(f"--sample must be at least 1, got {args.sample}")
-        if q**3 > MAX_ORACLE_POINTS:
+        if args.sample * q**6 > MAX_ORACLE_POINTS**2:
             hermitian_field(q)  # an unsupported q is reported as such first
             raise PreconditionViolated(
-                f"hierarchy --sample on {q ** 3} points exceeds the limit of"
-                f" {MAX_ORACLE_POINTS} (q = 8)"
+                f"hierarchy --sample {args.sample} on {q ** 3} points exceeds the limit of"
+                f" {MAX_ORACLE_POINTS} points at --sample 1; --sample x points^2 must not"
+                f" exceed {MAX_ORACLE_POINTS ** 2}"
             )
         subsets = sample_qualifying_subsets(q, args.min_size, args.sample, args.seed)
         mode = f"sampled ({args.sample} per size, seed {args.seed})"
     else:
-        try:
-            _refuse_exhaustive(q)
-            subsets = qualifying_subsets(q, args.min_size)
-        except TooManySubsets as exc:
-            raise TooManySubsets(f"{exc}; use --sample N (and --seed) instead") from exc
+        _refuse_exhaustive(q, "; use --sample N (and --seed) instead")
+        subsets = qualifying_subsets(q, args.min_size)
         mode = "exhaustive"
     g = curve_genus(q)
     W = weierstrass_semigroup(q)
@@ -379,9 +379,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for size in range(n, boundary, -1)
         for combo in combinations(range(1, n + 1), size)
     ]
-    # W* and, unless skipped, the oracle's (W*, vector) of each subset.
-    walked = wstar_and_vectors(points, q, big_subsets, oracle=not args.skip_oracle)
-    wstars = [wstar for wstar, _ in walked]
+    if args.skip_oracle:
+        wstars = compute_wstar_family(points, q, big_subsets)
+    else:  # W* and the oracle's (W*, vector) of each subset, on one walk
+        walked = wstar_and_vectors(points, q, big_subsets)
+        wstars = [wstar for wstar, _ in walked]
     qualifies = [isometry_dual_criterion(w, q) for w in wstars]
     ideal = {w: division_escape(W, w) is None for w in set(wstars)}  # W \ W* an ideal of W
     bad = [c for c, w in zip(big_subsets, wstars) if not ideal[w]]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import gt, ne
 from typing import Iterator, Optional, Sequence
 
@@ -197,10 +197,10 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
     over many subsets of one point list, as a trie. A subset is a path
     from the root through its indices from the largest down, so subsets
     with the same top points share those point steps, and a subset that
-    ends where another goes on costs that one nothing more. The state (the
-    q vectors, the rho_b and the pole orders that joined W*) is saved only
-    at a trie node with more than one child, for the children to start
-    from; a single subset saves none and holds no more than one walk. A
+    ends where another goes on costs that one nothing more. The state, the
+    q vectors and the rho_b, is saved only at a trie node with more than
+    one child, for the children to start from; a single subset saves none
+    and holds no more than one walk. W* is read off the rho_b at the end. A
     subset's tail that no other subset shares, whose points fill less than
     half the positions below its top, first cuts the vectors down to them.
     No generator row is built.
@@ -321,10 +321,9 @@ def _wstar_walk(points: tuple[CurvePoint, ...], q: int, field: Field, n: int):
     xs = bytes([pt.x.value for pt in points])
 
     def advance(state, js, alone):
-        # The state: the generators g_b as vectors, their rho_b, and the
-        # pole orders that joined W* on the way.
-        gens, rho, ws = state
-        gens, rho, ws, xv = gens[:], rho[:], ws[:], xs
+        # The state: the generators g_b as vectors and their rho_b.
+        gens, rho = state
+        gens, rho, xv = gens[:], rho[:], xs
         if alone and js[0] >= 2 * len(js):
             # A tail that no other key shares needs only its own points:
             # cut to them, so its m points below position j cost O(q m^2),
@@ -348,20 +347,20 @@ def _wstar_walk(points: tuple[CurvePoint, ...], q: int, field: Field, n: int):
                     gens[b] = add_scaled(gb[:j], mul[gb[j]][scale], gs)
                 else:
                     gens[b] = gb[:j]
-            ws.append(rho[s])
             rho[s] += q
-        return gens, rho, ws
+        return gens, rho
 
     def finish(key, state):
-        ws = sorted(state[2])
+        # Class b of W*: b(q+1), b(q+1) + q, ..., rho_b - q.
+        ws = sorted(chain.from_iterable(map(range, base, state[1], repeat(q))))
         if ws[-1] > len(key) + 2 * g - 1:
             raise AssertionError("rank must reach n by pole order n + 2g - 1")
         return tuple(ws)
 
     ys = bytes([pt.y.value for pt in points])
-    root = (list(accumulate(repeat(ys, q - 1), mul_bytes, initial=b"\x01" * len(ys))),  # y^b
-            [b * (q + 1) for b in range(q)], [])
-    return root, advance, finish
+    base = [b * (q + 1) for b in range(q)]  # rho_b of y^b, which `advance` copies
+    return (list(accumulate(repeat(ys, q - 1), mul_bytes, initial=b"\x01" * len(ys))),  # y^b
+            base), advance, finish
 
 
 def isometry_dual_criterion(wstar: Sequence[int], q: int) -> bool:
@@ -426,17 +425,14 @@ def find_isometry_vectors(
 
 
 def wstar_and_vectors(
-    points: Sequence[CurvePoint], q: int, subsets: Sequence[Sequence[int]], oracle: bool
-) -> list[tuple[tuple[int, ...], Optional[tuple]]]:
+    points: Sequence[CurvePoint], q: int, subsets: Sequence[Sequence[int]]
+) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...], Optional[tuple[int, ...]]]]]:
     """(W*, found) for each subset, in the order given: W* by the walk of
     `compute_wstar_family`, and found the (W*, vector) of the column walk
-    of `find_isometry_vectors` with `oracle`, None without. With `oracle`,
-    one trie walk, with the checks of both, advances the two states side
-    by side: they share no arithmetic, so the two W* are independent
-    answers."""
-    if oracle:
-        return _walk(tuple(points), q, subsets, _side_by_side)
-    return [(wstar, None) for wstar in compute_wstar_family(points, q, subsets)]
+    of `find_isometry_vectors`. One trie walk, with the checks of both,
+    advances the two states side by side: they share no arithmetic, so
+    the two W* are independent answers."""
+    return _walk(tuple(points), q, subsets, _side_by_side)
 
 
 def _side_by_side(points: tuple[CurvePoint, ...], q: int, field: Field, n: int):

@@ -57,6 +57,14 @@ def _zero_set_relations(q: int, points) -> list[int]:
     return relations
 
 
+def _mask(subset: Sequence[int]) -> int:
+    """The subset as an int: bit i - 1 for index i, as `_zero_set_relations` sets it."""
+    mask = 0
+    for i in subset:
+        mask |= 1 << (i - 1)
+    return mask
+
+
 def _diagonal_form(relations: list[int], n: int) -> tuple[list[int], list[list[int]]]:
     """Diagonal entries d and a unimodular n x n matrix V such that an
     integer vector c lies in the lattice spanned by the relation bitmasks
@@ -211,7 +219,7 @@ def divisor_classes(q: int) -> DivisorClasses:
             if witness is None:
                 raise AssertionError(f"no subset has class {cls}; cannot certify")
             if isometry_dual_criterion(next(found), q):
-                relations.append(sum(1 << (i - 1) for i in witness))
+                relations.append(_mask(witness))
                 break
         else:
             return classes
@@ -262,14 +270,6 @@ class HierarchyGraph:
     nodes: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
     boundary: int
-
-
-def _mask(subset: Sequence[int]) -> int:
-    """The subset as an int with bit i set for each index i."""
-    mask = 0
-    for i in subset:
-        mask |= 1 << i
-    return mask
 
 
 def build_hierarchy(subsets: Sequence[Sequence[int]], boundary: int) -> HierarchyGraph:

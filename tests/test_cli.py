@@ -365,6 +365,29 @@ def test_hierarchy_sample_reports_an_unsupported_q_first(capsys):
     assert "exceeds the supported order" in err
 
 
+# `--sample N` walks up to N draws of up to q^3 points at each of q^3
+# sizes, so N q^6 is bounded by the work of `--q 8 --sample 1`, 512^2.
+@pytest.mark.parametrize("q,sample", [(8, 2), (7, 3), (5, 17), (4, 65), (3, 360)])
+def test_hierarchy_sample_is_refused_by_its_work_before_any_draw(capsys, monkeypatch, q,
+                                                                 sample):
+    def no_draw(*args):
+        raise AssertionError("subsets drawn before the work check")
+
+    monkeypatch.setattr(cli, "sample_qualifying_subsets", no_draw)
+    code, out, err = run(capsys, "hierarchy", "--q", str(q), "--sample", str(sample))
+    assert (code, out) == (2, "")
+    assert f"--sample {sample} on {q ** 3} points exceeds the limit of 512 points" in err
+
+
+@pytest.mark.parametrize("q,sample", [(7, 2), (5, 16), (4, 64), (3, 359), (2, 4096)])
+def test_hierarchy_sample_at_its_work_limit_reaches_the_sampler(capsys, monkeypatch, q,
+                                                                sample):
+    draws = []
+    monkeypatch.setattr(cli, "sample_qualifying_subsets", lambda *args: draws.append(args) or [])
+    code, _, err = run(capsys, "hierarchy", "--q", str(q), "--sample", str(sample))
+    assert (code, err, draws) == (0, "", [(q, 2, sample, 0)])
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--q", "2")
     assert code == 0
@@ -528,6 +551,18 @@ def test_verify_failure_names_its_witness(capsys, monkeypatch, name, inject):
     passed = sum(line.startswith("PASS") for line in lines)
     result = f"result: FAIL ({passed} passed, 1 failed, {int(skip)} skipped)"
     assert out == "\n".join(lines + [result, ""])
+
+
+def test_hierarchy_lists_each_violation_and_exits_1(capsys, monkeypatch):
+    _fail_inheritance(monkeypatch)
+    code, out, err = run(capsys, "hierarchy", "--q", "2")
+    assert (code, err) == (1, "")
+    assert out.endswith(
+        "inheritance pairs with smaller side > 4: 12, violations: 2\n"
+        "pairs at the boundary (not asserted): 18\n"
+        "  VIOLATION: (1, 2, 3, 4, 8) < (1, 2, 3, 4, 5, 6, 7, 8)\n"
+        "  VIOLATION: (1, 2, 3, 5, 7) < (1, 2, 3, 4, 5, 6, 7, 8)\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -830,6 +865,11 @@ def test_hierarchy_sample_below_one_is_usage_error(capsys, count):
     assert f"--sample must be at least 1, got {count}" in err
 
 
+def test_hierarchy_sample_min_size_below_one_is_usage_error(capsys):
+    code, out, err = run(capsys, "hierarchy", "--q", "2", "--sample", "1", "--min-size", "0")
+    assert (code, out, err) == (2, "", "error: min_size must be >= 1\n")
+
+
 # q >= 3 outputs frozen before field tables came from the multiply-by-x
 # walk: (file stem, argv); each stem has a .txt holding stdout. They print
 # encodings over GF(9), GF(16) and GF(25).
@@ -872,6 +912,11 @@ def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["semigroup", "--generators", "2,3", "--nope"])
     assert exc.value.code == 2
+
+
+def test_generators_that_are_not_integers_are_a_usage_error(capsys):
+    err = run_usage_error(capsys, "semigroup", "--generators", "3,x")
+    assert "expected comma-separated integers: 3,x" in err
 
 
 def test_missing_subcommand_is_usage_error():

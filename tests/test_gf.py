@@ -66,6 +66,16 @@ def test_division_by_zero():
         F.pow(0, -1)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: Field(2, 0), "extension degree must be >= 1"),
+    (lambda: Field(2, 2).element(4), "encoding 4 outside 0..3"),
+], ids=["degree-0", "encoding-4"])
+def test_bad_degree_and_encoding(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_same_parameters_are_interoperable():
     F1, F2 = Field(2, 2), Field(2, 2)
     assert F1 == F2 and hash(F1) == hash(F2)

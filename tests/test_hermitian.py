@@ -389,10 +389,6 @@ def test_empty_family_and_one_full_range(q2_points):
         compute_wstar_family([], 2, [])
 
 
-def _both_walks(points, q, subsets):
-    return hermitian.wstar_and_vectors(points, q, subsets, True)
-
-
 def test_family_point_errors_match_compute_wstar(q2_points):
     field = hermitian_field(2)
     off = CurvePoint(field.element(1), field.element(1))  # 1 != 1^2 + 1
@@ -402,7 +398,7 @@ def test_family_point_errors_match_compute_wstar(q2_points):
                           ([*q2_points[:3], foreign], ValueError)):
         with pytest.raises(error) as single:
             compute_wstar(points, 2)
-        for family in (compute_wstar_family, find_isometry_vectors, _both_walks):
+        for family in (compute_wstar_family, find_isometry_vectors, hermitian.wstar_and_vectors):
             with pytest.raises(error, match=re.escape(str(single.value))):
                 family(points, 2, [(1,)])
 
@@ -417,7 +413,7 @@ def test_family_point_errors_match_compute_wstar(q2_points):
     ((1, 1, 2), "subset (1, 1, 2) is not strictly increasing"),
 ], ids=["zero", "negative", "above", "above-unordered", "empty", "descending", "repeated"])
 def test_family_rejects_bad_subsets(q2_points, subset, message):
-    for family in (compute_wstar_family, find_isometry_vectors, _both_walks):
+    for family in (compute_wstar_family, find_isometry_vectors, hermitian.wstar_and_vectors):
         with pytest.raises(ValueError, match=re.escape(message)):
             family(q2_points, 2, [(1, 2), subset])
 
@@ -592,9 +588,8 @@ def test_one_walk_with_both_states_equals_each_walk(q):
     points, family = _vector_family(q, random.Random(800 + q))
     wstars = compute_wstar_family(points, q, family)
     vectors = find_isometry_vectors(points, q, family)
-    assert hermitian.wstar_and_vectors(points, q, family, True) == [
+    assert hermitian.wstar_and_vectors(points, q, family) == [
         (w, (w, v)) for w, v in zip(wstars, vectors, strict=True)]
-    assert hermitian.wstar_and_vectors(points, q, family, False) == [(w, None) for w in wstars]
 
 
 # -- W* and the isometry vector of one point set from one column walk --

@@ -38,6 +38,8 @@ def test_three_five():
     assert S.conductor == 8
     assert not S.contains(7)
     assert S.element(4) == 8
+    with pytest.raises(ValueError, match="element index must be non-negative"):
+        S.element(-1)
 
 
 def test_gcd_not_one():

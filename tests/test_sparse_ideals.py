@@ -50,6 +50,8 @@ def test_divisor_set_examples():
     assert divisor_set(S23, 0) == (0,)
     assert divisor_set(S35, 0) == (0,)
     assert divisor_set(S35, S35.index_of(8)) == (0, 3, 5, 8)
+    with pytest.raises(ValueError, match="index must be non-negative"):
+        divisor_set(S35, -1)
 
 
 def test_divisor_set_always_contains_endpoints():
@@ -64,6 +66,8 @@ def test_gap_pair_count_examples():
     assert gap_pair_count(S23, S23.index_of(3)) == 0
     assert gap_pair_count(S23, 0) == 0
     assert gap_pair_count(S35, S35.index_of(8)) == 2  # (1,7) and (4,4)
+    with pytest.raises(ValueError, match="index must be non-negative"):
+        gap_pair_count(S35, -1)
 
 
 @given(st.sampled_from(CORPUS_GENERATORS), st.integers(min_value=0, max_value=40))
