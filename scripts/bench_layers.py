@@ -78,7 +78,6 @@ CLI_COMMANDS = (
     "isometry --q 4 --points 7,15,41,42,52",
     "semigroup --generators 7,16",
     "sparse-ideals --generators 7,16,20 --leader 92 --compare 61",
-    "verify --q 2 --skip-oracle",
     "verify --q 2",
     "hierarchy --q 2",
     "semigroup --generators 5,22 --json",

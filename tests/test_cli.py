@@ -36,15 +36,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_env():
+    """The environment of a new interpreter that imports the package from `src`."""
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_fresh(cwd, *argv, stdout=subprocess.PIPE):
     """`python -m sparse_duals ARGV` in a new interpreter, in directory
     `cwd`: (exit code, stdout, stderr). Given an open file as `stdout`,
     the process writes there, and stdout is returned as None."""
-    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "sparse_duals", *argv], cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=path), stdout=stdout, stderr=subprocess.PIPE,
-        text=True, timeout=120,
+        [sys.executable, "-m", "sparse_duals", *argv], cwd=cwd, env=fresh_env(),
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -397,13 +401,14 @@ def test_verify_passes(capsys):
     assert "result: PASS" in out
 
 
-def test_verify_skip_oracle(capsys):
-    code, out, _ = run(capsys, "verify", "--q", "2", "--skip-oracle")
-    assert code == 0
-    assert "SKIP criterion-oracle" in out
+def test_verify_has_one_configuration(capsys):
+    # `verify` takes --q alone, so argparse expands no prefix, such as
+    # `--skip`, to an option that turns a check off.
+    err = run_usage_error(capsys, "verify", "--q", "2", "--skip")
+    assert err.endswith("error: unrecognized arguments: --skip\n")
 
 
-def test_verify_skip_oracle_advances_no_column_state(capsys, monkeypatch):
+def test_an_exception_in_verify_exits_3_with_its_traceback(capsys, monkeypatch):
     make = hermitian._isometry_walk
 
     def no_column_step(*args):
@@ -415,14 +420,10 @@ def test_verify_skip_oracle_advances_no_column_state(capsys, monkeypatch):
         return root, advance, finish
 
     monkeypatch.setattr(hermitian, "_isometry_walk", no_column_step)
-    code, out, err = run(capsys, "verify", "--q", "2", "--skip-oracle")
-    assert (code, err) == (0, "")
-    assert out == VERIFY_Q2_PASS.replace(
-        "PASS criterion-oracle: criterion matches isometry-vector solve on 93/93 subsets",
-        "SKIP criterion-oracle: disabled by --skip-oracle",
-    ).replace("(3 passed, 0 failed, 0 skipped)", "(2 passed, 0 failed, 1 skipped)")
-    code, _, err = run(capsys, "verify", "--q", "2")  # the patch is in effect
-    assert code == 3 and err.endswith("RuntimeError: a column state advanced\n")
+    code, out, err = run(capsys, "verify", "--q", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("RuntimeError: a column state advanced\n")
 
 
 VERIFY_Q2_PASS = (
@@ -432,23 +433,16 @@ VERIFY_Q2_PASS = (
     "PASS criterion-oracle: criterion matches isometry-vector solve on 93/93 subsets\n"
     "result: PASS (3 passed, 0 failed, 0 skipped)\n"
 )
-VERIFY_Q2_SKIP_ORACLE_PASS = VERIFY_Q2_PASS.replace(
-    "PASS criterion-oracle: criterion matches isometry-vector solve on 93/93 subsets",
-    "SKIP criterion-oracle: disabled by --skip-oracle",
-).replace("(3 passed, 0 failed, 0 skipped)", "(2 passed, 0 failed, 1 skipped)")
 
 
-@pytest.mark.parametrize("flags,report", [((), VERIFY_Q2_PASS),
-                                          (("--skip-oracle",), VERIFY_Q2_SKIP_ORACLE_PASS)],
-                         ids=["oracle", "skip-oracle"])
-def test_verify_lists_no_divisor_classes(capsys, monkeypatch, flags, report):
+def test_verify_lists_no_divisor_classes(capsys, monkeypatch):
     # Above the boundary the walk's W* decides which subsets qualify.
     def listing(*args, **kwargs):
         raise AssertionError("verify listed divisor classes")
 
     monkeypatch.setattr(puncturing, "divisor_classes", listing)
     monkeypatch.setattr(cli, "qualifying_subsets", listing)
-    assert run(capsys, "verify", "--q", "2", *flags) == (0, report, "")
+    assert run(capsys, "verify", "--q", "2") == (0, VERIFY_Q2_PASS, "")
 
 
 def test_verify_pass_report_byte_identical(capsys):
@@ -524,10 +518,12 @@ def _fail_walked_inheritance(monkeypatch):
     # The Groebner W* of one 7-point subset gains 8 = n + 2g - 1, so the
     # subset qualifies by the criterion, and W \ W* stays an ideal. It
     # adds 5 pairs, two of them a size difference of 1, which is not in W:
-    # under the full set and over 2,3,4,5,6,7. The case runs under
-    # --skip-oracle: the cross-check would catch it too.
+    # under the full set and over 2,3,4,5,6,7. The column walk reads the
+    # same W* and finds a vector, so the oracle line still passes.
     wrong = {(1, 2, 3, 4, 5, 6, 7): (0, 2, 3, 4, 5, 6, 8)}
     _alter_walk(monkeypatch, "_wstar_walk", lambda subset, wstar: wrong.get(subset, wstar))
+    _alter_walk(monkeypatch, "_isometry_walk",
+                lambda subset, found: (wrong[subset], (1,) * 7) if subset in wrong else found)
     return ("17 inclusion pairs above the boundary, 2 violations;"
             " first violation 1,2,3,4,5,6,7 < 1,2,3,4,5,6,7,8")
 
@@ -542,15 +538,11 @@ def _fail_walked_inheritance(monkeypatch):
         "inheritance-reads-the-walk"])
 def test_verify_failure_names_its_witness(capsys, monkeypatch, name, inject):
     detail = inject(monkeypatch)
-    skip = inject is _fail_walked_inheritance
-    code, out, err = run(capsys, "verify", "--q", "2", *(("--skip-oracle",) if skip else ()))
+    code, out, err = run(capsys, "verify", "--q", "2")
     assert (code, err) == (1, "")
-    report = VERIFY_Q2_SKIP_ORACLE_PASS if skip else VERIFY_Q2_PASS
     lines = [f"FAIL {name}: {detail}" if line.startswith(f"PASS {name}:") else line
-             for line in report.splitlines()[:-1]]
-    passed = sum(line.startswith("PASS") for line in lines)
-    result = f"result: FAIL ({passed} passed, 1 failed, {int(skip)} skipped)"
-    assert out == "\n".join(lines + [result, ""])
+             for line in VERIFY_Q2_PASS.splitlines()[:-1]]
+    assert out == "\n".join(lines + ["result: FAIL (2 passed, 1 failed, 0 skipped)", ""])
 
 
 def test_hierarchy_lists_each_violation_and_exits_1(capsys, monkeypatch):
@@ -750,6 +742,20 @@ def test_dot_file_to_dev_stdout_follows_the_report(capsys, tmp_path):
     assert sorted(tmp_path.iterdir()) == [tmp_path / "out.txt"]
 
 
+def test_a_closed_stdout_pipe_exits_141_quietly(tmp_path):
+    # The report, about 851 KB, outgrows any pipe buffer, so the command
+    # is still writing when the reader closes its end, as `| head` does.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sparse_duals", "semigroup", "--generators", "3,5",
+         "--bound", "600"], cwd=tmp_path, env=fresh_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    with proc:
+        assert proc.stdout.read(20) == b"semigroup generated "
+        proc.stdout.close()
+        assert (proc.wait(timeout=120), proc.stderr.read()) == (141, b"")
+
+
 def test_isometry_subset_with_vector(capsys):
     code, out, _ = run(capsys, "isometry", "--q", "2", "--points", "1,2,6")
     assert code == 0
@@ -934,7 +940,7 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch, tmp_path
     fresh.mkdir()
     monkeypatch.chdir(here)
     isometry = ("isometry", "--q", "3")
-    verify = ("verify", "--q", "2", "--skip-oracle")
+    verify = ("verify", "--q", "2")
     hierarchy = ("hierarchy", "--q", "2", "--dot", "h.dot", "--json", "h.json")
     bad = ("semigroup", "--generators", "3,5", "--nope")
     expected = {argv: run_fresh(fresh, *argv) for argv in (isometry, verify, hierarchy, bad)}
@@ -1019,12 +1025,10 @@ def test_a_command_builds_one_field(capsys, monkeypatch, argv):
     # and the column state side by side, and reads its qualifying sets off
     # that walk: it certifies no divisor classes.
     (("verify", "--q", "2"), ["groebner", "columns", 93], []),
-    # Without the oracle, the 93 subsets are one Groebner-only family walk.
-    (("verify", "--q", "2", "--skip-oracle"), ["groebner", 93], []),
     # The certificate of q = 2 walks its 8 witnesses in one family, with
     # the Groebner state alone.
     (("hierarchy", "--q", "2"), ["groebner", 8], [8]),
-], ids=["verify", "verify-skip-oracle", "hierarchy"])
+], ids=["verify", "hierarchy"])
 def test_wstar_computations_per_command(capsys, monkeypatch, argv, walks, certified):
     # Logs each walk state a command makes and the size of each trie walk.
     log, families = [], []

@@ -82,6 +82,8 @@ def test_same_parameters_are_interoperable():
     assert F1.element(2) == F2.element(2)
     assert F1.add(F1.element(2).value, F2.element(3).value) == 1
     assert Field(2, 2) != Field(3, 2)
+    assert Field(2, 2).__eq__("GF(4)") is NotImplemented
+    assert (Field(2, 2) == "GF(4)") is False
 
 
 @pytest.mark.parametrize("p,m", SMALL_ORDERS)

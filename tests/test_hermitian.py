@@ -132,6 +132,8 @@ def test_monomial_basis_small_counts():
         monomial_basis(2, 0)
     with pytest.raises(ValueError, match="not a prime power"):
         monomial_basis(6, 3)
+    with pytest.raises(ValueError, match="^q must be >= 2, got 1$"):
+        monomial_basis(1, 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -86,6 +86,8 @@ def test_equality_ignores_redundant_generators():
     assert NumericalSemigroup([2, 3]) == NumericalSemigroup([2, 3, 4])
     assert NumericalSemigroup([2, 3]) != NumericalSemigroup([3, 5])
     assert hash(NumericalSemigroup([2, 3])) == hash(NumericalSemigroup([3, 2]))
+    assert NumericalSemigroup([2, 3]).__eq__((2, 3)) is NotImplemented
+    assert (NumericalSemigroup([2, 3]) == (2, 3)) is False
 
 
 def test_json_roundtrip():

@@ -79,6 +79,7 @@ def test_gap_pair_count_matches_naive(gens, i):
 def test_ideal_validation():
     ideal = SemigroupIdeal(S23, (0, 3))
     assert ideal.complement == (0, 3)
+    assert repr(ideal) == "SemigroupIdeal(NumericalSemigroup([2, 3]), complement=[0, 3])"
     with pytest.raises(NotAnIdeal, match="3 - 3 = 0 escapes"):
         SemigroupIdeal(S23, (3,))
     with pytest.raises(NotAnIdeal, match="4 - 2 = 2 escapes"):
