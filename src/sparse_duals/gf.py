@@ -39,7 +39,7 @@ def _is_prime(n: int) -> bool:
 class Field:
     """GF(p^m) = GF(p)[x]/(f), with f the primitive modulus described above.
 
-    Arithmetic (add/mul/neg/inv/pow) works on integer encodings;
+    Arithmetic (add/mul/neg/inv/pow/log) works on integer encodings;
     element() wraps an encoding into a FieldElement record for the API
     edge. The generator is the class of x; for p=2, m=2 the modulus is
     x^2 + x + 1.
@@ -129,15 +129,16 @@ class Field:
             raise DivisionByZero(f"cannot invert 0 in {self!r}")
         return self.inv_table[a]
 
-    def pow(self, a: int, k: int) -> int:
+    def log(self, a: int) -> int:
+        """The k in 0..q-2 with generator^k = a."""
         if a == 0:
-            if k > 0:
-                return 0
-            if k == 0:
-                return 1
-            raise DivisionByZero(f"cannot raise 0 to power {k} in {self!r}")
-        e = self._log[a] * k % (self.q - 1)
-        return self._exp[e]
+            raise DivisionByZero(f"0 has no logarithm in {self!r}")
+        return self._log[a]
+
+    def pow(self, a: int, k: int) -> int:
+        if a == 0 and k >= 0:
+            return int(k == 0)
+        return self._exp[self.log(a) * k % (self.q - 1)]  # log(0) raises for k < 0
 
     # -- vectors of encodings, one byte per entry --
 

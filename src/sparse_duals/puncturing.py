@@ -3,8 +3,8 @@
 A subset P of the affine points qualifies when #P + 2g - 1 lands in the
 rank-jump set W* of the punctured sequence. By Riemann-Roch that happens
 exactly when the divisor sum(P) is linearly equivalent to #P P_inf, so
-`qualifying_subsets` lists the subsets whose divisor classes sum to 0 and
-runs W* only to certify the class group. Qualifying subsets are
+`qualifying_subsets` lists the subsets whose divisor classes sum to 0; the
+classes are read off the tangent lines at the points. Qualifying subsets are
 partially ordered by inclusion; the hierarchy graph keeps the covering
 relations of that order. Above the boundary #P > 2g + 2, qualifying is
 equivalent to the sequence being isometry-dual, and the size difference
@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .errors import TooManySubsets
@@ -30,81 +30,12 @@ from .semigroup import NumericalSemigroup
 EXHAUSTIVE_LIMIT = 27
 
 
-def _zero_set_relations(q: int, points) -> list[int]:
-    """Bitmasks (bit i - 1 for point i) of the zero sets of the functions f
-    with pole order k <= 2q that have k distinct zeros among the points.
-
-    Such an f has divisor sum(P) - k P_inf, so each zero set is a relation.
-    For q >= 2 the monomials of pole order <= 2q are 1, x, y and x^2, of
-    pole orders 0, q, q + 1 and 2q. f is monic in its leading monomial; its
-    constant term is whatever makes it vanish, so the points are bucketed
-    by the value of the rest.
-    """
-    field = points[0].x.field
-    mul, add = field.mul_table, field.add_table
-    xs = [pt.x.value for pt in points]
-    values = [xs, [pt.y.value for pt in points], [mul[x][x] for x in xs]]  # x, y, x^2
-    relations = []
-    for k, pole_order in enumerate((q, q + 1, 2 * q)):
-        for coeffs in product(range(field.q), repeat=k):
-            rest = values[k]
-            for c, lower in zip(coeffs, values):
-                rest = [add[v][mul[c][w]] for v, w in zip(rest, lower)]
-            zero_sets: dict[int, int] = {}
-            for i, v in enumerate(rest):
-                zero_sets[v] = zero_sets.get(v, 0) | 1 << i
-            relations += [m for m in zero_sets.values() if m.bit_count() == pole_order]
-    return relations
-
-
 def _mask(subset: Sequence[int]) -> int:
-    """The subset as an int: bit i - 1 for index i, as `_zero_set_relations` sets it."""
+    """The subset as an int: bit i - 1 for index i."""
     mask = 0
     for i in subset:
         mask |= 1 << (i - 1)
     return mask
-
-
-def _diagonal_form(relations: list[int], n: int) -> tuple[list[int], list[list[int]]]:
-    """Diagonal entries d and a unimodular n x n matrix V such that an
-    integer vector c lies in the lattice spanned by the relation bitmasks
-    exactly when (c V)_t is divisible by d_t for every t.
-
-    Row operations bring the relations to echelon (Hermite) form; column
-    operations, applied to V too, clear each pivot row, so the lattice is
-    the row span of diag(d) V^-1. The pivot is always the entry of least
-    absolute value, and a pivot step repeats until its row and column are
-    clear. A relation lattice of rank below n raises AssertionError.
-    """
-    rows = [[m >> i & 1 for i in range(n)] for m in relations]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-    d = []
-    for t in range(n):
-        while True:
-            live = [(abs(r[j]), i, j) for i, r in enumerate(rows[t:], t)
-                    for j in range(t, n) if r[j]]
-            if not live:
-                raise AssertionError(f"the relations have rank {t} < {n}")
-            _, i, j = min(live)
-            rows[t], rows[i] = rows[i], rows[t]
-            for r in rows[t:] + V:
-                r[t], r[j] = r[j], r[t]
-            pivot = rows[t]
-            p = pivot[t]
-            for r in rows[t + 1:]:
-                f = r[t] // p
-                if f:
-                    r[t:] = [a - f * b for a, b in zip(r[t:], pivot[t:])]
-            for j in range(t + 1, n):
-                f = pivot[j] // p
-                if f:
-                    for r in rows[t:] + V:
-                        r[j] -= f * r[t]
-            if not any(r[t] for r in rows[t + 1:]) and not any(pivot[t + 1:]):
-                break
-        d.append(abs(p))
-        rows[t + 1:] = [r for r in rows[t + 1:] if any(r)]
-    return d, V
 
 
 class DivisorClasses:
@@ -142,17 +73,6 @@ class DivisorClasses:
     def qualifies(self, subset: Sequence[int]) -> bool:
         return not any(self.class_of(subset))
 
-    def prime_order_classes(self) -> Iterator[tuple[int, ...]]:
-        """Every class of prime order: for each prime p dividing |G|, the
-        nonzero multiples of d/p on the factors d divisible by p."""
-        primes = {p for d in self.orders for p in range(2, d + 1)
-                  if d % p == 0 and all(p % r for r in range(2, p))}
-        for p in sorted(primes):
-            axes = [range(0, d, d // p) if d % p == 0 else (0,) for d in self.orders]
-            for cls in product(*axes):
-                if any(cls):
-                    yield cls
-
     def _subsets_with_classes(self, start: int, stop: int):
         """Every subset of the points start+1..stop, as index tuples in
         bitmask order, and the class of each."""
@@ -169,6 +89,9 @@ class DivisorClasses:
         """The subsets of the first n // 2 points with their classes, and
         the subsets of the other points grouped by class."""
         n = len(self.point_classes)
+        if n > EXHAUSTIVE_LIMIT:
+            q = round(n ** (1 / 3))  # the n = q^3 affine points
+            raise TooManySubsets(f"refusing to enumerate 2^{n} subsets for q={q}")
         low = self._subsets_with_classes(0, n // 2)
         high: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for s, c in zip(*self._subsets_with_classes(n // 2, n)):
@@ -178,7 +101,8 @@ class DivisorClasses:
     def subsets(self, cls: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         """Every subset in class `cls` (the empty one too when cls is 0), as
         increasing 1-based indices: a low half joined with each high half
-        whose class makes up the difference."""
+        whose class makes up the difference. Above EXHAUSTIVE_LIMIT points
+        it raises TooManySubsets."""
         low, high = self._halves
         for s, a in low:
             need = tuple([(c - x) % d for c, x, d in zip(cls, a, self.orders)])
@@ -186,43 +110,58 @@ class DivisorClasses:
                 yield s + t
 
 
-def divisor_classes(q: int) -> DivisorClasses:
-    """The classes of the affine points of the curve, certified exact.
-
-    The zero sets of the functions of pole order k <= 2q with k distinct
-    zeros span a sublattice L' of the lattice L of relations; their
-    diagonal form gives G' = Z^n / L'. L' = L exactly when L / L', a
-    subgroup of G', is 0, and a nonzero one would hold a class of prime
-    order whose subsets all qualify. So one subset of every class of prime
-    order is checked, W* of them all from one `compute_wstar_family` walk:
-    a failing one rules its class out, and the first qualifying one is a
-    relation L' lacks, so it is added and the check starts over. A class
-    with no subset cannot be ruled out and raises AssertionError; more
-    than 2^27 subsets raise TooManySubsets.
-    """
+def _tangent_columns(q: int, m: int) -> Iterator[bytes]:
+    """The columns of M[i][j] = log l_(P_j)(P_i) mod m, one at a time, as
+    bytes: l_P = y - a^q x + b^q is the tangent line at P = (a, b), the log
+    is to the generator of GF(q^2) and m divides q + 1. M[j][j] = 0: the
+    local symbol of l_P at P is 1 after the (q - 1)-th power."""
     points = hermitian_points(q)
-    n = len(points)
-    if n > EXHAUSTIVE_LIMIT:
-        raise TooManySubsets(f"refusing to enumerate 2^{n} subsets for q={q}")
-    relations = _zero_set_relations(q, points)
-    while True:
-        d, V = _diagonal_form(relations, n)
-        factors = [t for t in range(n) if d[t] > 1]
-        classes = DivisorClasses(
-            orders=tuple(d[t] for t in factors),
-            point_classes=tuple(tuple(row[t] % d[t] for t in factors) for row in V),
-        )
-        primes = list(classes.prime_order_classes())
-        witnesses = [next(classes.subsets(cls), None) for cls in primes]
-        found = iter(compute_wstar_family(points, q, [w for w in witnesses if w is not None]))
-        for cls, witness in zip(primes, witnesses):
-            if witness is None:
-                raise AssertionError(f"no subset has class {cls}; cannot certify")
-            if isometry_dual_criterion(next(found), q):
-                relations.append(_mask(witness))
-                break
-        else:
-            return classes
+    field = points[0].x.field
+    xs = bytes([pt.x.value for pt in points])
+    ys = bytes([pt.y.value for pt in points])
+    # l_P vanishes at P alone, so 0 is read only on the diagonal.
+    log_mod = bytes([0] + [field.log(v) % m for v in range(1, field.q)]).ljust(256, b"\x00")
+    for pt in points:
+        column = field.add_scaled(ys, field.neg(field.pow(pt.x.value, q)), xs)
+        yield column.translate(field.add_rows[field.pow(pt.y.value, q)]).translate(log_mod)
+
+
+def divisor_classes(q: int) -> DivisorClasses:
+    """The classes of the affine points of the curve, from their tangent lines.
+
+    The tangent line l_P has divisor (q + 1)(P - P_inf). By Weil
+    reciprocity each column of M (`_tangent_columns`) is a homomorphism on
+    classes, so its kernel holds every relation. For each prime power
+    p^k || q + 1 the first 2g columns independent mod p are kept; by
+    Nakayama's lemma they map G onto (Z/p^k)^(2g). All of them map G onto
+    a group of order (q + 1)^(2g) = #J(GF(q^2)) >= #G: an isomorphism. A
+    prime with fewer than 2g independent columns raises AssertionError.
+    """
+    rank = q * (q - 1)  # 2g
+    orders, kept = [], []
+    for p in range(2, q + 2):
+        if (q + 1) % p or any(p % d == 0 for d in range(2, p)):
+            continue
+        # Rows mod p as bytes: times[c] takes each entry v to c * v mod p,
+        # and two rows add as ints with no carry, as 2(p - 1) < 256.
+        times = [bytes([c * v % p for v in range(256)]) for c in range(p)]
+        echelon = {}  # rows mod p by pivot, each scaled to 1 at its pivot
+        pk = gcd(q + 1, p**q)  # p^k || q + 1
+        for column in _tangent_columns(q, pk):
+            r = column.translate(times[1])
+            while (pivot := len(r) - len(r.lstrip(b"\x00"))) in echelon:
+                minus = echelon[pivot].translate(times[p - r[pivot]])
+                r = int.from_bytes(r, "little") + int.from_bytes(minus, "little")
+                r = r.to_bytes(len(column), "little").translate(times[1])
+            if pivot < len(r):
+                echelon[pivot] = r.translate(times[pow(r[pivot], -1, p)])
+                kept.append(column)
+                if len(echelon) == rank:
+                    break
+        if len(echelon) < rank:
+            raise AssertionError(f"M has rank {len(echelon)} < 2g = {rank} mod {p}")
+        orders += [pk] * rank
+    return DivisorClasses(orders=tuple(orders), point_classes=tuple(zip(*kept)))
 
 
 def qualifying_subsets(q: int, min_size: int = 2) -> list[tuple[int, ...]]:

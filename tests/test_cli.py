@@ -1025,9 +1025,8 @@ def test_a_command_builds_one_field(capsys, monkeypatch, argv):
     # and the column state side by side, and reads its qualifying sets off
     # that walk: it certifies no divisor classes.
     (("verify", "--q", "2"), ["groebner", "columns", 93], []),
-    # The certificate of q = 2 walks its 8 witnesses in one family, with
-    # the Groebner state alone.
-    (("hierarchy", "--q", "2"), ["groebner", 8], [8]),
+    # `hierarchy` lists its subsets by divisor class and walks no W*.
+    (("hierarchy", "--q", "2"), [], []),
 ], ids=["verify", "hierarchy"])
 def test_wstar_computations_per_command(capsys, monkeypatch, argv, walks, certified):
     # Logs each walk state a command makes and the size of each trie walk.

@@ -64,6 +64,8 @@ def test_division_by_zero():
         F.inv(0)
     with pytest.raises(DivisionByZero):
         F.pow(0, -1)
+    with pytest.raises(DivisionByZero, match="0 has no logarithm in GF\\(4\\)"):
+        F.log(0)
 
 
 @pytest.mark.parametrize("make,message", [
@@ -111,6 +113,16 @@ def test_negation_on_every_hermitian_field(q):
     F = hermitian_field(q)
     for a in range(F.q):
         assert F.add(a, F.neg(a)) == 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_log_inverts_the_powers_of_the_generator(q):
+    F = hermitian_field(q)
+    power = 1
+    for k in range(F.q - 1):
+        assert F.log(power) == k
+        power = F.mul(power, F.generator)
+    assert power == 1
 
 
 def _check_add_scaled(F, seed):

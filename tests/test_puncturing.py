@@ -16,10 +16,12 @@ from sparse_duals import (
     TooManySubsets,
     build_hierarchy,
     compute_wstar_family,
+    curve_genus,
     divisor_classes,
     export_dot,
     graph_to_json,
     hermitian_points,
+    isometry_dual_criterion,
     puncturing,
     qualifying_subsets,
     sample_qualifying_subsets,
@@ -63,7 +65,6 @@ def test_too_many_subsets():
 def test_class_test_matches_wstar_on_every_q2_subset(q2_points):
     classes = divisor_classes(2)
     assert classes.orders == (3, 3)
-    assert len(puncturing._zero_set_relations(2, q2_points)) == 18
     for size in range(1, 9):
         for combo in combinations(range(1, 9), size):
             assert classes.qualifies(combo) == wstar_qualifies(2, q2_points, combo), combo
@@ -96,8 +97,6 @@ def test_q3_class_membership_matches_wstar():
     points = hermitian_points(3)
     classes = divisor_classes(3)
     assert classes.orders == (4,) * 6  # (q + 1)^(2g) = 4096 classes
-    assert len(puncturing._zero_set_relations(3, points)) == 135
-    assert len(list(classes.prime_order_classes())) == 63
     smallest = {}  # one smallest non-empty subset per class
     for size in range(1, 28):
         for combo in combinations(range(1, 28), size):
@@ -110,44 +109,67 @@ def test_q3_class_membership_matches_wstar():
         assert classes.qualifies(combo) == wstar_qualifies(3, points, combo), combo
 
 
+def _x_fibres(points):
+    """The point indices grouped by x: the zero sets of the x - a."""
+    fibres = {}
+    for i, pt in enumerate(points, 1):
+        fibres.setdefault(pt.x.value, []).append(i)
+    return list(fibres.values())
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_tangent_map_is_antisymmetric_with_a_zero_diagonal(q):
+    M = list(puncturing._tangent_columns(q, q + 1))  # M[j] is column j
+    assert len(M) == q**3 and {len(column) for column in M} == {q**3}
+    for j, column in enumerate(M):
+        assert column[j] == 0
+        assert all((column[i] + M[i][j]) % (q + 1) == 0 for i in range(j)), j
+
+
 @pytest.mark.parametrize("q,count", [(2, 18), (3, 135), (4, 328)])
-def test_zero_set_relations_match_every_function_of_low_pole_order(q, count):
+def test_every_zero_set_relation_lies_in_class_0(q, count):
     points = hermitian_points(q)
-    relations = puncturing._zero_set_relations(q, points)
+    classes = divisor_classes(q)
+    relations = naive_zero_set_relations(q, points)
     assert len(relations) == count
-    assert sorted(relations) == sorted(naive_zero_set_relations(q, points))
+    for mask in relations:
+        subset = [i for i in range(1, q**3 + 1) if mask >> (i - 1) & 1]
+        assert classes.qualifies(subset), subset
 
 
-def test_certificate_adds_the_relations_it_misses(monkeypatch, q2_points):
-    # The zero sets of the lines y + bx + c alone span a sublattice of
-    # index 27 = 3 * 9: the check must find qualifying subsets and add them.
-    relations = puncturing._zero_set_relations
-    monkeypatch.setattr(puncturing, "_zero_set_relations", lambda q, points: [
-        m for m in relations(q, points) if m.bit_count() == q + 1])
-    rounds = []  # the witnesses whose W* each round of the check computes
-    family = puncturing.compute_wstar_family
-
-    def counting(points, q, subsets):
-        rounds.append(subsets)
-        return family(points, q, subsets)
-
-    monkeypatch.setattr(puncturing, "compute_wstar_family", counting)
-    classes = divisor_classes(2)
-    walked = [w for witnesses in rounds for w in witnesses]
-    assert prod(classes.orders) == 9 and len(walked) > 8
-    # One witness of each of the 26 classes of order 3 in the group of
-    # index 3 first (two qualify), then of each of the 8 in the true one.
-    assert list(map(len, rounds)) == [26, 8]
-    assert list(map(classes.class_of, rounds[-1])) == list(classes.prime_order_classes())
-    assert qualifying_subsets(2, 1) == naive_qualifying_subsets(2, 1)
+@pytest.mark.parametrize("q", [4, 5, 7, 8])
+def test_the_class_group_has_order_q_plus_1_to_the_2g(q):
+    classes = divisor_classes(q)
+    assert prod(classes.orders) == (q + 1) ** (2 * curve_genus(q))
+    assert len(classes.point_classes) == q**3
+    assert all(0 <= c < d for row in classes.point_classes for c, d in zip(row, classes.orders))
+    # Relations: the x-fibres, zeros of x - a, and all points, of x^(q^2) - x.
+    assert all(classes.qualifies(fibre) for fibre in _x_fibres(hermitian_points(q)))
+    assert classes.qualifies(range(1, q**3 + 1))
 
 
-def test_relations_of_too_low_rank_raise(monkeypatch):
-    # The x-fibres alone leave an infinite group: no answer is returned.
-    relations = puncturing._zero_set_relations
-    monkeypatch.setattr(puncturing, "_zero_set_relations", lambda q, points: [
-        m for m in relations(q, points) if m.bit_count() == q])
-    with pytest.raises(AssertionError, match="rank 4 < 8"):
+@pytest.mark.parametrize("q", [4, 5, 7, 8])
+def test_class_test_matches_the_wstar_criterion(q):
+    points = hermitian_points(q)
+    n, fibres, rng = len(points), _x_fibres(points), random.Random(q)
+    sets = []
+    for _ in range(5):
+        sets.append(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+        union = sorted(i for f in rng.sample(fibres, rng.randint(1, q * q - 1)) for i in f)
+        swapped = set(union) - {rng.choice(union)}
+        swapped.add(rng.choice(sorted(set(range(1, n + 1)) - set(union))))
+        sets += [union, sorted(swapped)]
+    classes = divisor_classes(q)
+    verdicts = [classes.qualifies(s) for s in sets]
+    assert verdicts == [isometry_dual_criterion(w, q)
+                        for w in compute_wstar_family(points, q, sets)]
+    assert verdicts[1::3] == [True] * 5 and False in verdicts
+
+
+def test_tangent_columns_of_too_low_rank_raise(monkeypatch):
+    # A constant tangent value gives every column the same entries: rank 1.
+    monkeypatch.setattr(puncturing, "_tangent_columns", lambda q, m: [b"\x01" * q**3] * q**3)
+    with pytest.raises(AssertionError, match="M has rank 1 < 2g = 2 mod 3"):
         qualifying_subsets(2)
 
 
