@@ -12,12 +12,19 @@ of v up by one and adds -(top digit)*low, one add-table lookup. The first
 walk that comes back to 1 after exactly q - 1 steps picks f, and the walk
 itself is the antilog table. This is the smallest irreducible f in which x
 is primitive: a reducible f leaves zero divisors in GF(p)[x]/(f), hence
-fewer than q - 1 units, so x could not have order q - 1 there.
+fewer than q - 1 units, so x could not have order q - 1 there. Candidates
+with constant term 0 are skipped unwalked: x divides them, so x is not a
+unit modulo them (at GF(256), 3 578 of the 4 976 walk steps).
+
+The add and multiply tables are rows of bytes, each built by one
+`bytes.translate` of an earlier row or of the log bytes (see Field), so
+no row is filled one Python int at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional
 
 from .errors import DivisionByZero, FieldTooLarge, NotPrime
@@ -44,9 +51,16 @@ class Field:
     edge. The generator is the class of x; for p=2, m=2 the modulus is
     x^2 + x + 1.
 
+    `add_table[a]` and `mul_table[a]` are q-byte rows: entry b is a + b,
+    a * b. Add row c, whose top base-p digit sits at weight u = p^d, is
+    add row c - u translated by the step that raises digit d by 1 mod p;
+    multiply row a is the log bytes translated by the exp table rotated by
+    log a. `inv_table` is a list, with None for 0.
+
     Vectors of encodings are byte strings, one byte per entry. Built with
-    the field: `add_rows`, with u.translate(add_rows[c]) = c + u;
-    `add_scaled(u, c, v)` = u + c*v; and `mul_bytes(u, v)` = u * v.
+    the field: `add_rows`, the add rows padded to 256-byte translate
+    tables, with u.translate(add_rows[c]) = c + u; `add_scaled(u, c, v)` =
+    u + c*v; and `mul_bytes(u, v)` = u * v.
 
     A field may be shared by many holders (`hermitian_field` hands out one
     per q), so its tables are read-only. Fields built separately with the
@@ -62,22 +76,26 @@ class Field:
         if q > MAX_ORDER:
             raise FieldTooLarge(f"GF({q}) exceeds the supported order {MAX_ORDER}")
 
-        # Digit-wise addition mod p, built one base-p digit at a time.
-        add_table = [[(a + b) % p for b in range(p)] for a in range(p)]
-        size = p
-        while size < q:
-            high = [[(ah + bh) % p * size for bh in range(p)] for ah in range(p)]
-            add_table = [
-                [h + s for h in high[ah] for s in add_table[al]]
-                for ah in range(p)
-                for al in range(size)
-            ]
-            size *= p
+        # Digit-wise addition mod p, one translate per row (see the class
+        # docstring). `step` raises the digit of weight u by 1 mod p within
+        # each block of p*u encodings; the u rows with top digit k there are
+        # the u rows before them, with top digit k - 1, translated by it.
+        pad = bytes(256 - q)
+        add_table = [bytes(range(q))]
+        for u in (p**d for d in range(m)):
+            step = bytes(chain.from_iterable(
+                chain(range(o + u, o + p * u), range(o, o + u)) for o in range(0, q, p * u)
+            )) + pad
+            for _ in range(p - 1):
+                add_table += [row.translate(step) for row in add_table[-u:]]
 
         # Try f = x^m + low in order; x*v shifts the digits of v up by one,
-        # and the top digit c wraps round as c * x^m = -c * low.
+        # and the top digit c wraps round as c * x^m = -c * low. A zero
+        # constant term is skipped: x divides f, so x is no unit there.
         top = p ** (m - 1)
         for low in range(q):
+            if low % p == 0:
+                continue
             multiples = [0]  # c * low for c = 0..p-1
             for _ in range(p - 1):
                 multiples.append(add_table[multiples[-1]][low])
@@ -95,8 +113,11 @@ class Field:
         log: list[Optional[int]] = [None] * q
         for k, v in enumerate(exp):
             log[v] = k
-        exp2 = exp + exp
         logs = log[1:]
+        # Multiply rows (see the class docstring): q - 1 stands for the log
+        # of 0 and translates to 0, as the pad bytes do.
+        log_bytes = bytes([q - 1] + logs)
+        exp2, zeros = bytes(exp) * 2, bytes(257 - q)
 
         self.p = p
         self.m = m
@@ -106,9 +127,11 @@ class Field:
         self._exp = exp
         self._log = log
         self.add_table = add_table
-        self.mul_table = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
+        self.mul_table = [bytes(q)] + [
+            log_bytes.translate(exp2[la:la + q - 1] + zeros) for la in logs
+        ]
         self.inv_table: list[Optional[int]] = [None] + [exp2[q - 1 - la] for la in logs]
-        self.add_rows = [bytes(row) + bytes(256 - q) for row in add_table]
+        self.add_rows = [row + pad for row in add_table]
         self.add_scaled = self._byte_adder()
         self.mul_bytes = self._byte_multiplier()
 
@@ -158,7 +181,7 @@ class Field:
         """
         p, q = self.p, self.q
         pad = bytes(256 - q)
-        mul = [bytes(row) + pad for row in self.mul_table]
+        mul = [row + pad for row in self.mul_table]
         if p == 2:
 
             def add_scaled(u: bytes, c: int, v: bytes) -> bytes:
@@ -216,12 +239,13 @@ class Field:
         largest sum of two logs, so every sum with a zero lies above the
         sums of two logs and translates to 0. Since 2z = 4q - 6 <= 255, no
         lane carries into the next. In larger fields the product is one
-        table lookup per entry.
+        table lookup per entry, in the multiply rows copied to lists, which
+        CPython subscripts faster than bytes.
         """
         q = self.q
         z = 2 * q - 3  # the log of 0: one above the largest sum of two logs
         if 2 * z > 255:
-            mul = self.mul_table
+            mul = [list(row) for row in self.mul_table]
 
             def mul_bytes(u: bytes, v: bytes) -> bytes:
                 return bytes([mul[a][b] for a, b in zip(u, v)])

@@ -17,6 +17,8 @@ walk, by column elimination on the values of the monomials at the points.
 That elimination finds W* as well, and `isometry_sequence` takes both
 from it for one point set. `wstar_and_vectors` runs both on one walk.
 Every entry point checks its input and runs its walk through `_walk`.
+The curve equation is stated once, as the norm and trace translate tables
+of `_curve_maps`: the point listing and the input check both read them.
 """
 
 from __future__ import annotations
@@ -59,6 +61,11 @@ def curve_genus(q: int) -> int:
 # module dropped by a re-import lingers until the cyclic collector runs.
 _FIELDS: "weakref.WeakValueDictionary[int, Field]" = weakref.WeakValueDictionary()
 
+# The curve equation by q, as `_curve_maps` builds it on first use: 512
+# bytes that depend on q alone and are never modified, so they are kept
+# for the process and every caller reads the same tables.
+_CURVE_MAPS: dict[int, tuple[bytes, bytes]] = {}
+
 
 def hermitian_field(q: int) -> Field:
     """GF(q^2), the field of definition of the affine points.
@@ -79,6 +86,22 @@ def hermitian_field(q: int) -> Field:
     return field
 
 
+def _curve_maps(field: Field, q: int) -> tuple[bytes, bytes]:
+    """The norm x -> x^(q+1) and the trace y -> y^q + y on `field` =
+    GF(q^2), as 256-byte translate tables: (x, y) is on the curve iff
+    norm[x] == trace[y]. The bytes past the encodings map to 255 in norm
+    and 254 in trace, so no pair of them is on the curve."""
+    maps = _CURVE_MAPS.get(q)
+    if maps is None:
+        encodings = range(field.q)
+        frobenius = [field.pow(v, q) for v in encodings]
+        maps = _CURVE_MAPS[q] = (
+            bytes(map(field.mul, frobenius, encodings)).ljust(256, b"\xff"),
+            bytes(map(field.add, frobenius, encodings)).ljust(256, b"\xfe"),
+        )
+    return maps
+
+
 @dataclass(frozen=True)
 class CurvePoint:
     x: FieldElement
@@ -89,10 +112,6 @@ class CurvePoint:
 
     def __repr__(self) -> str:
         return f"CurvePoint({self.x.value}, {self.y.value})"
-
-
-def _on_curve(field: Field, x: int, y: int, q: int) -> bool:
-    return field.pow(x, q + 1) == field.add(field.pow(y, q), y)
 
 
 def hermitian_points(q: int) -> list[CurvePoint]:
@@ -108,16 +127,13 @@ def hermitian_coords(q: int) -> list[tuple[int, int]]:
     that wraps some of them as points should hold the field first, so that
     it is not built twice."""
     field = hermitian_field(q)
-    # Bucket every y by y^q + y, then read the bucket of x^(q+1) for each x:
-    # O(q^2) field operations, in the order of a scan over (x, y).
+    norm, trace = _curve_maps(field, q)
+    # Bucket every y by its trace, then read the bucket of each x's norm:
+    # O(q^2) steps, in the order of a scan over (x, y).
     ys_with_trace: dict[int, list[int]] = {}
     for y in range(field.q):
-        ys_with_trace.setdefault(field.add(field.pow(y, q), y), []).append(y)
-    coords = [
-        (x, y)
-        for x in range(field.q)
-        for y in ys_with_trace.get(field.pow(x, q + 1), ())
-    ]
+        ys_with_trace.setdefault(trace[y], []).append(y)
+    coords = [(x, y) for x in range(field.q) for y in ys_with_trace.get(norm[x], ())]
     assert len(coords) == q**3
     if q == 2:
         assert sorted(coords) == sorted(_Q2_POINT_ORDER)
@@ -226,32 +242,44 @@ def compute_wstar_family(
 
 
 def _walk(points: tuple[CurvePoint, ...], q: int, subsets: Sequence[Sequence[int]], make_walk):
-    """Each subset's finish on the walk `make_walk(points, q, field, n)`,
-    in the order given, n the largest subset size. The points are checked
-    once (`_checked_field`), then the subsets (`_subset_keys`); the walk
-    runs once over the distinct keys, so a repeated subset is computed
-    once."""
-    field = _checked_field(points, q)
+    """Each subset's finish on the walk `make_walk(field, xs, ys, q, n)`,
+    in the order given, xs and ys the points' encodings and n the largest
+    subset size. The points are checked once (`_checked_field`), then the
+    subsets (`_subset_keys`); the walk runs once over the distinct keys, so
+    a repeated subset is computed once."""
+    field, xs, ys = _checked_field(points, q)
     keys = _subset_keys(len(points), subsets)
-    walk = make_walk(points, q, field, max(map(len, keys), default=1))
+    walk = make_walk(field, xs, ys, q, max(map(len, keys), default=1))
     found = dict(_trie_walk(sorted(set(keys)), *walk))
     return [found[key] for key in keys]
 
 
-def _checked_field(points: tuple[CurvePoint, ...], q: int) -> Field:
-    """GF(q^2), once the points are known to be distinct points on the
-    curve over it."""
+def _checked_field(points: tuple[CurvePoint, ...], q: int) -> tuple[Field, bytes, bytes]:
+    """GF(q^2) and the x and y encodings of the points as bytes, once the
+    points are known to be distinct points on the curve over it.
+
+    All points are checked at once: each field by identity, and the curve
+    by translating xs and ys with `_curve_maps` and comparing. Where that
+    fails, the points are checked one by one, so the error names the first
+    faulty point in input order; points of an equal field built apart pass
+    there."""
     if not points:
         raise ValueError("at least one evaluation point is required")
     field = hermitian_field(q)
-    for pt in points:
-        if pt.x.field != field or pt.y.field != field:
-            raise ValueError(f"point {pt!r} does not live in {field!r}")
-        if not _on_curve(field, pt.x.value, pt.y.value, q):
-            raise PointNotOnCurve(f"{pt!r} violates x^{q + 1} = y^{q} + y")
-    if len({p.coords() for p in points}) != len(points):
+    norm, trace = _curve_maps(field, q)
+    xs = bytes([pt.x.value for pt in points])
+    ys = bytes([pt.y.value for pt in points])
+    if not all(pt.x.field is field and pt.y.field is field for pt in points) or (
+        xs.translate(norm) != ys.translate(trace)
+    ):
+        for pt in points:
+            if pt.x.field != field or pt.y.field != field:
+                raise ValueError(f"point {pt!r} does not live in {field!r}")
+            if norm[pt.x.value] != trace[pt.y.value]:
+                raise PointNotOnCurve(f"{pt!r} violates x^{q + 1} = y^{q} + y")
+    if len(set(zip(xs, ys))) != len(points):
         raise DuplicatePoints("evaluation points must be pairwise distinct")
-    return field
+    return field, xs, ys
 
 
 def _subset_keys(n: int, subsets: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -310,15 +338,15 @@ def _trie_walk(
                 break
 
 
-def _wstar_walk(points: tuple[CurvePoint, ...], q: int, field: Field, n: int):
-    """The Groebner update of `compute_wstar` as the (root, advance,
-    finish) of a `_trie_walk` whose finish is the key's W*. It holds
-    nothing per subset size, so n, the largest one, goes unused."""
+def _wstar_walk(field: Field, xs: bytes, ys: bytes, q: int, n: int):
+    """The Groebner update of `compute_wstar` on the points with encodings
+    xs and ys, as the (root, advance, finish) of a `_trie_walk` whose
+    finish is the key's W*. It holds nothing per subset size, so n, the
+    largest one, goes unused."""
     g = curve_genus(q)
     mul, inv, shift = field.mul_table, field.inv_table, field.add_rows
     add_scaled, mul_bytes = field.add_scaled, field.mul_bytes
     neg = mul[field.p - 1]  # -a = neg[a]
-    xs = bytes([pt.x.value for pt in points])
 
     def advance(state, js, alone):
         # The state: the generators g_b as vectors and their rho_b.
@@ -357,7 +385,6 @@ def _wstar_walk(points: tuple[CurvePoint, ...], q: int, field: Field, n: int):
             raise AssertionError("rank must reach n by pole order n + 2g - 1")
         return tuple(ws)
 
-    ys = bytes([pt.y.value for pt in points])
     base = [b * (q + 1) for b in range(q)]  # rho_b of y^b, which `advance` copies
     return (list(accumulate(repeat(ys, q - 1), mul_bytes, initial=b"\x01" * len(ys))),  # y^b
             base), advance, finish
@@ -435,11 +462,11 @@ def wstar_and_vectors(
     return _walk(tuple(points), q, subsets, _side_by_side)
 
 
-def _side_by_side(points: tuple[CurvePoint, ...], q: int, field: Field, n: int):
+def _side_by_side(field: Field, xs: bytes, ys: bytes, q: int, n: int):
     """`_wstar_walk` and `_isometry_walk` as one walk, whose states and
     finishes are the pairs of theirs."""
-    w_root, w_advance, w_finish = _wstar_walk(points, q, field, n)
-    c_root, c_advance, c_finish = _isometry_walk(points, q, field, n)
+    w_root, w_advance, w_finish = _wstar_walk(field, xs, ys, q, n)
+    c_root, c_advance, c_finish = _isometry_walk(field, xs, ys, q, n)
 
     def advance(state, js, alone):
         return w_advance(state[0], js, alone), c_advance(state[1], js, alone)
@@ -450,13 +477,13 @@ def _side_by_side(points: tuple[CurvePoint, ...], q: int, field: Field, n: int):
     return (w_root, c_root), advance, finish
 
 
-def _isometry_walk(points: tuple[CurvePoint, ...], q: int, field: Field, n: int):
-    """The column walk of `find_isometry_vectors` for subsets of up to n
-    points, as the (root, advance, finish) of a `_trie_walk` whose finish
-    is the key's (W*, isometry vector or None); W* is the stored pivots as
-    pole orders."""
+def _isometry_walk(field: Field, xs: bytes, ys: bytes, q: int, n: int):
+    """The column walk of `find_isometry_vectors` for subsets of up to n of
+    the points with encodings xs and ys, as the (root, advance, finish) of
+    a `_trie_walk` whose finish is the key's (W*, isometry vector or None);
+    W* is the stored pivots as pole orders."""
     g = curve_genus(q)
-    n_all, top = len(points), n + 4 * g - 2
+    n_all, top = len(xs), n + 4 * g - 2
     mul, inv = field.mul_table, field.inv_table
     add_scaled, neg = field.add_scaled, mul[field.p - 1]  # -a = neg[a]
     # The monomials x^a y^b of pole order m <= top, and the index of each
@@ -467,8 +494,8 @@ def _isometry_walk(points: tuple[CurvePoint, ...], q: int, field: Field, n: int)
     index = dict(zip(poles, count()))
     eye = bytes(n_all - 1) + b"\x01" + bytes(n_all - 1)
     columns = []
-    for k, pt in enumerate(points):
-        x_mul, y_mul, u, v = mul[pt.x.value], mul[pt.y.value], 1, 1
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        x_mul, y_mul, u, v = mul[x], mul[y], 1, 1
         x_pows = [1] + [u := x_mul[u] for _ in range(top // q)]
         y_muls = [mul[1]] + [mul[v := y_mul[v]] for _ in range(q - 1)]  # times y^b
         columns.append(bytes([y_muls[b][x_pows[a]] for a, b in basis])

@@ -92,6 +92,16 @@ def _digits(value, p):
     return out
 
 
+def digitwise_add(a, b, p):
+    """a + b on integer encodings: their base-p digits added one by one
+    mod p, with no carry."""
+    total, weight = 0, 1
+    while a or b:
+        total += (a % p + b % p) % p * weight
+        a, b, weight = a // p, b // p, weight * p
+    return total
+
+
 def poly_field_mul(a, b, p, modulus):
     """a * b on integer encodings, by schoolbook product and long division
     modulo the monic `modulus` (coefficients, constant term first)."""

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR
-from oracles import poly_field_mul
+from oracles import digitwise_add, poly_field_mul
 from sparse_duals import (
     DivisionByZero,
     Field,
@@ -263,16 +263,34 @@ def test_byte_kernels_are_built_with_the_field():
         assert {"add_rows", "add_scaled", "mul_bytes"} <= vars(F).keys(), F
 
 
+def _checked_pairs(F):
+    """Every pair of encodings up to GF(64), 2 000 seeded pairs above."""
+    if F.q <= 64:
+        return [(a, b) for a in range(F.q) for b in range(F.q)]
+    rng = random.Random(F.q)
+    return [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(2000)]
+
+
 @pytest.mark.parametrize("frozen", FROZEN_MODULI, ids=FROZEN_IDS)
 def test_mul_table_matches_long_division(frozen):
     F = Field(frozen["p"], frozen["m"])
-    if F.q <= 64:
-        pairs = [(a, b) for a in range(F.q) for b in range(F.q)]
-    else:
-        rng = random.Random(F.q)
-        pairs = [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(2000)]
-    for a, b in pairs:
+    for a, b in _checked_pairs(F):
         assert F.mul(a, b) == poly_field_mul(a, b, F.p, frozen["modulus"]), (a, b)
+
+
+@pytest.mark.parametrize("frozen", FROZEN_MODULI, ids=FROZEN_IDS)
+def test_tables_match_the_naive_reference(frozen):
+    F = Field(frozen["p"], frozen["m"])
+    q = F.q
+    for table, width in ((F.add_table, q), (F.mul_table, q), (F.add_rows, 256)):
+        assert len(table) == q
+        assert {(type(row), len(row)) for row in table} == {(bytes, width)}
+    assert {row[q:] for row in F.add_rows} == {bytes(256 - q)}
+    for a, b in _checked_pairs(F):
+        assert F.add_table[a][b] == F.add_rows[a][b] == digitwise_add(a, b, F.p), (a, b)
+    assert len(F.inv_table) == q and F.inv_table[0] is None
+    for a in range(1, q):
+        assert poly_field_mul(a, F.inv_table[a], F.p, frozen["modulus"]) == 1, a
 
 
 def _order_of_x(p, modulus, q):

@@ -22,6 +22,7 @@ from sparse_duals import (
     CurvePoint,
     DuplicatePoints,
     Field,
+    FieldElement,
     FieldTooLarge,
     NumericalSemigroup,
     PointNotOnCurve,
@@ -403,6 +404,48 @@ def test_family_point_errors_match_compute_wstar(q2_points):
         for family in (compute_wstar_family, find_isometry_vectors, hermitian.wstar_and_vectors):
             with pytest.raises(error, match=re.escape(str(single.value))):
                 family(points, 2, [(1,)])
+
+
+def test_the_first_faulty_point_in_input_order_is_named(q2_points):
+    # An off-curve point and a point of another field, in both orders: the
+    # error is that of whichever comes first.
+    field = hermitian_field(2)
+    off = CurvePoint(field.element(1), field.element(1))  # 1 != 1^2 + 1
+    foreign = hermitian_points(3)[1]
+    for points, error, message in (
+        ([q2_points[0], off, q2_points[2], foreign], PointNotOnCurve,
+         "CurvePoint(1, 1) violates x^3 = y^2 + y"),
+        ([q2_points[0], foreign, q2_points[2], off], ValueError,
+         f"point {foreign!r} does not live in GF(4)"),
+    ):
+        for call in (compute_wstar, isometry_sequence):
+            with pytest.raises(error) as raised:
+                call(points, 2)
+            assert str(raised.value) == message
+
+
+def test_encodings_past_the_field_are_not_on_the_curve():
+    # Only a FieldElement built directly, not by Field.element, holds one.
+    field = hermitian_field(3)
+    for x, y in ((9, 0), (0, 9), (200, 254), (255, 255)):
+        point = CurvePoint(FieldElement(field, x), FieldElement(field, y))
+        with pytest.raises(PointNotOnCurve):
+            compute_wstar([point], 3)
+
+
+@pytest.mark.parametrize("q,n", [(3, 27), (8, 300), (16, 600)])
+def test_one_altered_y_in_a_large_set_is_named(q, n):
+    points = random.Random(q).sample(hermitian_points(q), n)
+    field = points[0].x.field
+    k = n * 2 // 3
+    x = points[k].x.value
+    y = next(v for v in range(field.q)
+             if field.pow(x, q + 1) != field.add(field.pow(v, q), v))
+    points[k] = CurvePoint(points[k].x, field.element(y))
+    points.append(points[0])  # a duplicate as well, reported after the curve
+    with pytest.raises(PointNotOnCurve) as raised:
+        compute_wstar(points, q)
+    assert str(raised.value) == f"CurvePoint({x}, {y}) violates x^{q + 1} = y^{q} + y"
 
 
 @pytest.mark.parametrize("subset,message", [
