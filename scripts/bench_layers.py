@@ -8,16 +8,18 @@ Measures wall times of a `Field(p, m)` build for every GF(q^2) with q up
 to 16 and of `hermitian_points` for the same q (with GF(q^2) held, so no
 field is built in the call), `compute_wstar` times and
 `tracemalloc` peaks on the full point sets for q = 5, 7, 8, 9, 11, 13, on
+the full sets less 3 seeded points for q = 9, 11, 13, 16, on
 three seeded large subsets and on seeded subsets of the sizes `verify` and
 `isometry` pass (q = 2 with n = 5 and 8, q = 3 with n = 6 and 7),
 `isometry_sequence` (W* and the isometry vector from one column walk,
 the points checked) on those four subsets, on a seeded qualifying q = 3
 set and on a union of 25 x-fibres at q = 8 (200 points; the last two have
 a vector, so the bilinear conditions are all checked),
-`compute_wstar_family` times and `tracemalloc` peaks on the 93 subsets
-`verify --q 2` checks and on the 31 687 qualifying q = 3 sets above the
-boundary, `find_isometry_vectors` on the 93 subsets, `qualifying_subsets`
-at q = 2 and 3, `sample_qualifying_subsets(3, 9, 30, 2)` (the draws of
+`compute_wstar_family` times, point steps and `tracemalloc` peaks on the
+93 subsets `verify --q 2` checks and on the 31 687 qualifying q = 3 sets
+above the boundary, `find_isometry_vectors` on the 93 subsets,
+`qualifying_subsets` at q = 2 and 3,
+`sample_qualifying_subsets(3, 9, 30, 2)` (the draws of
 `hierarchy --q 3 --sample 30 --seed 2 --min-size 9`) with its
 `tracemalloc` peak, `build_hierarchy` and `verify_inheritance` on the q = 2
 hierarchy, and in-process `cli.main`
@@ -45,6 +47,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stdout
 from itertools import combinations
 from pathlib import Path
@@ -73,6 +76,7 @@ from sparse_duals import (  # noqa: E402
 
 POINTS_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 FULL_SET_Q = (5, 7, 8, 9, 11, 13)
+PUNCTURED_Q = (9, 11, 13, 16)
 CLI_COMMANDS = (
     "isometry --q 3 --points 1,5,9,13,17,21",
     "isometry --q 4 --points 7,15,41,42,52",
@@ -133,6 +137,24 @@ def subsets() -> dict:
     return out
 
 
+def punctured() -> dict:
+    """The full point sets less 3 seeded points, by name: all but 3 of
+    their x-fibres whole."""
+    out = {}
+    for q in PUNCTURED_Q:
+        pts = hermitian_points(q)
+        gone = set(random.Random(q).sample(range(len(pts)), 3))
+        out[f"punctured_q{q}_n{len(pts) - 3}"] = (q, [p for i, p in enumerate(pts) if i not in gone])
+    return out
+
+
+def walked(q: int, pts, subset) -> tuple[int, ...]:
+    """The indices of `subset` outside the x-fibres it holds whole (q of
+    its points with one x): the points the W* walk adds."""
+    counts = Counter(pts[i - 1].x.value for i in subset)
+    return tuple(i for i in subset if counts[pts[i - 1].x.value] < q)
+
+
 def oracle_subsets() -> dict:
     """The seeded sets that have an isometry vector, by name: a
     qualifying q = 3 set above the boundary and 25 x-fibres at q = 8."""
@@ -189,6 +211,7 @@ def measure(tmp: Path) -> dict:
     for q in POINTS_Q:
         entries["hermitian_points", str(q)] = ((lambda q=q: hermitian_points(q)), 10)
     wstar_sets = {f"full_q{q}": (q, hermitian_points(q), 3) for q in FULL_SET_Q}
+    wstar_sets.update({name: (q, pts, 3) for name, (q, pts) in punctured().items()})
     wstar_sets.update(
         {name: (q, pts, 30 if len(pts) > 8 else 300) for name, (q, pts) in subsets().items()}
     )
@@ -240,8 +263,10 @@ def measure(tmp: Path) -> dict:
         q=2, subsets=len(verify_family),
         found=sum(v is not None for v in find_isometry_vectors(q2_points, 2, verify_family)))
     for name, (q, pts, family, _) in wstar_families.items():
-        # The walk makes one point step per distinct tail of a subset.
-        steps = len({s[i:] for s in family for i in range(len(s))})
+        # The walk makes one point step per distinct tail of a subset's
+        # points outside whole x-fibres.
+        rests = [walked(q, pts, s) for s in family]
+        steps = len({r[i:] for r in rests for i in range(len(r))})
         run["compute_wstar_family"][name].update(
             q=q, subsets=len(family), point_steps=steps,
             tracemalloc_peak_mb=peak_mb(lambda: compute_wstar_family(pts, q, family)))

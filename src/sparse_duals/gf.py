@@ -24,7 +24,7 @@ no row is filled one Python int at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Optional
 
 from .errors import DivisionByZero, FieldTooLarge, NotPrime
@@ -41,6 +41,38 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _tiled(values, run: int, size: int) -> bytes:
+    """`size` bytes: each of `values` `run` times over, the block repeated."""
+    block = bytes(chain.from_iterable(repeat(v, run) for v in values))
+    return block * (size // len(block))
+
+
+def _lane_tables(p: int, m: int) -> list[tuple[bytes, bytes]]:
+    """The (spread, reduce) translate tables of each digit group of
+    GF(p^m), p odd, for `Field.add_scaled`: spread[v] holds the group's
+    base-p digits of v, one per lane of w bits, and reduce[t] every lane
+    of t mod p, back in its base-p place.
+
+    A lane's part of either table is periodic: the digit of weight u is
+    constant on runs of u encodings, and a lane at bit s is constant on
+    runs of 2^s bytes. So each part is a short block repeated, and the
+    lanes, sharing no bits or digits, add up as ints to the table.
+    """
+    width = (2 * p - 2).bit_length()
+    per_group, q = 8 // width, p**m
+    tables = []
+    for first in range(0, m, per_group):
+        lanes = [(p**d, width * (d - first)) for d in range(first, min(first + per_group, m))]
+        spread = sum(int.from_bytes(_tiled([c << s for c in range(p)], u, q), "little")
+                     for u, s in lanes)
+        reduce = sum(int.from_bytes(_tiled([t % p * u for t in range(1 << width)], 1 << s, 256),
+                                    "little")
+                     for u, s in lanes)
+        tables.append((spread.to_bytes(q, "little") + bytes(256 - q),
+                       reduce.to_bytes(256, "little")))
+    return tables
 
 
 class Field:
@@ -210,16 +242,7 @@ class Field:
 
             return add_scaled
 
-        # spread[v]: the group's digits of v, one per lane; reduce[t]: every
-        # lane of t mod p, back in its base-p place.
-        per_group, mask = 8 // width, (1 << width) - 1
-        groups = []
-        for first in range(0, self.m, per_group):
-            last = min(first + per_group, self.m)
-            digits = [(p**d, width * (d - first)) for d in range(first, last)]
-            spread = bytes(sum(v // w % p << s for w, s in digits) for v in range(q)) + pad
-            reduce = bytes(sum((t >> s & mask) % p * w for w, s in digits) for t in range(256))
-            groups.append(add_group(spread, reduce))
+        groups = [add_group(spread, reduce) for spread, reduce in _lane_tables(p, self.m)]
         if len(groups) == 1:
             return groups[0]
 

@@ -10,12 +10,15 @@ W* is the complement in H = <q, q+1> of the pole orders of functions
 that vanish on the point set. `compute_wstar` finds it point by point:
 it keeps a Groebner basis of that vanishing module over F[x], one
 generator per residue class mod q, and each added point moves exactly
-one pole order from the module into W*. `compute_wstar_family` does the
-same for many subsets of one point list, sharing their common steps, and
-`find_isometry_vectors` solves for their isometry vectors on the same
-walk, by column elimination on the values of the monomials at the points.
-That elimination finds W* as well, and `isometry_sequence` takes both
-from it for one point set. `wstar_and_vectors` runs both on one walk.
+one pole order from the module into W*. An x-fibre the set holds whole
+takes no point step: it moves every generator's pole order up by q, so a
+set costs O(q m^2) for its m points outside whole fibres.
+`compute_wstar_family` does the same for many subsets of one point list,
+sharing their common steps, and `find_isometry_vectors` solves for their
+isometry vectors on the same walk, by column elimination on the values of
+the monomials at the points; that elimination walks every point. It finds
+W* as well, and `isometry_sequence` takes both from it for one point set.
+`wstar_and_vectors` runs both on one walk, every point in each.
 Every entry point checks its input and runs its walk through `_walk`.
 The curve equation is stated once, as the norm and trace translate tables
 of `_curve_maps`: the point listing and the input check both read them.
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
 from operator import gt, ne
@@ -207,22 +211,33 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
     up to q = 8 no Python step per entry. Points are added last to first, so
     once the point at 0-based position j is added only earlier points are
     still to come, and every vector is cut to [:j]: a point costs q vector
-    operations, O(q n^2) in total, in O(q n) memory.
+    operations.
+
+    The q points over one x = alpha, an x-fibre, are the zeros of x - alpha,
+    which has pole order q. A function vanishing on a whole fibre and on
+    other points is (x - alpha) times one vanishing on the others, so the
+    fibre moves every rho_b up by q. The points of the x-fibres the set
+    holds whole are therefore not added: W* is read off the rho_b of the
+    other m points, each moved up by q per whole fibre, with the rank check
+    on all n. A set costs O(q m^2) in O(q m) memory, and a union of whole
+    fibres no point step at all.
 
     This runs on one subset the walk that `compute_wstar_family` makes
     over many subsets of one point list, as a trie. A subset is a path
-    from the root through its indices from the largest down, so subsets
-    with the same top points share those point steps, and a subset that
-    ends where another goes on costs that one nothing more. The state, the
-    q vectors and the rho_b, is saved only at a trie node with more than
-    one child, for the children to start from; a single subset saves none
-    and holds no more than one walk. W* is read off the rho_b at the end. A
-    subset's tail that no other subset shares, whose points fill less than
-    half the positions below its top, first cuts the vectors down to them.
-    No generator row is built.
+    from the root through its indices outside whole fibres from the
+    largest down, so subsets with the same top points share those point
+    steps, a subset that ends where another goes on costs that one nothing
+    more, and one with no such index is the root and is not walked. The
+    state, the q vectors and the rho_b, is saved only at a trie node with
+    more than one child, for the children to start from; a single subset
+    saves none and holds no more than one walk. The vectors y^b of the root
+    are evaluated by the first step from it, at the points that step needs.
+    W* is read off the rho_b at the end. A subset's tail that no other
+    subset shares, whose points fill less than half the positions below its
+    top, first cuts the vectors down to them. No generator row is built.
     """
     points = tuple(points)
-    [wstar] = _walk(points, q, [range(1, len(points) + 1)], _wstar_walk)
+    [wstar] = _walk(points, q, [range(1, len(points) + 1)], _wstar_walk, _fibre_rest)
     return CodeSequence(q=q, points=points, wstar=wstar)
 
 
@@ -235,22 +250,37 @@ def compute_wstar_family(
     A subset is a strictly increasing sequence of 1-based indices into
     `points`; an empty one, one out of order and an index outside 1..n
     raise ValueError. The point set is checked once, as `compute_wstar`
-    checks it, and the subsets share the point steps of their common top
-    points (see `compute_wstar`). A repeated subset is computed once.
+    checks it. Each subset walks only its m points outside the x-fibres it
+    holds whole, O(q m^2) at most, and the subsets share the point steps
+    of their common top points (see `compute_wstar`). A repeated subset,
+    or one with the same points outside whole fibres, is walked once.
     """
-    return _walk(tuple(points), q, subsets, _wstar_walk)
+    return _walk(tuple(points), q, subsets, _wstar_walk, _fibre_rest)
 
 
-def _walk(points: tuple[CurvePoint, ...], q: int, subsets: Sequence[Sequence[int]], make_walk):
+def _walk(points: tuple[CurvePoint, ...], q: int, subsets: Sequence[Sequence[int]], make_walk,
+          rest=None):
     """Each subset's finish on the walk `make_walk(field, xs, ys, q, n)`,
     in the order given, xs and ys the points' encodings and n the largest
     subset size. The points are checked once (`_checked_field`), then the
-    subsets (`_subset_keys`); the walk runs once over the distinct keys, so
-    a repeated subset is computed once."""
+    subsets (`_subset_keys`). The walk runs once over the distinct keys,
+    or, given `rest`, over the distinct rest(key, xs, q), the part of each
+    key that the walk must add; an empty rest is the root state and is not
+    walked. finish(key, state) reads a key off the state of its part as it
+    stands and must not modify it. A repeated subset is computed once."""
     field, xs, ys = _checked_field(points, q)
     keys = _subset_keys(len(points), subsets)
-    walk = make_walk(field, xs, ys, q, max(map(len, keys), default=1))
-    found = dict(_trie_walk(sorted(set(keys)), *walk))
+    root, advance, finish = make_walk(field, xs, ys, q, max(map(len, keys), default=1))
+    if rest is None:
+        found = dict(_trie_walk(sorted(set(keys)), root, advance, finish))
+    else:
+        parts: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for key in dict.fromkeys(keys):
+            parts.setdefault(rest(key, xs, q), []).append(key)
+        found = {}
+        for _, done in _trie_walk(sorted(parts), root, advance, lambda part, state: [
+                (key, finish(key, state)) for key in parts[part]]):
+            found.update(done)
     return [found[key] for key in keys]
 
 
@@ -282,6 +312,21 @@ def _checked_field(points: tuple[CurvePoint, ...], q: int) -> tuple[Field, bytes
     return field, xs, ys
 
 
+def _fibre_rest(key: tuple[int, ...], xs: bytes, q: int) -> tuple[int, ...]:
+    """The key without the x-fibres it holds whole: q of its points with
+    one x, which, the points being distinct points on the curve, are all
+    the points over that x. Such a fibre takes no point step (see
+    `compute_wstar`)."""
+    xk = bytes(map((b"\x00" + xs).__getitem__, key))
+    whole = [x for x, c in Counter(xk).items() if c == q]
+    if not whole:
+        return key
+    keep = bytearray(b"\x01" * 256)
+    for x in whole:
+        keep[x] = 0
+    return tuple(compress(key, xk.translate(keep)))
+
+
 def _subset_keys(n: int, subsets: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Each subset as its trie path, its indices from the top down, after
     checking that it is a non-empty, strictly increasing sequence of
@@ -305,8 +350,9 @@ def _trie_walk(
 ) -> Iterator[tuple[tuple[int, ...], object]]:
     """(key, finish(key, state)) for each key of `order`, by one walk over
     their trie (see `compute_wstar`) from the state `root`. The keys are
-    distinct and sorted, a key being a subset's 1-based indices into the
-    points from the largest down, so a node's subtree is a run of keys.
+    distinct and sorted, a key being 1-based indices into the points from
+    the largest down, so a node's subtree is a run of keys; the empty key,
+    if there, comes first and finishes the root.
 
     `advance(state, js, alone)` returns the state after the 0-based points
     `js` are added to `state`, in that order, and leaves `state` as it
@@ -341,25 +387,34 @@ def _trie_walk(
 def _wstar_walk(field: Field, xs: bytes, ys: bytes, q: int, n: int):
     """The Groebner update of `compute_wstar` on the points with encodings
     xs and ys, as the (root, advance, finish) of a `_trie_walk` whose
-    finish is the key's W*. It holds nothing per subset size, so n, the
-    largest one, goes unused."""
+    finish is the key's W*, read off the state of the key's walked points:
+    all of them, or those outside its whole x-fibres (`_fibre_rest`). It
+    holds nothing per subset size, so n, the largest one, goes unused."""
     g = curve_genus(q)
     mul, inv, shift = field.mul_table, field.inv_table, field.add_rows
     add_scaled, mul_bytes = field.add_scaled, field.mul_bytes
     neg = mul[field.p - 1]  # -a = neg[a]
 
+    def powers(yv):  # y^b at the points with y-encodings yv, b < q
+        return list(accumulate(repeat(yv, q - 1), mul_bytes, initial=b"\x01" * len(yv)))
+
     def advance(state, js, alone):
-        # The state: the generators g_b as vectors and their rho_b.
+        # The state: the generators g_b as vectors and their rho_b. At the
+        # root the vectors are None: g_b = y^b is evaluated here, at the
+        # points it is needed at, so a key that is not walked costs none.
         gens, rho = state
-        gens, rho, xv = gens[:], rho[:], xs
+        rho, xv = rho[:], xs
         if alone and js[0] >= 2 * len(js):
             # A tail that no other key shares needs only its own points:
             # cut to them, so its m points below position j cost O(q m^2),
             # not O(q m j). Where they fill half the positions or more,
             # the cut costs more than it saves.
             pos = js[::-1]
-            gens = [bytes(map(gb.__getitem__, pos)) for gb in gens]
+            gens = (powers(bytes(map(ys.__getitem__, pos))) if gens is None
+                    else [bytes(map(gb.__getitem__, pos)) for gb in gens])
             js, xv = range(len(pos) - 1, -1, -1), bytes(map(xs.__getitem__, pos))
+        else:
+            gens = powers(ys[:js[0] + 1]) if gens is None else gens[:]
         for j in js:
             live = [b for b, gb in enumerate(gens) if gb[j]]
             if not live:
@@ -380,14 +435,21 @@ def _wstar_walk(field: Field, xs: bytes, ys: bytes, q: int, n: int):
 
     def finish(key, state):
         # Class b of W*: b(q+1), b(q+1) + q, ..., rho_b - q.
-        ws = sorted(chain.from_iterable(map(range, base, state[1], repeat(q))))
+        rho = state[1]
+        ws = list(chain.from_iterable(map(range, base, rho, repeat(q))))
+        # The key's points the walk left out fill whole x-fibres, each of
+        # which moves every rho_b up by q (see `compute_wstar`): in all, by
+        # the number left out, and class b goes on up to rho_b + lift - q.
+        lift = len(key) - len(ws)
+        if lift:
+            ws += chain.from_iterable(map(range, rho, map(lift.__add__, rho), repeat(q)))
+        ws.sort()
         if ws[-1] > len(key) + 2 * g - 1:
             raise AssertionError("rank must reach n by pole order n + 2g - 1")
         return tuple(ws)
 
     base = [b * (q + 1) for b in range(q)]  # rho_b of y^b, which `advance` copies
-    return (list(accumulate(repeat(ys, q - 1), mul_bytes, initial=b"\x01" * len(ys))),  # y^b
-            base), advance, finish
+    return (None, base), advance, finish
 
 
 def isometry_dual_criterion(wstar: Sequence[int], q: int) -> bool:
@@ -457,8 +519,9 @@ def wstar_and_vectors(
     """(W*, found) for each subset, in the order given: W* by the walk of
     `compute_wstar_family`, and found the (W*, vector) of the column walk
     of `find_isometry_vectors`. One trie walk, with the checks of both,
-    advances the two states side by side: they share no arithmetic, so
-    the two W* are independent answers."""
+    advances the two states side by side over every point of each subset,
+    whole x-fibres too: they share no arithmetic, so the two W* are
+    independent answers."""
     return _walk(tuple(points), q, subsets, _side_by_side)
 
 

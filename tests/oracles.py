@@ -169,6 +169,23 @@ def naive_curve_coords(q):
     ]
 
 
+def secant_lines(q):
+    """The points of every line y = ax + b over GF(q^2) that meets the
+    curve in q + 1 distinct points, as tuples of (x, y) encodings, by
+    testing each x on each line against `naive_curve_coords`. The other
+    lines are tangent, meeting the curve in one point."""
+    field = hermitian_field(q)
+    on_curve = set(naive_curve_coords(q))
+    lines = []
+    for a in range(field.q):
+        for b in range(field.q):
+            line = [(x, field.add(field.mul(a, x), b)) for x in range(field.q)]
+            meets = tuple(pt for pt in line if pt in on_curve)
+            if len(meets) == q + 1:
+                lines.append(meets)
+    return lines
+
+
 def _monomial_row(points, a, b, field):
     """x^a y^b at each point, by `field.pow` and `field.mul`."""
     return tuple(field.mul(field.pow(pt.x.value, a), field.pow(pt.y.value, b)) for pt in points)

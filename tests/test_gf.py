@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR
 from oracles import digitwise_add, poly_field_mul
+from sparse_duals import gf
 from sparse_duals import (
     DivisionByZero,
     Field,
@@ -291,6 +292,26 @@ def test_tables_match_the_naive_reference(frozen):
     assert len(F.inv_table) == q and F.inv_table[0] is None
     for a in range(1, q):
         assert poly_field_mul(a, F.inv_table[a], F.p, frozen["modulus"]) == 1, a
+
+
+# Every odd p whose digit sum 2(p - 1) fits in a byte has lane tables.
+LANE_FIELDS = [f for f in FROZEN_MODULI if f["p"] % 2 and 2 * f["p"] - 2 < 256]
+
+
+@pytest.mark.parametrize("frozen", LANE_FIELDS, ids=[f"GF({f['p']}^{f['m']})" for f in LANE_FIELDS])
+def test_lane_tables_match_the_per_entry_construction(frozen):
+    # One sum per table entry: spread[v] puts the group's base-p digits of
+    # v in lanes of `width` bits, reduce[t] takes each lane of t mod p.
+    p, m = frozen["p"], frozen["m"]
+    q, width = p**m, (2 * p - 2).bit_length()
+    per_group, mask = 8 // width, (1 << width) - 1
+    expected = []
+    for first in range(0, m, per_group):
+        digits = [(p**d, width * (d - first)) for d in range(first, min(first + per_group, m))]
+        spread = bytes(sum(v // w % p << s for w, s in digits) for v in range(q))
+        reduce = bytes(sum((t >> s & mask) % p * w for w, s in digits) for t in range(256))
+        expected.append((spread + bytes(256 - q), reduce))
+    assert gf._lane_tables(p, m) == expected
 
 
 def _order_of_x(p, modulus, q):

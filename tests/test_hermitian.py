@@ -16,6 +16,7 @@ from oracles import (
     naive_isometry_vector,
     naive_wstar,
     naive_wstar_q2,
+    secant_lines,
 )
 from sparse_duals import hermitian
 from sparse_duals import (
@@ -223,13 +224,16 @@ def test_x_fibre_unions_closed_form_q2():
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_x_fibre_unions_closed_form_sampled(q):
-    # A fibre over x = alpha makes x - alpha vanish at q points of each
-    # vector, in every field, on both sides of each `Field.mul_bytes` kernel.
+    # Whole fibres take no point step: the closed form follows from the
+    # shift by q per fibre. The column walk, which has no such shortcut,
+    # checks it on the smaller unions.
     fibres = _x_fibres(hermitian_points(q))
     rng = random.Random(300 + q)
     for k in range(1, min(q * q, 250 // q) + 1):  # up to about 250 points
-        chosen = rng.sample(sorted(fibres), k)
-        _check_fibre_union(q, [p for x in chosen for p in fibres[x]])
+        chosen = [p for x in rng.sample(sorted(fibres), k) for p in fibres[x]]
+        _check_fibre_union(q, chosen)
+        if k <= 4:
+            assert isometry_sequence(chosen, q)[0].wstar == _fibre_union_wstar(q, k * q)
 
 
 @pytest.mark.parametrize("q", [7, 8])
@@ -269,12 +273,17 @@ def test_complement_duality_sampled(q, draws):
 
 
 def test_full_q9_set_runs_in_little_memory():
-    # Without the n x n generator rows, W* of all 729 points needs q
-    # vectors of n ints; the rows alone would take several MB.
+    # All 729 points are 81 whole x-fibres and take no point step. Less the
+    # first point over each x, no fibre is whole, and the walk over the 648
+    # points left needs q vectors of n bytes, without the n x n generator
+    # rows, which alone would take several MB.
     pts = hermitian_points(9)
+    firsts = {p.x.value: p for p in reversed(pts)}.values()
+    punctured = [p for p in pts if p not in firsts]
     tracemalloc.start()
     try:
         assert isometry_dual_criterion(compute_wstar(pts, 9).wstar, 9)
+        assert len(compute_wstar(punctured, 9).wstar) == 648
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -355,8 +364,9 @@ def test_family_matches_naive_elimination_sampled(q, count, max_size):
 
 def test_family_shares_the_steps_of_common_top_points(monkeypatch, q2_points):
     # A point step reduces each other generator that is nonzero at the
-    # point, so the reductions count the work: the 93 subsets `verify --q 2`
-    # checks make 162 point steps in one walk and 512 one by one.
+    # point, so the reductions count the work: once their whole x-fibres
+    # are taken out, the 93 subsets `verify --q 2` checks make 64 point
+    # steps in one walk and 176 one by one (162 and 512 with the fibres).
     field = hermitian_field(2)
     add_scaled, reductions = field.add_scaled, []
 
@@ -371,7 +381,111 @@ def test_family_shares_the_steps_of_common_top_points(monkeypatch, q2_points):
     reductions.clear()
     for subset in family:
         compute_wstar([q2_points[i - 1] for i in subset], 2)
-    assert (walk, len(reductions)) == (102, 371)
+    assert (walk, len(reductions)) == (49, 147)
+
+
+# -- whole x-fibres: W* moves up by q per fibre, without a point step --
+
+
+def _check_wstar_three_ways(points, q, subsets):
+    """W* of each subset by `compute_wstar_family` and `compute_wstar`
+    against naive elimination and the column walk of `isometry_sequence`."""
+    for subset, wstar in zip(subsets, compute_wstar_family(points, q, subsets), strict=True):
+        chosen = [points[i - 1] for i in subset]
+        assert wstar == compute_wstar(chosen, q).wstar, subset
+        assert wstar == naive_wstar(chosen, q)[0], subset
+        assert wstar == isometry_sequence(chosen, q)[0].wstar, subset
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_full_sets_less_a_few_points_three_ways(q):
+    # The set holds all but a few of its fibres whole; each puncture
+    # leaves q - 1 points over its x for the walk.
+    points = hermitian_points(q)
+    rng = random.Random(900 + q)
+    subsets = []
+    for k in (1, 2, 3, q):
+        out = set(rng.sample(range(1, len(points) + 1), k))
+        subsets.append([i for i in range(1, len(points) + 1) if i not in out])
+    _check_wstar_three_ways(points, q, subsets)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_fibre_unions_with_extra_points_three_ways(q):
+    points = hermitian_points(q)
+    index = {p.coords(): i for i, p in enumerate(points, 1)}
+    fibres = _x_fibres(points)
+    rng = random.Random(950 + q)
+    subsets = []
+    for _ in range(6):
+        chosen = rng.sample(sorted(fibres), rng.randint(1, min(q * q - 1, 90 // q)))
+        others = [p for x in fibres if x not in chosen for p in fibres[x]]
+        extra = rng.sample(others, rng.randint(1, q + 2))
+        subsets.append(sorted(index[p.coords()] for p in extra + [
+            p for x in chosen for p in fibres[x]]))
+    _check_wstar_three_ways(points, q, subsets)
+
+
+def test_every_q2_subset_three_ways(q2_points):
+    # In the frozen order, the two points over each x are not adjacent.
+    positions = {x: [i for i, p in enumerate(q2_points, 1) if p.x.value == x] for x in range(4)}
+    assert sorted(positions.values()) == [[1, 8], [2, 5], [3, 6], [4, 7]]
+    family = [c for k in range(1, 9) for c in combinations(range(1, 9), k)]
+    _check_wstar_three_ways(q2_points, 2, family)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8])
+def test_fibre_unions_make_no_point_step(monkeypatch, q):
+    field = hermitian_field(q)
+    calls = []
+    for name in ("add_scaled", "mul_bytes"):
+        kernel = getattr(field, name)
+        monkeypatch.setattr(field, name,
+                            lambda *args, kernel=kernel: calls.append(args) or kernel(*args))
+    points = hermitian_points(q)
+    fibres = _x_fibres(points)
+    index = {p.coords(): i for i, p in enumerate(points, 1)}
+    rng = random.Random(970 + q)
+    unions = [sorted(index[p.coords()] for x in rng.sample(sorted(fibres), k) for p in fibres[x])
+              for k in (1, 2, q * q // 2, q * q)]
+    wstars = compute_wstar_family(points, q, unions)
+    for union, wstar in zip(unions, wstars):
+        assert compute_wstar([points[i - 1] for i in union], q).wstar == wstar
+        assert wstar == _fibre_union_wstar(q, len(union))
+    assert calls == []
+    # One more point is walked, and the counters see it.
+    extra = next(i for i in range(1, len(points) + 1) if i not in unions[0])
+    compute_wstar([points[i - 1] for i in sorted(unions[0] + [extra])], q)
+    assert calls
+
+
+def _shifted_complement(q, wstar, shift, bound):
+    """{h + shift : h in H \\ W*} up to bound, H = <q, q+1>."""
+    H = weierstrass_semigroup(q)
+    return {h + shift for h in range(bound - shift + 1) if H.contains(h) and h not in wstar}
+
+
+@pytest.mark.parametrize("q,draws", [(3, 12), (4, 10), (5, 8), (7, 6), (8, 6)])
+def test_secant_lines_shift_the_complement_by_q_plus_one(q, draws):
+    # y - ax - b vanishes exactly on the q + 1 points of a secant line, all
+    # with distinct x, and has pole order q + 1 at infinity: a function
+    # vanishes on P and the line iff it is (y - ax - b) f with f vanishing
+    # on P, so H \ W*(P + L) = (q + 1) + (H \ W*(P)). The line holds no
+    # whole x-fibre, so its points are walked.
+    lines = secant_lines(q)
+    assert len(lines) == q**4 - q**3
+    assert all(len({x for x, _ in line}) == q + 1 for line in lines)
+    points = hermitian_points(q)
+    index = {p.coords(): i for i, p in enumerate(points, 1)}
+    g, rng = curve_genus(q), random.Random(990 + q)
+    for _ in range(draws):
+        line = {index[pt] for pt in rng.choice(lines)}
+        rest = [i for i in range(1, len(points) + 1) if i not in line]
+        base = sorted(rng.sample(rest, rng.randint(1, min(len(rest), 60))))
+        small, large = compute_wstar_family(points, q, [base, sorted(line.union(base))])
+        bound = len(base) + 2 * g + q + 1
+        assert (_shifted_complement(q, large, 0, bound)
+                == _shifted_complement(q, small, q + 1, bound)), base
 
 
 def test_family_in_any_order_with_a_repeat_equals_compute_wstar():
