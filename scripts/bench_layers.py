@@ -19,9 +19,10 @@ a vector, so the bilinear conditions are all checked),
 93 subsets `verify --q 2` checks and on the 31 687 qualifying q = 3 sets
 above the boundary, `find_isometry_vectors` on the 93 subsets,
 `qualifying_subsets` at q = 2 and 3,
-`sample_qualifying_subsets(3, 9, 30, 2)` (the draws of
-`hierarchy --q 3 --sample 30 --seed 2 --min-size 9`) with its
-`tracemalloc` peak, `build_hierarchy` and `verify_inheritance` on the q = 2
+`sample_qualifying_subsets(3, 9, 30, 2)`, `(8, 2, 1, 0)` and
+`(4, 2, 64, 0)` (the draws of `hierarchy --q 3 --sample 30 --seed 2
+--min-size 9`, `--q 8 --sample 1` and `--q 4 --sample 64`) with their
+`tracemalloc` peaks, `build_hierarchy` and `verify_inheritance` on the q = 2
 hierarchy, and in-process `cli.main`
 calls, stdout captured, for nine commands (the `semigroup --json`
 reports, genus 42 and 90, go to a temporary file).
@@ -88,9 +89,10 @@ CLI_COMMANDS = (
     "semigroup --generators 7,31 --json",
 )
 ROUNDS = 3
-# The draws of `hierarchy --q 3 --sample 30 --seed 2 --min-size 9`.
-SAMPLE_ARGS = (3, 9, 30, 2)
-SAMPLE = f"sample_qualifying_subsets{SAMPLE_ARGS}"
+# The draws of `hierarchy --q 3 --sample 30 --seed 2 --min-size 9`, and
+# of the largest q = 8 and q = 4 requests the `--sample` bound admits.
+SAMPLES = {f"sample_qualifying_subsets{args}": args
+           for args in ((3, 9, 30, 2), (8, 2, 1, 0), (4, 2, 64, 0))}
 
 
 def best_ms(fn, k: int) -> float:
@@ -237,7 +239,8 @@ def measure(tmp: Path) -> dict:
     W2 = weierstrass_semigroup(2)
     entries["puncturing", "qualifying_subsets(2)"] = (lambda: qualifying_subsets(2), 30)
     entries["puncturing", "qualifying_subsets(3)"] = (lambda: qualifying_subsets(3), 3)
-    entries["puncturing", SAMPLE] = (lambda: sample_qualifying_subsets(*SAMPLE_ARGS), 3)
+    for name, args in SAMPLES.items():
+        entries["puncturing", name] = ((lambda args=args: sample_qualifying_subsets(*args)), 3)
     entries["puncturing", "build_hierarchy(q=2)"] = (
         lambda: build_hierarchy(q2_subsets, boundary=4), 30)
     entries["puncturing", "verify_inheritance(q=2)"] = (
@@ -270,8 +273,9 @@ def measure(tmp: Path) -> dict:
         run["compute_wstar_family"][name].update(
             q=q, subsets=len(family), point_steps=steps,
             tracemalloc_peak_mb=peak_mb(lambda: compute_wstar_family(pts, q, family)))
-    run["puncturing"][SAMPLE].update(
-        tracemalloc_peak_mb=peak_mb(lambda: sample_qualifying_subsets(*SAMPLE_ARGS)))
+    for name, args in SAMPLES.items():
+        run["puncturing"][name].update(
+            tracemalloc_peak_mb=peak_mb(lambda: sample_qualifying_subsets(*args)))
     return run
 
 

@@ -63,9 +63,9 @@ MAX_REPORT_ELEMENTS = 10**7
 
 # Largest point set `isometry` hands to its one column walk: the full
 # q = 8 set, about 1 s (0.85-1.0 s in-process on a 2-vCPU x86-64 host
-# under CPython 3.11). `hierarchy --sample N` walks N draws of up to q^3
-# points at each of q^3 sizes; N q^6 may not exceed its square, the work
-# of `--q 8 --sample 1` (1.9-2.4 s on that host, `--sample 2` 4.4-4.7 s).
+# under CPython 3.11). `hierarchy --sample N` sums the divisor classes of
+# N draws of up to q^3 points at each of q^3 sizes; N q^6 may not exceed
+# its square, the work of `--q 8 --sample 1` (0.22 s as a process there).
 MAX_ORACLE_POINTS = 512
 
 # Largest curve `hierarchy` and `verify` run on without --sample: q = 2.

@@ -21,7 +21,7 @@ from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .errors import TooManySubsets
-from .hermitian import compute_wstar_family, hermitian_points, isometry_dual_criterion
+from .hermitian import hermitian_field, hermitian_points
 from .semigroup import NumericalSemigroup
 
 # Largest point set whose subsets are listed by class: 2^27, the q = 3
@@ -63,12 +63,12 @@ class DivisorClasses:
 
     def class_of(self, subset: Sequence[int]) -> tuple[int, ...]:
         """The class of sum (P_i - P_inf) over the 1-based indices."""
-        total = self.zero
+        n, rows = len(self.point_classes), [self.zero]
         for i in subset:
-            if not 1 <= i <= len(self.point_classes):
-                raise ValueError(f"point index {i} outside 1..{len(self.point_classes)}")
-            total = self._add(total, self.point_classes[i - 1])
-        return total
+            if not 1 <= i <= n:
+                raise ValueError(f"point index {i} outside 1..{n}")
+            rows.append(self.point_classes[i - 1])
+        return tuple([sum(c) % d for c, d in zip(zip(*rows), self.orders)])
 
     def qualifies(self, subset: Sequence[int]) -> bool:
         return not any(self.class_of(subset))
@@ -137,6 +137,7 @@ def divisor_classes(q: int) -> DivisorClasses:
     a group of order (q + 1)^(2g) = #J(GF(q^2)) >= #G: an isomorphism. A
     prime with fewer than 2g independent columns raises AssertionError.
     """
+    field = hermitian_field(q)  # held, so GF(q^2) is built once for all primes
     rank = q * (q - 1)  # 2g
     orders, kept = [], []
     for p in range(2, q + 2):
@@ -180,20 +181,18 @@ def sample_qualifying_subsets(
     q: int, min_size: int, per_size: int, seed: int
 ) -> list[tuple[int, ...]]:
     """Seeded random probe: draw `per_size` subsets uniformly at each size
-    from n down to min_size and keep the qualifying ones (deduplicated).
-    W* of all the draws comes from one `compute_wstar_family` walk."""
+    from n down to min_size and keep the qualifying ones (deduplicated),
+    the draws in class 0 of `divisor_classes(q)`."""
     if min_size < 1:
         raise ValueError("min_size must be >= 1")
-    points = hermitian_points(q)
-    n = len(points)
+    classes = divisor_classes(q)
+    n = len(classes.point_classes)
     rng = random.Random(seed)
-    drawn = list({
+    drawn = {
         tuple(sorted(rng.sample(range(1, n + 1), size)))
         for size in range(n, min_size - 1, -1) for _ in range(per_size)
-    })
-    found = [c for c, wstar in zip(drawn, compute_wstar_family(points, q, drawn))
-             if isometry_dual_criterion(wstar, q)]
-    return sorted(found, key=lambda c: (-len(c), c))
+    }
+    return sorted(filter(classes.qualifies, drawn), key=lambda c: (-len(c), c))
 
 
 @dataclass(frozen=True)

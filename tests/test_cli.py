@@ -1020,22 +1020,19 @@ def test_a_command_builds_one_field(capsys, monkeypatch, argv):
     assert hermitian.hermitian_field(int(argv[2])) is held
 
 
-@pytest.mark.parametrize("argv,walks,certified", [
+@pytest.mark.parametrize("argv,walks", [
     # `verify` walks the 93 subsets above the boundary once, the Groebner
     # and the column state side by side, and reads its qualifying sets off
-    # that walk: it certifies no divisor classes.
-    (("verify", "--q", "2"), ["groebner", "columns", 93], []),
+    # that walk.
+    (("verify", "--q", "2"), ["groebner", "columns", 93]),
     # `hierarchy` lists its subsets by divisor class and walks no W*.
-    (("hierarchy", "--q", "2"), [], []),
-], ids=["verify", "hierarchy"])
-def test_wstar_computations_per_command(capsys, monkeypatch, argv, walks, certified):
+    (("hierarchy", "--q", "2"), []),
+    # A sampled hierarchy keeps its draws by divisor class too.
+    (("hierarchy", "--q", "3", "--sample", "2", "--seed", "7"), []),
+], ids=["verify", "hierarchy", "hierarchy-sample"])
+def test_wstar_computations_per_command(capsys, monkeypatch, argv, walks):
     # Logs each walk state a command makes and the size of each trie walk.
-    log, families = [], []
-    compute_wstar_family = puncturing.compute_wstar_family
-
-    def counting_family(points, q, subsets):
-        families.append(len(subsets))
-        return compute_wstar_family(points, q, subsets)
+    log = []
 
     def logging(name, make):
         return lambda *args: log.append(name) or make(*args)
@@ -1049,10 +1046,9 @@ def test_wstar_computations_per_command(capsys, monkeypatch, argv, walks, certif
     trie_walk = hermitian._trie_walk
     monkeypatch.setattr(hermitian, "_trie_walk",
                         lambda order, *walk: log.append(len(order)) or trie_walk(order, *walk))
-    monkeypatch.setattr(puncturing, "compute_wstar_family", counting_family)
     monkeypatch.setattr(cli, "isometry_sequence", one_computation)
     assert run(capsys, *argv)[0] == 0
-    assert (log, families) == (walks, certified)
+    assert log == walks
 
 
 @pytest.mark.parametrize("error,code", [(RuntimeError, 3), (MemoryError, 2)],

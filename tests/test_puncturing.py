@@ -1,4 +1,6 @@
 import random
+import re
+import weakref
 from collections import Counter
 from itertools import combinations
 from math import prod
@@ -19,7 +21,9 @@ from sparse_duals import (
     curve_genus,
     divisor_classes,
     export_dot,
+    gf,
     graph_to_json,
+    hermitian,
     hermitian_points,
     isometry_dual_criterion,
     puncturing,
@@ -101,6 +105,7 @@ def test_q3_class_membership_matches_wstar():
     for size in range(1, 28):
         for combo in combinations(range(1, 28), size):
             smallest.setdefault(classes.class_of(combo), combo)
+        assert len(smallest) <= prod(classes.orders)  # classes are reduced
         if len(smallest) == prod(classes.orders):
             break
     rng = random.Random(3)
@@ -164,6 +169,36 @@ def test_class_test_matches_the_wstar_criterion(q):
     assert verdicts == [isometry_dual_criterion(w, q)
                         for w in compute_wstar_family(points, q, sets)]
     assert verdicts[1::3] == [True] * 5 and False in verdicts
+
+
+@pytest.mark.parametrize("q", [0, -1])
+def test_curves_below_q_2_are_rejected(q):
+    # With no prime dividing q + 1 the class map was once empty, so every
+    # subset "qualified" and the listing returned [].
+    message = re.escape(f"q must be >= 2, got {q}")
+    for call in (divisor_classes, qualifying_subsets,
+                 lambda q: sample_qualifying_subsets(q, 2, 1, 0)):
+        with pytest.raises(ValueError, match=message):
+            call(q)
+
+
+def test_divisor_classes_builds_one_field(monkeypatch):
+    # q + 1 = 6 has two primes; the columns of both come from one GF(25).
+    monkeypatch.setattr(hermitian, "_FIELDS", weakref.WeakValueDictionary())
+    built, init = [], gf.Field.__init__
+    monkeypatch.setattr(gf.Field, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    assert sorted(set(divisor_classes(5).orders)) == [2, 3]
+    assert built == [(5, 2)]
+
+
+def test_class_of_sums_the_point_classes():
+    classes = divisor_classes(3)
+    assert classes.class_of(()) == classes.zero == (0,) * 6
+    rows = classes.point_classes[4:20]
+    by_hand = tuple(sum(row[k] for row in rows) % 4 for k in range(6))
+    assert classes.class_of(range(5, 21)) == classes.class_of(list(range(5, 21))) == by_hand
+    assert any(by_hand)
 
 
 def test_tangent_columns_of_too_low_rank_raise(monkeypatch):
@@ -299,8 +334,29 @@ def test_sampling_is_seed_deterministic():
 
 
 def test_sampling_with_every_subset_drawn_finds_exactly_the_qualifying_ones():
-    # 1000 draws per size reach every q = 2 subset of 2..8 points.
-    assert sample_qualifying_subsets(2, min_size=2, per_size=1000, seed=3) == qualifying_subsets(2)
+    # 1000 draws per size reach every q = 2 subset of 2..8 points. The
+    # sampler keeps its draws by class; the oracle walks W* of each subset.
+    found = sample_qualifying_subsets(2, min_size=2, per_size=1000, seed=3)
+    assert found == qualifying_subsets(2) == naive_qualifying_subsets(2, 2)
+
+
+def test_sampling_keeps_exactly_the_draws_that_qualify_by_wstar():
+    # The sampler's own draws (the same rng calls), each judged by W*.
+    q, n, rng = 3, 27, random.Random(0)
+    drawn = list({tuple(sorted(rng.sample(range(1, n + 1), size)))
+                  for size in range(n, 1, -1) for _ in range(359)})
+    wstars = compute_wstar_family(hermitian_points(q), q, drawn)
+    expected = [s for s, w in zip(drawn, wstars) if isometry_dual_criterion(w, q)]
+    found = sample_qualifying_subsets(q, min_size=2, per_size=359, seed=0)
+    assert found == sorted(expected, key=lambda s: (-len(s), s))
+    assert len(found) == 8
+
+
+def test_sampled_q4_sets_qualify_by_wstar():
+    found = sample_qualifying_subsets(4, min_size=2, per_size=8, seed=4)
+    assert tuple(range(1, 65)) in found
+    wstars = compute_wstar_family(hermitian_points(4), 4, found)
+    assert all(isometry_dual_criterion(w, 4) for w in wstars)
 
 
 def test_sampling_above_n_points_finds_nothing():
