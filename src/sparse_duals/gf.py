@@ -19,6 +19,11 @@ unit modulo them (at GF(256), 3 578 of the 4 976 walk steps).
 The add and multiply tables are rows of bytes, each built by one
 `bytes.translate` of an earlier row or of the log bytes (see Field), so
 no row is filled one Python int at a time.
+
+Vectors are byte strings, one byte per entry. The W* point step keeps
+its vectors in the field's *lane form*: in GF(9), GF(25) and GF(49) a
+byte holds its entry's base-p digits spread to lanes, so vectors add as
+ints; in every other field it holds the encoding. 0 is 0 in both.
 """
 
 from __future__ import annotations
@@ -51,9 +56,10 @@ def _tiled(values, run: int, size: int) -> bytes:
 
 def _lane_tables(p: int, m: int) -> list[tuple[bytes, bytes]]:
     """The (spread, reduce) translate tables of each digit group of
-    GF(p^m), p odd, for `Field.add_scaled`: spread[v] holds the group's
-    base-p digits of v, one per lane of w bits, and reduce[t] every lane
-    of t mod p, back in its base-p place.
+    GF(p^m), for `Field.add_scaled`: spread[v] holds the group's base-p
+    digits of v, one per lane of w bits, and reduce[t] every lane of t mod
+    p, back in its base-p place. There are none for p = 2, nor where a sum
+    of two digits does not fit in a byte (p > 128).
 
     A lane's part of either table is periodic: the digit of weight u is
     constant on runs of u encodings, and a lane at bit s is constant on
@@ -61,6 +67,8 @@ def _lane_tables(p: int, m: int) -> list[tuple[bytes, bytes]]:
     lanes, sharing no bits or digits, add up as ints to the table.
     """
     width = (2 * p - 2).bit_length()
+    if p == 2 or width > 8:
+        return []
     per_group, q = 8 // width, p**m
     tables = []
     for first in range(0, m, per_group):
@@ -92,7 +100,11 @@ class Field:
     Vectors of encodings are byte strings, one byte per entry. Built with
     the field: `add_rows`, the add rows padded to 256-byte translate
     tables, with u.translate(add_rows[c]) = c + u; `add_scaled(u, c, v)` =
-    u + c*v; and `mul_bytes(u, v)` = u * v.
+    u + c*v; and `mul_bytes(u, v)` = u * v. For vectors in lane form (see
+    the module docstring): `lanes` and `unlanes`, the translate tables from
+    encodings to lane bytes and back; `mul_lanes(u, v)` = u * v, u and the
+    product in lane form, v in encodings; and `eliminate(vectors, j, s)`,
+    one Groebner point step (see `_eliminator`).
 
     A field may be shared by many holders (`hermitian_field` hands out one
     per q), so its tables are read-only. Fields built separately with the
@@ -164,8 +176,14 @@ class Field:
         ]
         self.inv_table: list[Optional[int]] = [None] + [exp2[q - 1 - la] for la in logs]
         self.add_rows = [row + pad for row in add_table]
-        self.add_scaled = self._byte_adder()
-        self.mul_bytes = self._byte_multiplier()
+        # The multiply rows as translate tables, v -> a*v, and each lane
+        # group's (spread, reduce) tables with the rows spread to its lanes.
+        rows = [row + pad for row in self.mul_table]
+        groups = [(spread, reduce, [row.translate(spread) for row in rows])
+                  for spread, reduce in _lane_tables(p, m)]
+        self.add_scaled = self._byte_adder(rows, groups)
+        self.lanes, self.unlanes, self.eliminate = self._eliminator(rows, groups)
+        self.mul_bytes, self.mul_lanes = self._byte_multipliers()
 
     # -- value-level arithmetic on encodings --
 
@@ -197,7 +215,7 @@ class Field:
 
     # -- vectors of encodings, one byte per entry --
 
-    def _byte_adder(self) -> Callable[[bytes, int, bytes], bytes]:
+    def _byte_adder(self, mul: list[bytes], groups) -> Callable[[bytes, int, bytes], bytes]:
         """The function (u, c, v) -> u + c*v, entry by entry, on byte strings
         u, v of equal length whose bytes are encodings.
 
@@ -210,11 +228,10 @@ class Field:
         groups added one at a time; the group sums share no digit, so they
         add up as ints to the whole sum. For a prime p > 128 one digit sum
         needs more than a byte, and the sum is one table lookup per entry.
+        `mul` holds the multiply rows as translate tables, and `groups` the
+        tables of each digit group with the rows spread to its lanes.
         """
-        p, q = self.p, self.q
-        pad = bytes(256 - q)
-        mul = [row + pad for row in self.mul_table]
-        if p == 2:
+        if self.p == 2:
 
             def add_scaled(u: bytes, c: int, v: bytes) -> bytes:
                 cv = int.from_bytes(v.translate(mul[c]), "little")
@@ -222,8 +239,7 @@ class Field:
 
             return add_scaled
 
-        width = (2 * p - 2).bit_length()
-        if width > 8:
+        if not groups:
             add = self.add_table
 
             def add_scaled(u: bytes, c: int, v: bytes) -> bytes:
@@ -231,9 +247,7 @@ class Field:
 
             return add_scaled
 
-        def add_group(spread: bytes, reduce: bytes) -> Callable[[bytes, int, bytes], bytes]:
-            scaled = [row.translate(spread) for row in mul]  # c*v, spread
-
+        def add_group(spread: bytes, reduce: bytes, scaled: list[bytes]):
             def add_scaled(u: bytes, c: int, v: bytes) -> bytes:
                 lanes = int.from_bytes(u.translate(spread), "little") + int.from_bytes(
                     v.translate(scaled[c]), "little"
@@ -242,7 +256,7 @@ class Field:
 
             return add_scaled
 
-        groups = [add_group(spread, reduce) for spread, reduce in _lane_tables(p, self.m)]
+        groups = [add_group(*tables) for tables in groups]
         if len(groups) == 1:
             return groups[0]
 
@@ -252,18 +266,102 @@ class Field:
 
         return add_scaled
 
-    def _byte_multiplier(self) -> Callable[[bytes, bytes], bytes]:
-        """The function (u, v) -> u * v, entry by entry, on byte strings u, v
-        of equal length whose bytes are encodings.
+    def _eliminator(self, rows: list[bytes], groups) -> tuple[bytes, bytes, Callable]:
+        """The lane form of vectors, as the translate tables (lanes,
+        unlanes) into it and back, and the point-step kernel on vectors in
+        it: eliminate(vectors, j, s), for vectors of one length, cuts every
+        vector to [:j], each one but vectors[s] whose entry j is nonzero
+        after first adding the multiple of vectors[s] that clears that
+        entry, and returns the new list.
+
+        With one digit group of odd p (GF(9), GF(25), GF(49), and the
+        prime fields up to 127, where spreading changes nothing), a byte
+        holds the group's spread digits (see `_byte_adder`), `scaled[c]`
+        takes the lanes of v to those of c*v, and a sum is two ints added
+        and one translate by `carry`, which takes every lane mod p and
+        spreads it back. Elsewhere the lane form is the encoding: a sum is
+        an XOR for p = 2, and in the other fields all vectors and their
+        multiples are joined end to end and added by one `add_scaled`.
+        """
+        p, q = self.p, self.q
+        mul, inv = self.mul_table, self.inv_table
+        neg, pad = mul[p - 1], bytes(256 - q)  # -a = neg[a]
+        from_bytes = int.from_bytes
+        if len(groups) == 1:
+            lanes, reduce, spread_rows = groups[0]
+            unlanes = bytes.maketrans(lanes[:q], bytes(range(q)))
+            scaled = [unlanes.translate(row) for row in spread_rows]  # lanes of v -> of c*v
+            carry = reduce.translate(lanes)
+
+            def eliminate(vectors: list, j: int, s: int) -> list:
+                gs = vectors[s]
+                v, scale = gs[:j], mul[inv[neg[unlanes[gs[j]]]]]  # e -> -e / g_s[j]
+                out = []
+                for b, gb in enumerate(vectors):
+                    e = gb[j]
+                    if e and b != s:
+                        gb = (from_bytes(gb[:j], "little") + from_bytes(
+                            v.translate(scaled[scale[unlanes[e]]]), "little"
+                        )).to_bytes(j, "little").translate(carry)
+                    else:
+                        gb = gb[:j]
+                    out.append(gb)
+                return out
+
+            return lanes, unlanes, eliminate
+
+        lanes, scaled = bytes(range(q)) + pad, rows
+        if p == 2:
+
+            def eliminate(vectors: list, j: int, s: int) -> list:
+                gs = vectors[s]
+                v, scale = gs[:j], mul[inv[neg[gs[j]]]]  # e -> -e / g_s[j]
+                out = []
+                for b, gb in enumerate(vectors):
+                    e = gb[j]
+                    if e and b != s:
+                        gb = (from_bytes(gb[:j], "little") ^ from_bytes(
+                            v.translate(scaled[scale[e]]), "little"
+                        )).to_bytes(j, "little")
+                    else:
+                        gb = gb[:j]
+                    out.append(gb)
+                return out
+
+            return lanes, lanes, eliminate
+
+        add_scaled = self.add_scaled
+
+        def eliminate(vectors: list, j: int, s: int) -> list:
+            # A zero entry scales by 0; the multiple of g_s itself is dropped.
+            gs = vectors[s]
+            scale = mul[inv[neg[gs[j]]]]
+            total = add_scaled(b"".join(vectors), 1, b"".join(
+                [gs.translate(scaled[scale[gb[j]]]) for gb in vectors]
+            ))
+            n = len(gs)
+            out = [total[k:k + j] for k in range(0, len(total), n)]
+            out[s] = gs[:j]
+            return out
+
+        return lanes, lanes, eliminate
+
+    def _byte_multipliers(self) -> tuple[Callable[[bytes, bytes], bytes], ...]:
+        """The functions (u, v) -> u * v, entry by entry, on byte strings u, v
+        of equal length: `mul_bytes` with both in encodings, and
+        `mul_lanes` with u in lane form and v in encodings, the product in
+        lane form.
 
         Up to GF(64) both strings are translated to logs and added as ints,
         and one more translate takes each lane s to exp[s mod (q - 1)]. A
         zero entry has no log; it gets the sentinel z = 2q - 3, one above the
         largest sum of two logs, so every sum with a zero lies above the
         sums of two logs and translates to 0. Since 2z = 4q - 6 <= 255, no
-        lane carries into the next. In larger fields the product is one
-        table lookup per entry, in the multiply rows copied to lists, which
-        CPython subscripts faster than bytes.
+        lane carries into the next. `mul_lanes` reads u's logs from its
+        lanes and writes the exp in lane form: the same sum between two
+        other tables. In larger fields, where the lane form is the encoding,
+        the product is one table lookup per entry, in the multiply rows
+        copied to lists, which CPython subscripts faster than bytes.
         """
         q = self.q
         z = 2 * q - 3  # the log of 0: one above the largest sum of two logs
@@ -273,18 +371,24 @@ class Field:
             def mul_bytes(u: bytes, v: bytes) -> bytes:
                 return bytes([mul[a][b] for a, b in zip(u, v)])
 
-            return mul_bytes
+            return mul_bytes, mul_bytes
 
         log = bytes([z] + self._log[1:]) + bytes(256 - q)
-        antilog = bytes(self._exp[s % (q - 1)] for s in range(z)) + bytes(256 - z)
+        antilog = (bytes(self._exp) * 2)[:z] + bytes(256 - z)
 
-        def mul_bytes(u: bytes, v: bytes) -> bytes:
-            lanes = int.from_bytes(u.translate(log), "little") + int.from_bytes(
-                v.translate(log), "little"
-            )
-            return lanes.to_bytes(len(u), "little").translate(antilog)
+        def multiplier(u_log: bytes, exp: bytes) -> Callable[[bytes, bytes], bytes]:
+            def mul_bytes(u: bytes, v: bytes) -> bytes:
+                sums = int.from_bytes(u.translate(u_log), "little") + int.from_bytes(
+                    v.translate(log), "little"
+                )
+                return sums.to_bytes(len(u), "little").translate(exp)
 
-        return mul_bytes
+            return mul_bytes
+
+        mul_bytes = multiplier(log, antilog)
+        if self.lanes[:q] == bytes(range(q)):
+            return mul_bytes, mul_bytes
+        return mul_bytes, multiplier(self.unlanes.translate(log), antilog.translate(self.lanes))
 
     # -- elements, for the API edge --
 

@@ -204,14 +204,15 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
     with the least rho_s is replaced by (x - alpha) g_s, the other nonzero
     generators are reduced by g_s without changing their pole orders, and
     rho_s joins W*. Each g_b is kept only as its values at the points not
-    yet added, as `bytes` with one encoding per point. It is reduced by
-    `Field.add_scaled`, and (x - alpha) g_s is one `Field.mul_bytes` of g_s
-    and the x-coordinates shifted by one `bytes.translate` with an add-table
-    row: a few `bytes.translate` and big-int operations per generator, and
-    up to q = 8 no Python step per entry. Points are added last to first, so
-    once the point at 0-based position j is added only earlier points are
-    still to come, and every vector is cut to [:j]: a point costs q vector
-    operations.
+    yet added, as `bytes` in the field's lane form (see `gf`), one byte per
+    point. A point step is one scan of the q generators for g_s and one
+    `Field.eliminate`, which reduces the others by g_s, and (x - alpha) g_s
+    is one `Field.mul_lanes` of g_s and the x-coordinates shifted by one
+    `bytes.translate` with an add-table row: a few `bytes.translate` and
+    big-int operations per generator, and up to q = 8 no Python step per
+    entry. Points are added last to first, so once the point at 0-based
+    position j is added only earlier points are still to come, and every
+    vector is cut to [:j]: a point costs q vector operations.
 
     The q points over one x = alpha, an x-fibre, are the zeros of x - alpha,
     which has pole order q. A function vanishing on a whole fibre and on
@@ -391,12 +392,11 @@ def _wstar_walk(field: Field, xs: bytes, ys: bytes, q: int, n: int):
     all of them, or those outside its whole x-fibres (`_fibre_rest`). It
     holds nothing per subset size, so n, the largest one, goes unused."""
     g = curve_genus(q)
-    mul, inv, shift = field.mul_table, field.inv_table, field.add_rows
-    add_scaled, mul_bytes = field.add_scaled, field.mul_bytes
-    neg = mul[field.p - 1]  # -a = neg[a]
+    shift, eliminate, mul_lanes = field.add_rows, field.eliminate, field.mul_lanes
+    neg, one = field.mul_table[field.p - 1], field.lanes[1]  # -a = neg[a]
 
-    def powers(yv):  # y^b at the points with y-encodings yv, b < q
-        return list(accumulate(repeat(yv, q - 1), mul_bytes, initial=b"\x01" * len(yv)))
+    def powers(yv):  # y^b in lane form at the points with y-encodings yv, b < q
+        return list(accumulate(repeat(yv, q - 1), mul_lanes, initial=bytes([one]) * len(yv)))
 
     def advance(state, js, alone):
         # The state: the generators g_b as vectors and their rho_b. At the
@@ -413,23 +413,20 @@ def _wstar_walk(field: Field, xs: bytes, ys: bytes, q: int, n: int):
             gens = (powers(bytes(map(ys.__getitem__, pos))) if gens is None
                     else [bytes(map(gb.__getitem__, pos)) for gb in gens])
             js, xv = range(len(pos) - 1, -1, -1), bytes(map(xs.__getitem__, pos))
-        else:
-            gens = powers(ys[:js[0] + 1]) if gens is None else gens[:]
+        elif gens is None:
+            gens = powers(ys[:js[0] + 1])
         for j in js:
-            live = [b for b, gb in enumerate(gens) if gb[j]]
-            if not live:
-                raise AssertionError("every generator vanishes at a new distinct point")
-            s = min(live, key=rho.__getitem__)
-            gs = gens[s]
-            scale = inv[neg[gs[j]]]  # g_b + g_b[j] * scale * g_s vanishes at the point
-            gs = gs[:j]
+            # g_s: of the generators nonzero at the point, the one of least
+            # rho_s (the rho_b are distinct mod q). `eliminate` returns a
+            # new list, so the state passed in is left as it was.
+            s = -1
             for b, gb in enumerate(gens):
-                if b == s:  # (x - alpha) g_s
-                    gens[b] = mul_bytes(xv[:j].translate(shift[neg[xv[j]]]), gs)
-                elif gb[j]:
-                    gens[b] = add_scaled(gb[:j], mul[gb[j]][scale], gs)
-                else:
-                    gens[b] = gb[:j]
+                if gb[j] and (s < 0 or rho[b] < rho[s]):
+                    s = b
+            if s < 0:
+                raise AssertionError("every generator vanishes at a new distinct point")
+            gens = eliminate(gens, j, s)
+            gens[s] = mul_lanes(gens[s], xv[:j].translate(shift[neg[xv[j]]]))  # (x - alpha) g_s
             rho[s] += q
         return gens, rho
 

@@ -165,6 +165,15 @@ def divisor_classes(q: int) -> DivisorClasses:
     return DivisorClasses(orders=tuple(orders), point_classes=tuple(zip(*kept)))
 
 
+def _by_size(subsets: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The subsets sorted in place by size descending, then
+    lexicographically: two passes of the stable sort, which is faster than
+    one pass on the key (-len(s), s)."""
+    subsets.sort()
+    subsets.sort(key=len, reverse=True)
+    return subsets
+
+
 def qualifying_subsets(q: int, min_size: int = 2) -> list[tuple[int, ...]]:
     """All qualifying subsets with at least `min_size` points, ordered by
     cardinality descending then lexicographically: the subsets in class 0
@@ -173,8 +182,7 @@ def qualifying_subsets(q: int, min_size: int = 2) -> list[tuple[int, ...]]:
         raise ValueError("min_size must be >= 1")
     classes = divisor_classes(q)
     found = [s for s in classes.subsets(classes.zero) if len(s) >= min_size]
-    found.sort(key=lambda s: (-len(s), s))
-    return found
+    return _by_size(found)
 
 
 def sample_qualifying_subsets(
@@ -192,7 +200,7 @@ def sample_qualifying_subsets(
         tuple(sorted(rng.sample(range(1, n + 1), size)))
         for size in range(n, min_size - 1, -1) for _ in range(per_size)
     }
-    return sorted(filter(classes.qualifies, drawn), key=lambda c: (-len(c), c))
+    return _by_size(list(filter(classes.qualifies, drawn)))
 
 
 @dataclass(frozen=True)
@@ -216,7 +224,7 @@ def build_hierarchy(subsets: Sequence[Sequence[int]], boundary: int) -> Hierarch
     canon = [tuple(sorted(int(i) for i in s)) for s in subsets]
     if len(set(canon)) != len(canon):
         raise ValueError("subsets must be distinct")
-    canon.sort(key=lambda s: (-len(s), s))
+    canon = _by_size(canon)
     masks = [_mask(s) for s in canon]
     edges = []
     # A strict superset has more points, so it comes earlier in the order,

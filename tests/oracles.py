@@ -186,6 +186,28 @@ def secant_lines(q):
     return lines
 
 
+def complement_wstar(wstar, q, zone_size):
+    """W*(Z \\ P) from wstar = W*(P), for P inside a point set Z of
+    `zone_size` points that is all q^3 points or a union of whole x-fibres.
+
+    Such a Z is the zero set of one function f of pole order #Z, with
+    simple zeros (the product of x - alpha over its fibres). With
+    N = #Z + 2g - 1, the residue theorem for h * dx / f makes the code of
+    L(m P_inf) on Z \\ P dual to the functions of pole order <= N - 1 - m
+    that vanish on P, and counting dimensions, H being symmetric, gives
+    W*(Z \\ P) = {m in H : N - m in H \\ W*(P)}. Membership in
+    H = <q, q+1> is read off m = a q + b (q + 1), b = m mod q: m is in H
+    iff m // q >= m % q. Nothing here walks a point.
+    """
+    top, held = zone_size + q * (q - 1) - 1, set(wstar)  # 2g = q(q - 1)
+
+    def in_h(m):
+        return m >= 0 and m // q >= m % q
+
+    return tuple(m for m in range(top + 1)
+                 if in_h(m) and in_h(top - m) and top - m not in held)
+
+
 def _monomial_row(points, a, b, field):
     """x^a y^b at each point, by `field.pow` and `field.mul`."""
     return tuple(field.mul(field.pow(pt.x.value, a), field.pow(pt.y.value, b)) for pt in points)

@@ -193,6 +193,80 @@ def test_mul_bytes_on_both_sides_of_the_lane_limit(p, m):
     _check_mul_bytes(Field(p, m))
 
 
+def _check_lane_kernels(F, seed):
+    """The lane round trip, `mul_lanes` and `eliminate` against per-entry
+    `add_table` / `mul_table` arithmetic, every vector given to them in
+    lane form and read back through `unlanes`."""
+    add, mul, inv, elements = F.add_table, F.mul_table, F.inv_table, range(F.q)
+    to_lanes = bytes(elements).translate(F.lanes)
+    assert to_lanes.translate(F.unlanes) == bytes(elements)
+    assert to_lanes[0] == 0 and 0 not in to_lanes[1:] and len(set(to_lanes)) == F.q
+
+    def lanes(u):
+        return bytes(u).translate(F.lanes)
+
+    # mul_lanes: every pair (a, b), a in lane form, and the empty string
+    u = bytes([a for a in elements for _ in elements])
+    v = bytes([b for _ in elements for b in elements])
+    product = F.mul_lanes(lanes(u), v)
+    assert product.translate(F.unlanes) == bytes(map(F.mul, u, v))
+    assert product == lanes(map(F.mul, u, v))
+    assert F.mul_lanes(b"", b"") == b""
+
+    def expected(vectors, j, s):
+        gs, out = vectors[s], []
+        for b, gb in enumerate(vectors):
+            if b != s and gb[j]:
+                c = mul[gb[j]][F.neg(inv[gs[j]])]  # -g_b[j] / g_s[j]
+                gb = [add[x][mul[c][y]] for x, y in zip(gb, gs)]
+            out.append(bytes(gb[:j]))
+        return out
+
+    # eliminate: random vectors with zero entries, the pivot's own
+    # multiples and a vector zero at j; j = 0, inside and at the end
+    rng = random.Random(seed)
+    length = 2 * F.q + 3
+    for trial in range(12):
+        vectors = [bytes(rng.choice([0, rng.randrange(F.q)]) for _ in range(length))
+                   for _ in range(rng.randint(2, 6))]
+        j = (0, length - 1, rng.randrange(length))[trial % 3]
+        s = rng.randrange(len(vectors))
+        gs = bytearray(vectors[s])
+        gs[j] = rng.randrange(1, F.q)
+        vectors[s] = bytes(gs)
+        vectors.append(gs.translate(mul[rng.randrange(1, F.q)].ljust(256, b"\x00")))  # to 0
+        vectors.append(vectors[s])  # the pivot itself, as another vector
+        vectors.append(vectors[0][:j] + b"\x00" + vectors[0][j + 1:])  # zero at j
+        given = [lanes(gb) for gb in vectors]
+        held = list(given)
+        got = F.eliminate(given, j, s)
+        assert given == held  # a new list, the input left as it was
+        assert [gb.translate(F.unlanes) for gb in got] == expected(vectors, j, s), (trial, j, s)
+        assert got[s] == given[s][:j]
+        assert got[-2] == got[-3] == bytes(j)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_lane_kernels_match_the_tables_on_every_hermitian_field(q):
+    _check_lane_kernels(hermitian_field(q), q)
+
+
+def test_lane_form_is_the_encoding_but_in_gf9_gf25_gf49():
+    spread = [q for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+              if hermitian_field(q).lanes[:q * q] != bytes(range(q * q))]
+    assert spread == [3, 5, 7]
+
+
+# Both sides of each fallback of the lane kernels: one digit group (GF(49),
+# GF(127)) against two (GF(27), GF(81), GF(121), GF(169)) and against a
+# prime whose digit sum needs more than a byte (GF(131)); log lanes
+# (GF(64)) against the per-entry product (GF(256)).
+@pytest.mark.parametrize("p,m", [(7, 2), (127, 1), (3, 3), (3, 4), (11, 2), (13, 2), (131, 1),
+                                 (2, 6), (2, 8)])
+def test_lane_kernels_on_both_sides_of_each_fallback(p, m):
+    _check_lane_kernels(Field(p, m), p + m)
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 16])
 def test_add_rows_translate_to_the_add_table(q):
     F = hermitian_field(q)
@@ -261,7 +335,8 @@ def test_default_moduli_are_frozen():
 def test_byte_kernels_are_built_with_the_field():
     for frozen in FROZEN_MODULI:
         F = Field(frozen["p"], frozen["m"])
-        assert {"add_rows", "add_scaled", "mul_bytes"} <= vars(F).keys(), F
+        assert {"add_rows", "add_scaled", "mul_bytes", "lanes", "unlanes", "mul_lanes",
+                "eliminate"} <= vars(F).keys(), F
 
 
 def _checked_pairs(F):

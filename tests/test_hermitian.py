@@ -12,6 +12,7 @@ from oracles import (
     generator_rows,
     is_division_closed,
     literal_isometry_check,
+    complement_wstar,
     naive_curve_coords,
     naive_isometry_vector,
     naive_wstar,
@@ -363,25 +364,25 @@ def test_family_matches_naive_elimination_sampled(q, count, max_size):
 
 
 def test_family_shares_the_steps_of_common_top_points(monkeypatch, q2_points):
-    # A point step reduces each other generator that is nonzero at the
-    # point, so the reductions count the work: once their whole x-fibres
-    # are taken out, the 93 subsets `verify --q 2` checks make 64 point
-    # steps in one walk and 176 one by one (162 and 512 with the fibres).
+    # Each point step is one `Field.eliminate` call, so the calls count the
+    # work: once their whole x-fibres are taken out, the 93 subsets
+    # `verify --q 2` checks make 64 point steps in one walk and 176 one by
+    # one (162 and 512 with the fibres).
     field = hermitian_field(2)
-    add_scaled, reductions = field.add_scaled, []
+    eliminate, steps = field.eliminate, []
 
-    def counting(u, c, v):
-        reductions.append(len(u))
-        return add_scaled(u, c, v)
+    def counting(vectors, j, s):
+        steps.append(j)
+        return eliminate(vectors, j, s)
 
-    monkeypatch.setattr(field, "add_scaled", counting)
+    monkeypatch.setattr(field, "eliminate", counting)
     family = [c for k in range(8, 4, -1) for c in combinations(range(1, 9), k)]
     compute_wstar_family(q2_points, 2, family)
-    walk = len(reductions)
-    reductions.clear()
+    walk = len(steps)
+    steps.clear()
     for subset in family:
         compute_wstar([q2_points[i - 1] for i in subset], 2)
-    assert (walk, len(reductions)) == (49, 147)
+    assert (walk, len(steps)) == (64, 176)
 
 
 # -- whole x-fibres: W* moves up by q per fibre, without a point step --
@@ -438,7 +439,7 @@ def test_every_q2_subset_three_ways(q2_points):
 def test_fibre_unions_make_no_point_step(monkeypatch, q):
     field = hermitian_field(q)
     calls = []
-    for name in ("add_scaled", "mul_bytes"):
+    for name in ("eliminate", "mul_lanes"):
         kernel = getattr(field, name)
         monkeypatch.setattr(field, name,
                             lambda *args, kernel=kernel: calls.append(args) or kernel(*args))
@@ -457,6 +458,28 @@ def test_fibre_unions_make_no_point_step(monkeypatch, q):
     extra = next(i for i in range(1, len(points) + 1) if i not in unions[0])
     compute_wstar([points[i - 1] for i in sorted(unions[0] + [extra])], q)
     assert calls
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_complement_law_in_all_points_and_in_fibre_unions(q):
+    # Z is all q^3 points or a union of whole x-fibres, and P a seeded
+    # part of it; the oracle reads each of W*(P) and W*(Z \ P) off the
+    # other by Riemann-Roch duality, without walking a point.
+    points = hermitian_points(q)
+    fibres = _x_fibres(points)
+    index = {p.coords(): i for i, p in enumerate(points, 1)}
+    rng = random.Random(1100 + q)
+    for draw in range(20):
+        if draw % 2:
+            zone = list(range(1, len(points) + 1))
+        else:
+            chosen = rng.sample(sorted(fibres), rng.randint(1, q * q))
+            zone = sorted(index[p.coords()] for x in chosen for p in fibres[x])
+        part = set(rng.sample(zone, rng.randint(1, len(zone) - 1)))
+        rest = [i for i in zone if i not in part]
+        w_part, w_rest = compute_wstar_family(points, q, [sorted(part), rest])
+        assert complement_wstar(w_part, q, len(zone)) == w_rest, (q, draw)
+        assert complement_wstar(w_rest, q, len(zone)) == w_part, (q, draw)
 
 
 def _shifted_complement(q, wstar, shift, bound):
