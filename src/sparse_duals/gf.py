@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import add, xor
 from typing import Callable, Optional
 
 from .errors import DivisionByZero, FieldTooLarge, NotPrime
@@ -100,11 +101,11 @@ class Field:
     Vectors of encodings are byte strings, one byte per entry. Built with
     the field: `add_rows`, the add rows padded to 256-byte translate
     tables, with u.translate(add_rows[c]) = c + u; `add_scaled(u, c, v)` =
-    u + c*v; and `mul_bytes(u, v)` = u * v. For vectors in lane form (see
-    the module docstring): `lanes` and `unlanes`, the translate tables from
-    encodings to lane bytes and back; `mul_lanes(u, v)` = u * v, u and the
-    product in lane form, v in encodings; and `eliminate(vectors, j, s)`,
-    one Groebner point step (see `_eliminator`).
+    u + c*v. For vectors in lane form (see the module docstring): `lanes`
+    and `unlanes`, the translate tables from encodings to lane bytes and
+    back; `mul_lanes(u, v)` = u * v, u and the product in lane form, v in
+    encodings; and `eliminate(vectors, j, s)`, one Groebner point step (see
+    `_eliminator`).
 
     A field may be shared by many holders (`hermitian_field` hands out one
     per q), so its tables are read-only. Fields built separately with the
@@ -183,7 +184,7 @@ class Field:
                   for spread, reduce in _lane_tables(p, m)]
         self.add_scaled = self._byte_adder(rows, groups)
         self.lanes, self.unlanes, self.eliminate = self._eliminator(rows, groups)
-        self.mul_bytes, self.mul_lanes = self._byte_multipliers()
+        self.mul_lanes = self._lane_multiplier()
 
     # -- value-level arithmetic on encodings --
 
@@ -279,116 +280,87 @@ class Field:
         holds the group's spread digits (see `_byte_adder`), `scaled[c]`
         takes the lanes of v to those of c*v, and a sum is two ints added
         and one translate by `carry`, which takes every lane mod p and
-        spreads it back. Elsewhere the lane form is the encoding: a sum is
-        an XOR for p = 2, and in the other fields all vectors and their
-        multiples are joined end to end and added by one `add_scaled`.
+        spreads it back. For p = 2 the lane form is the encoding, a sum is
+        the XOR of the ints, and `carry` changes nothing. In the other
+        fields (two or more digit groups, or p > 128) the lane form is the
+        encoding too, and each sum is one `add_scaled`.
         """
         p, q = self.p, self.q
         mul, inv = self.mul_table, self.inv_table
-        neg, pad = mul[p - 1], bytes(256 - q)  # -a = neg[a]
-        from_bytes = int.from_bytes
+        neg = mul[p - 1]  # -a = neg[a]
+        lanes = unlanes = bytes(range(q)) + bytes(256 - q)
         if len(groups) == 1:
             lanes, reduce, spread_rows = groups[0]
             unlanes = bytes.maketrans(lanes[:q], bytes(range(q)))
             scaled = [unlanes.translate(row) for row in spread_rows]  # lanes of v -> of c*v
-            carry = reduce.translate(lanes)
-
-            def eliminate(vectors: list, j: int, s: int) -> list:
-                gs = vectors[s]
-                v, scale = gs[:j], mul[inv[neg[unlanes[gs[j]]]]]  # e -> -e / g_s[j]
-                out = []
-                for b, gb in enumerate(vectors):
-                    e = gb[j]
-                    if e and b != s:
-                        gb = (from_bytes(gb[:j], "little") + from_bytes(
-                            v.translate(scaled[scale[unlanes[e]]]), "little"
-                        )).to_bytes(j, "little").translate(carry)
-                    else:
-                        gb = gb[:j]
-                    out.append(gb)
-                return out
-
-            return lanes, unlanes, eliminate
-
-        lanes, scaled = bytes(range(q)) + pad, rows
-        if p == 2:
+            carry, op = reduce.translate(lanes), add
+        elif p == 2:
+            scaled, carry, op = rows, unlanes, xor
+        else:
+            add_scaled = self.add_scaled
 
             def eliminate(vectors: list, j: int, s: int) -> list:
                 gs = vectors[s]
                 v, scale = gs[:j], mul[inv[neg[gs[j]]]]  # e -> -e / g_s[j]
-                out = []
-                for b, gb in enumerate(vectors):
-                    e = gb[j]
-                    if e and b != s:
-                        gb = (from_bytes(gb[:j], "little") ^ from_bytes(
-                            v.translate(scaled[scale[e]]), "little"
-                        )).to_bytes(j, "little")
-                    else:
-                        gb = gb[:j]
-                    out.append(gb)
-                return out
+                return [add_scaled(gb[:j], scale[gb[j]], v) if gb[j] and b != s else gb[:j]
+                        for b, gb in enumerate(vectors)]
 
-            return lanes, lanes, eliminate
+            return lanes, unlanes, eliminate
 
-        add_scaled = self.add_scaled
+        from_bytes = int.from_bytes
 
         def eliminate(vectors: list, j: int, s: int) -> list:
-            # A zero entry scales by 0; the multiple of g_s itself is dropped.
             gs = vectors[s]
-            scale = mul[inv[neg[gs[j]]]]
-            total = add_scaled(b"".join(vectors), 1, b"".join(
-                [gs.translate(scaled[scale[gb[j]]]) for gb in vectors]
-            ))
-            n = len(gs)
-            out = [total[k:k + j] for k in range(0, len(total), n)]
-            out[s] = gs[:j]
+            v, scale = gs[:j], mul[inv[neg[unlanes[gs[j]]]]]  # e -> -e / g_s[j]
+            out = []
+            for b, gb in enumerate(vectors):
+                e = gb[j]
+                if e and b != s:
+                    gb = op(from_bytes(gb[:j], "little"), from_bytes(
+                        v.translate(scaled[scale[unlanes[e]]]), "little"
+                    )).to_bytes(j, "little").translate(carry)
+                else:
+                    gb = gb[:j]
+                out.append(gb)
             return out
 
-        return lanes, lanes, eliminate
+        return lanes, unlanes, eliminate
 
-    def _byte_multipliers(self) -> tuple[Callable[[bytes, bytes], bytes], ...]:
-        """The functions (u, v) -> u * v, entry by entry, on byte strings u, v
-        of equal length: `mul_bytes` with both in encodings, and
-        `mul_lanes` with u in lane form and v in encodings, the product in
-        lane form.
+    def _lane_multiplier(self) -> Callable[[bytes, bytes], bytes]:
+        """The function (u, v) -> u * v, entry by entry, on byte strings u, v
+        of equal length, u and the product in lane form, v in encodings.
 
-        Up to GF(64) both strings are translated to logs and added as ints,
-        and one more translate takes each lane s to exp[s mod (q - 1)]. A
-        zero entry has no log; it gets the sentinel z = 2q - 3, one above the
-        largest sum of two logs, so every sum with a zero lies above the
-        sums of two logs and translates to 0. Since 2z = 4q - 6 <= 255, no
-        lane carries into the next. `mul_lanes` reads u's logs from its
-        lanes and writes the exp in lane form: the same sum between two
-        other tables. In larger fields, where the lane form is the encoding,
-        the product is one table lookup per entry, in the multiply rows
-        copied to lists, which CPython subscripts faster than bytes.
+        Up to GF(64) the logs of u's and v's entries, each read by one
+        translate, are added as ints, and one more translate takes each
+        lane s to exp[s mod (q - 1)] in lane form. A zero entry has no log;
+        it gets the sentinel z = 2q - 3, one above the largest sum of two
+        logs, so every sum with a zero lies above the sums of two logs and
+        translates to 0. Since 2z = 4q - 6 <= 255, no lane carries into the
+        next. In larger fields, where the lane form is the encoding, the
+        product is one table lookup per entry, in the multiply rows copied
+        to lists, which CPython subscripts faster than bytes.
         """
         q = self.q
         z = 2 * q - 3  # the log of 0: one above the largest sum of two logs
         if 2 * z > 255:
             mul = [list(row) for row in self.mul_table]
 
-            def mul_bytes(u: bytes, v: bytes) -> bytes:
+            def mul_lanes(u: bytes, v: bytes) -> bytes:
                 return bytes([mul[a][b] for a, b in zip(u, v)])
 
-            return mul_bytes, mul_bytes
+            return mul_lanes
 
         log = bytes([z] + self._log[1:]) + bytes(256 - q)
-        antilog = (bytes(self._exp) * 2)[:z] + bytes(256 - z)
+        lane_log = self.unlanes.translate(log)
+        antilog = ((bytes(self._exp) * 2)[:z] + bytes(256 - z)).translate(self.lanes)
 
-        def multiplier(u_log: bytes, exp: bytes) -> Callable[[bytes, bytes], bytes]:
-            def mul_bytes(u: bytes, v: bytes) -> bytes:
-                sums = int.from_bytes(u.translate(u_log), "little") + int.from_bytes(
-                    v.translate(log), "little"
-                )
-                return sums.to_bytes(len(u), "little").translate(exp)
+        def mul_lanes(u: bytes, v: bytes) -> bytes:
+            sums = int.from_bytes(u.translate(lane_log), "little") + int.from_bytes(
+                v.translate(log), "little"
+            )
+            return sums.to_bytes(len(u), "little").translate(antilog)
 
-            return mul_bytes
-
-        mul_bytes = multiplier(log, antilog)
-        if self.lanes[:q] == bytes(range(q)):
-            return mul_bytes, mul_bytes
-        return mul_bytes, multiplier(self.unlanes.translate(log), antilog.translate(self.lanes))
+        return mul_lanes
 
     # -- elements, for the API edge --
 

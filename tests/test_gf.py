@@ -164,20 +164,26 @@ def test_add_scaled_on_both_sides_of_the_lane_limit(p):
 
 
 def _check_mul_bytes(F):
+    """`Field.mul_lanes`, u given in lane form, against the multiply table.
+    (Before it took u in lane form the kernel was `mul_bytes`, which the
+    names of the two tests below keep.)"""
     mul, elements = F.mul_table, range(F.q)
 
     def expected(u, v):
-        return bytes([mul[a][b] for a, b in zip(u, v)])
+        return bytes([mul[a][b] for a, b in zip(u, v)]).translate(F.lanes)
+
+    def product(u, v):
+        return F.mul_lanes(bytes(u).translate(F.lanes), bytes(v))
 
     # every pair (a, b) of entries, zeros inside long strings, both orders
     u = bytes([a for a in elements for _ in elements])
     v = bytes([b for _ in elements for b in elements])
-    assert F.mul_bytes(u, v) == F.mul_bytes(v, u) == expected(u, v)
-    assert F.mul_bytes(b"", b"") == b""
+    assert product(u, v) == product(v, u) == expected(u, v)
+    assert product(b"", b"") == b""
     for a in elements:
         for b in (0, 1, F.generator, F.q - 1):
-            assert F.mul_bytes(bytes([a]), bytes([b])) == expected([a], [b])
-            assert F.mul_bytes(bytes([b]), bytes([a])) == expected([b], [a])
+            assert product([a], [b]) == expected([a], [b])
+            assert product([b], [a]) == expected([b], [a])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
@@ -335,7 +341,7 @@ def test_default_moduli_are_frozen():
 def test_byte_kernels_are_built_with_the_field():
     for frozen in FROZEN_MODULI:
         F = Field(frozen["p"], frozen["m"])
-        assert {"add_rows", "add_scaled", "mul_bytes", "lanes", "unlanes", "mul_lanes",
+        assert {"add_rows", "add_scaled", "lanes", "unlanes", "mul_lanes",
                 "eliminate"} <= vars(F).keys(), F
 
 
