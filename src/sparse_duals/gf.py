@@ -20,10 +20,12 @@ The add and multiply tables are rows of bytes, each built by one
 `bytes.translate` of an earlier row or of the log bytes (see Field), so
 no row is filled one Python int at a time.
 
-Vectors are byte strings, one byte per entry. The W* point step keeps
-its vectors in the field's *lane form*: in GF(9), GF(25) and GF(49) a
-byte holds its entry's base-p digits spread to lanes, so vectors add as
-ints; in every other field it holds the encoding. 0 is 0 in both.
+Vectors are byte strings in the field's *lane form*, one byte per
+entry: in GF(9), GF(25) and GF(49) a byte holds its entry's base-p digits
+spread to lanes, so vectors add as ints with one translate to reduce; in
+every other field it holds the encoding. 0 is 0 in both. The vector
+kernels `add_scaled`, `mul_lanes` and `eliminate` take and return lane
+form, so a caller translates its vectors once, not on every call.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _tiled(values, run: int, size: int) -> bytes:
 
 def _lane_tables(p: int, m: int) -> list[tuple[bytes, bytes]]:
     """The (spread, reduce) translate tables of each digit group of
-    GF(p^m), for `Field.add_scaled`: spread[v] holds the group's base-p
+    GF(p^m), for `Field._vector_api`: spread[v] holds the group's base-p
     digits of v, one per lane of w bits, and reduce[t] every lane of t mod
     p, back in its base-p place. There are none for p = 2, nor where a sum
     of two digits does not fit in a byte (p > 128).
@@ -98,14 +100,14 @@ class Field:
     multiply row a is the log bytes translated by the exp table rotated by
     log a. `inv_table` is a list, with None for 0.
 
-    Vectors of encodings are byte strings, one byte per entry. Built with
-    the field: `add_rows`, the add rows padded to 256-byte translate
-    tables, with u.translate(add_rows[c]) = c + u; `add_scaled(u, c, v)` =
-    u + c*v. For vectors in lane form (see the module docstring): `lanes`
-    and `unlanes`, the translate tables from encodings to lane bytes and
-    back; `mul_lanes(u, v)` = u * v, u and the product in lane form, v in
-    encodings; and `eliminate(vectors, j, s)`, one Groebner point step (see
-    `_eliminator`).
+    Built with the field: `add_rows`, the add rows padded to 256-byte
+    translate tables, with u.translate(add_rows[c]) = c + u for a vector u
+    of encodings; and, for vectors in lane form (see the module docstring
+    and `_vector_api`), `lanes` and `unlanes`, the translate tables from
+    encodings to lane bytes and back; `add_scaled(u, c, v)` = u + c*v, u,
+    v and the sum in lane form, c an encoding; `mul_lanes(u, v)` = u * v,
+    u and the product in lane form, v in encodings; and
+    `eliminate(vectors, j, s)`, one Groebner point step.
 
     A field may be shared by many holders (`hermitian_field` hands out one
     per q), so its tables are read-only. Fields built separately with the
@@ -177,14 +179,8 @@ class Field:
         ]
         self.inv_table: list[Optional[int]] = [None] + [exp2[q - 1 - la] for la in logs]
         self.add_rows = [row + pad for row in add_table]
-        # The multiply rows as translate tables, v -> a*v, and each lane
-        # group's (spread, reduce) tables with the rows spread to its lanes.
-        rows = [row + pad for row in self.mul_table]
-        groups = [(spread, reduce, [row.translate(spread) for row in rows])
-                  for spread, reduce in _lane_tables(p, m)]
-        self.add_scaled = self._byte_adder(rows, groups)
-        self.lanes, self.unlanes, self.eliminate = self._eliminator(rows, groups)
-        self.mul_lanes = self._lane_multiplier()
+        self.lanes, self.unlanes, self.add_scaled, self.mul_lanes, self.eliminate = (
+            self._vector_api())
 
     # -- value-level arithmetic on encodings --
 
@@ -214,90 +210,105 @@ class Field:
             return int(k == 0)
         return self._exp[self.log(a) * k % (self.q - 1)]  # log(0) raises for k < 0
 
-    # -- vectors of encodings, one byte per entry --
+    # -- vectors in lane form, one byte per entry --
 
-    def _byte_adder(self, mul: list[bytes], groups) -> Callable[[bytes, int, bytes], bytes]:
-        """The function (u, c, v) -> u + c*v, entry by entry, on byte strings
-        u, v of equal length whose bytes are encodings.
+    def _vector_api(self) -> tuple[bytes, bytes, Callable, Callable, Callable]:
+        """The lane form of vectors (see the module docstring), as the
+        translate tables (lanes, unlanes) into it and back, and the three
+        kernels on byte strings in it:
 
-        c*v is one `bytes.translate`. For p = 2 the sum is the XOR of u and
-        c*v read as ints. For odd p, u and c*v are translated to lanes of w
-        bits per base-p digit, with 2(p - 1) < 2^w, so that their sum as
-        ints carries from no lane into the next, and one more translate
-        takes every lane mod p. Where the lanes of all m digits do not fit
-        in a byte (GF(81), GF(121), GF(169)), the digits are split into
-        groups added one at a time; the group sums share no digit, so they
-        add up as ints to the whole sum. For a prime p > 128 one digit sum
-        needs more than a byte, and the sum is one table lookup per entry.
-        `mul` holds the multiply rows as translate tables, and `groups` the
-        tables of each digit group with the rows spread to its lanes.
-        """
-        if self.p == 2:
+        add_scaled(u, c, v) = u + c*v, entry by entry, for u and v of equal
+        length and c an encoding. With one digit group of odd p (GF(9),
+        GF(25), GF(49), and the prime fields up to 127, where spreading
+        changes nothing), `scaled[c]` takes the lanes of v to those of c*v,
+        w bits per base-p digit with 2(p - 1) < 2^w, so that u and c*v add
+        as ints with no carry from one lane into the next, and one translate
+        by `carry` takes every lane mod p and spreads it back. For p = 2 the
+        lane form is the encoding and the sum is the XOR of the ints, with
+        no `carry`. Where the lanes of all m digits do not fit in a byte
+        (GF(27), GF(81), GF(121), GF(125), GF(169), GF(243)) the lane form
+        is the encoding, the digits are split into groups added one at a
+        time the same way, each group spread on the way in and reduced on
+        the way out, and the group sums, sharing no digit, add up as ints.
+        For a prime p > 128 one digit sum needs more than a byte, and the
+        sum is one table lookup per entry.
 
-            def add_scaled(u: bytes, c: int, v: bytes) -> bytes:
-                cv = int.from_bytes(v.translate(mul[c]), "little")
-                return (int.from_bytes(u, "little") ^ cv).to_bytes(len(u), "little")
+        mul_lanes(u, v) = u * v, entry by entry, u and the product in lane
+        form, v in encodings. Up to GF(64) the logs of u's and v's entries,
+        each read by one translate, are added as ints, and one more
+        translate takes each lane s to exp[s mod (q - 1)] in lane form. A
+        zero entry has no log; it gets the sentinel z = 2q - 3, one above
+        the largest sum of two logs, so every sum with a zero lies above
+        the sums of two logs and translates to 0. Since 2z = 4q - 6 <= 255,
+        no lane carries into the next. In larger fields, where the lane form
+        is the encoding, the product is one table lookup per entry, in the
+        multiply rows copied to lists, which CPython subscripts faster than
+        bytes.
 
-            return add_scaled
-
-        if not groups:
-            add = self.add_table
-
-            def add_scaled(u: bytes, c: int, v: bytes) -> bytes:
-                return bytes([add[a][b] for a, b in zip(u, v.translate(mul[c]))])
-
-            return add_scaled
-
-        def add_group(spread: bytes, reduce: bytes, scaled: list[bytes]):
-            def add_scaled(u: bytes, c: int, v: bytes) -> bytes:
-                lanes = int.from_bytes(u.translate(spread), "little") + int.from_bytes(
-                    v.translate(scaled[c]), "little"
-                )
-                return lanes.to_bytes(len(u), "little").translate(reduce)
-
-            return add_scaled
-
-        groups = [add_group(*tables) for tables in groups]
-        if len(groups) == 1:
-            return groups[0]
-
-        def add_scaled(u: bytes, c: int, v: bytes) -> bytes:
-            total = sum(int.from_bytes(add(u, c, v), "little") for add in groups)
-            return total.to_bytes(len(u), "little")
-
-        return add_scaled
-
-    def _eliminator(self, rows: list[bytes], groups) -> tuple[bytes, bytes, Callable]:
-        """The lane form of vectors, as the translate tables (lanes,
-        unlanes) into it and back, and the point-step kernel on vectors in
-        it: eliminate(vectors, j, s), for vectors of one length, cuts every
+        eliminate(vectors, j, s), for vectors of one length, cuts every
         vector to [:j], each one but vectors[s] whose entry j is nonzero
         after first adding the multiple of vectors[s] that clears that
-        entry, and returns the new list.
-
-        With one digit group of odd p (GF(9), GF(25), GF(49), and the
-        prime fields up to 127, where spreading changes nothing), a byte
-        holds the group's spread digits (see `_byte_adder`), `scaled[c]`
-        takes the lanes of v to those of c*v, and a sum is two ints added
-        and one translate by `carry`, which takes every lane mod p and
-        spreads it back. For p = 2 the lane form is the encoding, a sum is
-        the XOR of the ints, and `carry` changes nothing. In the other
-        fields (two or more digit groups, or p > 128) the lane form is the
-        encoding too, and each sum is one `add_scaled`.
+        entry, and returns the new list. Where `add_scaled` is the lane sum
+        the sums are inline, one loop over the vectors; in the other
+        fields each is one `add_scaled`.
         """
         p, q = self.p, self.q
         mul, inv = self.mul_table, self.inv_table
         neg = mul[p - 1]  # -a = neg[a]
-        lanes = unlanes = bytes(range(q)) + bytes(256 - q)
-        if len(groups) == 1:
-            lanes, reduce, spread_rows = groups[0]
-            unlanes = bytes.maketrans(lanes[:q], bytes(range(q)))
-            scaled = [unlanes.translate(row) for row in spread_rows]  # lanes of v -> of c*v
-            carry, op = reduce.translate(lanes), add
-        elif p == 2:
-            scaled, carry, op = rows, unlanes, xor
+        pad = bytes(256 - q)
+        rows = [row + pad for row in mul]  # v -> c*v, as translate tables
+        groups = _lane_tables(p, self.m)
+        lanes = unlanes = bytes(range(q)) + pad
+        from_bytes = int.from_bytes
+
+        if p == 2 or len(groups) == 1:
+            op, carry, scaled = xor, None, rows
+            if groups:
+                lanes, reduce = groups[0]
+                unlanes = bytes.maketrans(lanes[:q], bytes(range(q)))
+                op, carry = add, reduce.translate(lanes)
+                scaled = [unlanes.translate(row.translate(lanes)) for row in rows]
+
+            def add_scaled(u: bytes, c: int, v: bytes) -> bytes:
+                w = op(from_bytes(u, "little"), from_bytes(v.translate(scaled[c]), "little"))
+                w = w.to_bytes(len(u), "little")
+                return w.translate(carry) if carry else w
+
+            def eliminate(vectors: list, j: int, s: int) -> list:
+                gs = vectors[s]
+                v, scale = gs[:j], mul[inv[neg[unlanes[gs[j]]]]]  # e -> -e / g_s[j]
+                out = []
+                for b, gb in enumerate(vectors):
+                    e = gb[j]
+                    if e and b != s:
+                        gb = op(from_bytes(gb[:j], "little"), from_bytes(
+                            v.translate(scaled[scale[unlanes[e]]]), "little"
+                        )).to_bytes(j, "little")
+                        if carry:
+                            gb = gb.translate(carry)
+                    else:
+                        gb = gb[:j]
+                    out.append(gb)
+                return out
+
         else:
-            add_scaled = self.add_scaled
+            if groups:
+                groups = [(spread, reduce, [row.translate(spread) for row in rows])
+                          for spread, reduce in groups]
+
+                def add_scaled(u: bytes, c: int, v: bytes) -> bytes:
+                    n, total = len(u), 0
+                    for spread, reduce, scaled in groups:
+                        w = from_bytes(u.translate(spread), "little") + from_bytes(
+                            v.translate(scaled[c]), "little")
+                        total += from_bytes(w.to_bytes(n, "little").translate(reduce), "little")
+                    return total.to_bytes(n, "little")
+
+            else:
+                sums = self.add_table
+
+                def add_scaled(u: bytes, c: int, v: bytes) -> bytes:
+                    return bytes([sums[a][b] for a, b in zip(u, v.translate(rows[c]))])
 
             def eliminate(vectors: list, j: int, s: int) -> list:
                 gs = vectors[s]
@@ -305,62 +316,24 @@ class Field:
                 return [add_scaled(gb[:j], scale[gb[j]], v) if gb[j] and b != s else gb[:j]
                         for b, gb in enumerate(vectors)]
 
-            return lanes, unlanes, eliminate
-
-        from_bytes = int.from_bytes
-
-        def eliminate(vectors: list, j: int, s: int) -> list:
-            gs = vectors[s]
-            v, scale = gs[:j], mul[inv[neg[unlanes[gs[j]]]]]  # e -> -e / g_s[j]
-            out = []
-            for b, gb in enumerate(vectors):
-                e = gb[j]
-                if e and b != s:
-                    gb = op(from_bytes(gb[:j], "little"), from_bytes(
-                        v.translate(scaled[scale[unlanes[e]]]), "little"
-                    )).to_bytes(j, "little").translate(carry)
-                else:
-                    gb = gb[:j]
-                out.append(gb)
-            return out
-
-        return lanes, unlanes, eliminate
-
-    def _lane_multiplier(self) -> Callable[[bytes, bytes], bytes]:
-        """The function (u, v) -> u * v, entry by entry, on byte strings u, v
-        of equal length, u and the product in lane form, v in encodings.
-
-        Up to GF(64) the logs of u's and v's entries, each read by one
-        translate, are added as ints, and one more translate takes each
-        lane s to exp[s mod (q - 1)] in lane form. A zero entry has no log;
-        it gets the sentinel z = 2q - 3, one above the largest sum of two
-        logs, so every sum with a zero lies above the sums of two logs and
-        translates to 0. Since 2z = 4q - 6 <= 255, no lane carries into the
-        next. In larger fields, where the lane form is the encoding, the
-        product is one table lookup per entry, in the multiply rows copied
-        to lists, which CPython subscripts faster than bytes.
-        """
-        q = self.q
         z = 2 * q - 3  # the log of 0: one above the largest sum of two logs
         if 2 * z > 255:
-            mul = [list(row) for row in self.mul_table]
+            products = [list(row) for row in mul]
 
             def mul_lanes(u: bytes, v: bytes) -> bytes:
-                return bytes([mul[a][b] for a, b in zip(u, v)])
+                return bytes([products[a][b] for a, b in zip(u, v)])
 
-            return mul_lanes
+        else:
+            log = bytes([z] + self._log[1:]) + pad
+            lane_log = unlanes.translate(log)
+            antilog = ((bytes(self._exp) * 2)[:z] + bytes(256 - z)).translate(lanes)
 
-        log = bytes([z] + self._log[1:]) + bytes(256 - q)
-        lane_log = self.unlanes.translate(log)
-        antilog = ((bytes(self._exp) * 2)[:z] + bytes(256 - z)).translate(self.lanes)
+            def mul_lanes(u: bytes, v: bytes) -> bytes:
+                logs = from_bytes(u.translate(lane_log), "little") + from_bytes(
+                    v.translate(log), "little")
+                return logs.to_bytes(len(u), "little").translate(antilog)
 
-        def mul_lanes(u: bytes, v: bytes) -> bytes:
-            sums = int.from_bytes(u.translate(lane_log), "little") + int.from_bytes(
-                v.translate(log), "little"
-            )
-            return sums.to_bytes(len(u), "little").translate(antilog)
-
-        return mul_lanes
+        return lanes, unlanes, add_scaled, mul_lanes, eliminate
 
     # -- elements, for the API edge --
 

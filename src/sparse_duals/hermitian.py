@@ -541,10 +541,12 @@ def _isometry_walk(field: Field, xs: bytes, ys: bytes, q: int, n: int):
     """The column walk of `find_isometry_vectors` for subsets of up to n of
     the points with encodings xs and ys, as the (root, advance, finish) of
     a `_trie_walk` whose finish is the key's (W*, isometry vector or None);
-    W* is the stored pivots as pole orders."""
+    W* is the stored pivots as pole orders. The columns are held in the
+    field's lane form (see `gf`), translated once, and the pivot entries
+    and the vector are read through `unlanes`."""
     g = curve_genus(q)
     n_all, top = len(xs), n + 4 * g - 2
-    mul, inv = field.mul_table, field.inv_table
+    mul, inv, unlanes = field.mul_table, field.inv_table, field.unlanes
     add_scaled, neg = field.add_scaled, mul[field.p - 1]  # -a = neg[a]
     # The monomials x^a y^b of pole order m <= top, and the index of each
     # m among them.
@@ -558,8 +560,8 @@ def _isometry_walk(field: Field, xs: bytes, ys: bytes, q: int, n: int):
         x_mul, y_mul, u, v = mul[x], mul[y], 1, 1
         x_pows = [1] + [u := x_mul[u] for _ in range(top // q)]
         y_muls = [mul[1]] + [mul[v := y_mul[v]] for _ in range(q - 1)]  # times y^b
-        columns.append(bytes([y_muls[b][x_pows[a]] for a, b in basis])
-                       + eye[n_all - 1 - k:2 * n_all - 1 - k])
+        columns.append((bytes([y_muls[b][x_pows[a]] for a, b in basis])
+                        + eye[n_all - 1 - k:2 * n_all - 1 - k]).translate(field.lanes))
 
     def advance(stored, js, alone):
         # The state: the reduced columns so far, by pivot.
@@ -571,7 +573,7 @@ def _isometry_walk(field: Field, xs: bytes, ys: bytes, q: int, n: int):
                 s = stored.get(piv)
                 if s is None:
                     break
-                c = add_scaled(c, mul[neg[c[piv]]][inv[s[piv]]], s)
+                c = add_scaled(c, mul[neg[unlanes[c[piv]]]][inv[unlanes[s[piv]]]], s)
             if piv >= k_mono:
                 raise AssertionError("the monomials separate distinct points")
             stored[piv] = c
@@ -583,7 +585,7 @@ def _isometry_walk(field: Field, xs: bytes, ys: bytes, q: int, n: int):
         if wstar[-1] > len(key) + 2 * g - 1:
             raise AssertionError("rank must reach n by pole order n + 2g - 1")
         last = stored[pivots[-1]]
-        x = [last[k_mono + i - 1] for i in reversed(key)]
+        x = [unlanes[last[k_mono + i - 1]] for i in reversed(key)]
         if 0 not in x and _meets_pairs(last, wstar, index):
             scale = mul[inv[x[0]]]
             return wstar, tuple([scale[v] for v in x])
@@ -595,7 +597,8 @@ def _isometry_walk(field: Field, xs: bytes, ys: bytes, q: int, n: int):
 def _meets_pairs(last: bytes, wstar: tuple[int, ...], index: dict[int, int]) -> bool:
     """Whether x annihilates r_i * r_j for every pair of generators with
     i <= j and i + j <= n - 2, given last[index[m]], x's inner product
-    with the monomial of pole order m, which is 0 below top = wstar[-1].
+    with the monomial of pole order m in lane form (only whether it is 0
+    is read), which is 0 below top = wstar[-1].
 
     The n pole orders are distinct integers up to top, so w_i <= top -
     (n - 1 - i), and a pair has m = w_i + w_j <= 2 top - n <= top + 2g - 1,

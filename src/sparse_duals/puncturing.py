@@ -21,7 +21,7 @@ from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .errors import TooManySubsets
-from .hermitian import hermitian_field, hermitian_points
+from .hermitian import hermitian_coords, hermitian_field
 from .semigroup import NumericalSemigroup
 
 # Largest point set whose subsets are listed by class: 2^27, the q = 3
@@ -115,15 +115,18 @@ def _tangent_columns(q: int, m: int) -> Iterator[bytes]:
     bytes: l_P = y - a^q x + b^q is the tangent line at P = (a, b), the log
     is to the generator of GF(q^2) and m divides q + 1. M[j][j] = 0: the
     local symbol of l_P at P is 1 after the (q - 1)-th power."""
-    points = hermitian_points(q)
-    field = points[0].x.field
-    xs = bytes([pt.x.value for pt in points])
-    ys = bytes([pt.y.value for pt in points])
+    field = hermitian_field(q)
+    coords = hermitian_coords(q)
+    # xs and ys in the field's lane form, which `add_scaled` takes.
+    xs = bytes([x for x, _ in coords]).translate(field.lanes)
+    ys = bytes([y for _, y in coords]).translate(field.lanes)
     # l_P vanishes at P alone, so 0 is read only on the diagonal.
     log_mod = bytes([0] + [field.log(v) % m for v in range(1, field.q)]).ljust(256, b"\x00")
-    for pt in points:
-        column = field.add_scaled(ys, field.neg(field.pow(pt.x.value, q)), xs)
-        yield column.translate(field.add_rows[field.pow(pt.y.value, q)]).translate(log_mod)
+    # From lane form, plus the constant c, to the log mod m: one table per c.
+    finish = [field.unlanes.translate(row).translate(log_mod) for row in field.add_rows]
+    for a, b in coords:
+        column = field.add_scaled(ys, field.neg(field.pow(a, q)), xs)
+        yield column.translate(finish[field.pow(b, q)])
 
 
 def divisor_classes(q: int) -> DivisorClasses:

@@ -127,28 +127,34 @@ def test_log_inverts_the_powers_of_the_generator(q):
 
 
 def _check_add_scaled(F, seed):
+    """`Field.add_scaled` against the add and multiply tables, u and v
+    given in lane form and the sum read back through `unlanes`."""
     add, mul, elements = F.add_table, F.mul_table, range(F.q)
 
     def expected(u, c, v):
         return bytes([add[a][mul[c][b]] for a, b in zip(u, v)])
 
+    def add_scaled(u, c, v):
+        return F.add_scaled(bytes(u).translate(F.lanes), c,
+                            bytes(v).translate(F.lanes)).translate(F.unlanes)
+
     # every pair (a, b) of entries
     u = bytes([a for a in elements for _ in elements])
     v = bytes([b for _ in elements for b in elements])
-    assert F.add_scaled(u, 1, v) == expected(u, 1, v)
+    assert add_scaled(u, 1, v) == expected(u, 1, v)
+    if F.p == 2:  # the sum is the per-entry XOR
+        assert add_scaled(u, 1, v) == bytes(map(int.__xor__, u, v))
     # every pair (c, b) of scale and entry, against shuffled entries of u
     u = bytes(random.Random(seed).sample(elements, F.q))
     v = bytes(elements)
     for c in elements:
-        assert F.add_scaled(u, c, v) == expected(u, c, v)
+        assert add_scaled(u, c, v) == expected(u, c, v)
     # every digit p - 1 in both terms: each lane holds its largest sum
     top = bytes([F.q - 1]) * 40
-    assert F.add_scaled(top, 1, top) == expected(top, 1, top)
+    assert add_scaled(top, 1, top) == expected(top, 1, top)
     assert F.add_scaled(b"", F.q - 1, b"") == b""
     for a in elements:
-        assert F.add_scaled(bytes([a]), F.generator, bytes([F.q - 1])) == expected(
-            [a], F.generator, [F.q - 1]
-        )
+        assert add_scaled([a], F.generator, [F.q - 1]) == expected([a], F.generator, [F.q - 1])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
@@ -161,6 +167,13 @@ def test_add_scaled_matches_the_tables_on_every_hermitian_field(q):
 @pytest.mark.parametrize("p", [127, 131, 251])
 def test_add_scaled_on_both_sides_of_the_lane_limit(p):
     _check_add_scaled(Field(p), p)
+
+
+# The digit-group splits that no GF(q^2) has: GF(27) and GF(125) in two
+# groups of two and one digit, GF(243) in three groups.
+@pytest.mark.parametrize("p,m", [(3, 3), (5, 3), (3, 5)])
+def test_add_scaled_on_uneven_digit_groups(p, m):
+    _check_add_scaled(Field(p, m), p + m)
 
 
 def _check_mul_bytes(F):
