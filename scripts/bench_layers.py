@@ -25,7 +25,7 @@ above the boundary, `find_isometry_vectors` on the 93 subsets,
 `tracemalloc` peaks, `build_hierarchy` and `verify_inheritance` on the q = 2
 hierarchy, and in-process `cli.main`
 calls, stdout captured, for nine commands (the `semigroup --json`
-reports, genus 42 and 90, go to a temporary file).
+reports, genus 42 and twice 90, go to a temporary file).
 Every entry is timed best-of-k in each of ROUNDS rounds, and each round
 times all entries in turn, so a slow spell of the host reaches every
 entry instead of the few timed during it; an entry records the best of
@@ -87,6 +87,7 @@ CLI_COMMANDS = (
     "hierarchy --q 2",
     "semigroup --generators 5,22 --json",
     "semigroup --generators 7,31 --json",
+    "semigroup --generators 10,21 --json",
 )
 ROUNDS = 3
 # The draws of `hierarchy --q 3 --sample 30 --seed 2 --min-size 9`, and

@@ -78,6 +78,34 @@ MUTANTS = [
         "        orders += [pk] * len(echelon)\n",
         ["tests/test_puncturing.py"],
     ),
+    (
+        "sweep shifts the mirror one byte too far",
+        "src/sparse_duals/sparse_ideals.py",
+        "low & (high >> 8 * (bound - lam))",
+        "low & (high >> 8 * (bound - lam + 1))",
+        ["tests/test_sparse_ideals.py"],
+    ),
+    (
+        "leader_set shifts the gap mask by lam bytes, not lam + 1",
+        "src/sparse_duals/sparse_ideals.py",
+        "lam > 0 and not (shifted >> 8 * (lam + 1)) & mirrored",
+        "lam > 0 and not (shifted >> 8 * lam) & mirrored",
+        ["tests/test_sparse_ideals.py"],
+    ),
+    (
+        "_divisor_mask without its mirror",
+        "src/sparse_duals/sparse_ideals.py",
+        'return int.from_bytes(member, "little") & int.from_bytes(member, "big")',
+        'return int.from_bytes(member, "little") & int.from_bytes(member, "little")',
+        ["tests/test_sparse_ideals.py"],
+    ),
+    (
+        "enumeration stops at the conductor",
+        "src/sparse_duals/sparse_ideals.py",
+        "stop = S.conductor + S.element(max(max_complement_size, 0))",
+        "stop = S.conductor",
+        ["tests/test_sparse_ideals.py"],
+    ),
 ]
 
 _IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")

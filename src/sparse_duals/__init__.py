@@ -56,6 +56,7 @@ from .sparse_ideals import (
     is_maximum_sparse,
     leader_set,
     maximum_sparse_from_leader,
+    maximum_sparse_ideals,
 )
 
 __version__ = "0.1.0"

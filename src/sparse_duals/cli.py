@@ -51,8 +51,8 @@ from .semigroup import NumericalSemigroup, semigroup_conductor
 from .sparse_ideals import (
     division_escape,
     inclusion_report,
-    leader_set,
     maximum_sparse_from_leader,
+    maximum_sparse_ideals,
 )
 
 
@@ -252,8 +252,8 @@ def cmd_semigroup(args: argparse.Namespace) -> int:
     S = NumericalSemigroup(args.generators)
     if bound < S.conductor:
         raise ValueError(f"--bound must be at least the conductor {S.conductor}")
-    leaders = leader_set(S, bound)
-    ideals = [maximum_sparse_from_leader(S, S.index_of(lam)) for lam in leaders]
+    ideals = maximum_sparse_ideals(S, bound)
+    leaders = [ideal.complement[-1] for ideal in ideals]  # lam is the top of D(lam)
 
     print(f"semigroup generated by {', '.join(map(str, S.generators))}")
     _print_set("gaps: ", S.gaps)
@@ -269,7 +269,7 @@ def cmd_semigroup(args: argparse.Namespace) -> int:
         payload = {
             "semigroup": S.to_json(),
             "bound": bound,
-            "leaders": list(leaders),
+            "leaders": leaders,
             "maximum_sparse_ideals": [ideal.to_json() for ideal in ideals],
         }
         _write(args.json, _json_file(payload))

@@ -14,6 +14,9 @@ Set-wide tests run on byte masks: a set of non-negative integers is a
 `NumericalSemigroup.membership`). Reading the same bytes big-endian
 mirrors them, n -> top - n, so "y and lam - y both in the set" and
 "t - a for t in the set" are one `&` or one shift each, done in C.
+`maximum_sparse_ideals` reads the membership bytes up to its bound once
+each way and shifts the mirror to each leader. `enumerate_proper_ideals`
+takes no x >= c + s_k as a candidate: s_0, ..., s_k <= x - c lie in D(x).
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ class SemigroupIdeal:
     complement is validated at construction: any iterable of ints is
     normalised to a strictly increasing tuple of plain ints (one that
     already is one is kept as it is), and its byte mask is built and
-    checked by `_check_ideal`. `maximum_sparse_from_leader` skips this
-    constructor and runs the same check on the D(i) mask it computed.
+    checked by `_check_ideal`. The maximum sparse builders skip this
+    constructor and run the same check on the D(lam) mask they compute.
     """
 
     parent: NumericalSemigroup
@@ -65,9 +68,8 @@ class SemigroupIdeal:
         """The Frobenius number when the sparsity bound 2g-1+#T is attained, else None."""
         if not self.complement:
             return None
-        if self.frobenius == 2 * self.parent.genus - 1 + len(self.complement):
-            return self.frobenius
-        return None
+        f = self.frobenius
+        return f if f == 2 * self.parent.genus - 1 + len(self.complement) else None
 
     def to_json(self) -> dict:
         return {
@@ -204,23 +206,28 @@ def is_maximum_sparse(ideal: SemigroupIdeal) -> bool:
 
 
 def maximum_sparse_from_leader(S: NumericalSemigroup, i: int) -> SemigroupIdeal:
-    """The maximum sparse ideal S \\ D(i); requires i >= 1 and G(i) = 0.
-
-    D(i) is computed as a byte mask, its complement tuple is read off that
-    mask once, and the ideal is checked on the same mask by `_check_ideal`,
-    the check `SemigroupIdeal(S, complement)` runs; the tuple is already
-    strictly increasing plain ints, so it is neither re-sorted nor masked
-    again element by element.
-    """
+    """The maximum sparse ideal S \\ D(i); requires i >= 1 and G(i) = 0."""
     if i < 1:
         raise ValueError("leader index must be >= 1")
-    pairs = gap_pair_count(S, i)
+    lam, pairs = S.element(i), gap_pair_count(S, i)
     if pairs:
-        raise NotALeader(
-            f"element {S.element(i)} has {pairs} two-gap decomposition(s)"
-        )
-    lam = S.element(i)
-    T = _divisor_mask(S, lam)
+        raise NotALeader(f"element {lam} has {pairs} two-gap decomposition(s)")
+    return _leader_ideal(S, _divisor_mask(S, lam), lam)
+
+
+def maximum_sparse_ideals(S: NumericalSemigroup, bound: int) -> list[SemigroupIdeal]:
+    """The maximum sparse ideals with leader <= bound, by increasing leader.
+
+    One membership string up to `bound` serves every leader: shifted down
+    bound - lam bytes, its big-endian read has byte lam - y at byte y."""
+    member = S.membership(bound)
+    low, high = int.from_bytes(member, "little"), int.from_bytes(member, "big")
+    return [_leader_ideal(S, low & (high >> 8 * (bound - lam)), lam)
+            for lam in leader_set(S, bound)]
+
+
+def _leader_ideal(S: NumericalSemigroup, T: int, lam: int) -> SemigroupIdeal:
+    """S \\ D(lam) from the mask T of D(lam), checked on T by `_check_ideal`."""
     comp = _mask_values(T, lam)
     _check_ideal(S, comp, T)
     ideal = object.__new__(SemigroupIdeal)  # checked above: no __post_init__
@@ -309,8 +316,9 @@ def enumerate_proper_ideals(
     if max_frobenius is None:
         max_frobenius = 3 * S.conductor
     elements = S.members(max_frobenius)
+    stop = S.conductor + S.element(max(max_complement_size, 0))  # from stop on, #D(x) is too big
     divisors = {0: frozenset({0})}
-    for x in elements[1:]:
+    for x in S.members(min(max_frobenius, stop - 1))[1:]:
         d = []
         for y in elements:  # walk D(x) up from 0; stop once it is too big
             if y > x or len(d) > max_complement_size:

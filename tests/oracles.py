@@ -36,6 +36,38 @@ def naive_closure(generators, bound):
         members |= grown
 
 
+def apery_membership(generators):
+    """(contains, genus, frobenius) of the semigroup the generators generate,
+    from its Apery set with respect to the smallest generator m: entry r,
+    the least member congruent to r mod m, is relaxed over every generator
+    until no entry falls. n is a member iff n >= entry n mod m; the genus
+    is the sum of entry // m (Selmer) and the Frobenius number max - m."""
+    m = min(generators)
+    apery = [0] + [None] * (m - 1)
+    changed = True
+    while changed:
+        changed = False
+        for w in [w for w in apery if w is not None]:
+            for a in generators:
+                r = (w + a) % m
+                if apery[r] is None or w + a < apery[r]:
+                    apery[r], changed = w + a, True
+    genus = sum(w // m for w in apery)
+    return (lambda n: n >= apery[n % m]), genus, max(apery) - m
+
+
+def apery_set(contains, s):
+    """Ap(S, s) = {w in S : w - s not in S}, increasing: the least member of
+    each residue class mod s, found by stepping up from the residue by s."""
+    out = []
+    for r in range(s):
+        w = r
+        while not contains(w):
+            w += s
+        out.append(w)
+    return tuple(sorted(out))
+
+
 def naive_gap_pairs(gaps, value):
     gap_set = set(gaps)
     return sum(1 for a in gaps if 2 * a <= value and (value - a) in gap_set)

@@ -1058,7 +1058,7 @@ def test_unexpected_errors_do_not_exit_1(capsys, monkeypatch, error, code):
     def failing(*args):
         raise error("injected")
 
-    monkeypatch.setattr(cli, "leader_set", failing)
+    monkeypatch.setattr(cli, "maximum_sparse_ideals", failing)
     exit_code, out, err = run(capsys, "semigroup", "--generators", "3,5")
     assert (exit_code, out) == (code, "")
     if error is MemoryError:

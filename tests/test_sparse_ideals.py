@@ -3,7 +3,7 @@ import os
 import random
 import tracemalloc
 from contextlib import redirect_stdout
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given
@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS_GENERATORS
 from oracles import (
+    apery_membership,
+    apery_set,
     is_division_closed,
     naive_closure,
     naive_divisors,
@@ -34,6 +36,7 @@ from sparse_duals import (
     is_maximum_sparse,
     leader_set,
     maximum_sparse_from_leader,
+    maximum_sparse_ideals,
 )
 from sparse_duals import cli, sparse_ideals
 from sparse_duals.sparse_ideals import division_escape
@@ -226,9 +229,10 @@ def test_enumeration_matches_naive_subset_scan():
              (NumericalSemigroup([3, 4]), 24), (NumericalSemigroup([4, 5, 7]), 20)]
     cases += [(S, 2 * S.conductor + 2) for S in map(NumericalSemigroup, NON_MINIMAL_GENERATORS)]
     for S, bound in cases:
-        fast = {frozenset(i.complement) for i in enumerate_proper_ideals(S, 4, bound)}
-        naive = naive_ideal_complements(S.contains, S.members(bound), 4)
-        assert fast == naive
+        for k in (-1, 0, 1, 4):
+            fast = {frozenset(i.complement) for i in enumerate_proper_ideals(S, k, bound)}
+            naive = naive_ideal_complements(S.contains, S.members(bound), k)
+            assert fast == naive
 
 
 def test_enumerated_ideals_are_division_closed(corpus):
@@ -319,6 +323,53 @@ def test_divisor_gap_pair_and_leader_masks_match_naive_loops(gens):
             assert type(ideal.complement) is tuple
             assert set(map(type, ideal.complement)) == {int}
     assert leader_set(S, bound) == naive_leaders(contains, gaps, bound)
+
+
+@pytest.mark.parametrize("gens", MASK_CORPUS)
+def test_sweep_matches_one_leader_at_a_time(gens):
+    S = NumericalSemigroup(gens)
+    for bound in (S.conductor, 2 * S.conductor, 3 * S.conductor):
+        swept = maximum_sparse_ideals(S, bound)
+        single = [maximum_sparse_from_leader(S, S.index_of(lam)) for lam in leader_set(S, bound)]
+        assert [(i.complement, i.leader) for i in swept] == [
+            (i.complement, i.leader) for i in single]
+
+
+def _symmetric_generators():
+    """Seeded symmetric semigroups (F = 2g - 1), picked by the Apery oracle:
+    <a, b> of small genus, <a, b> and <q, q + 1> of genus 1 000 to 2 200
+    (<41, 111>: c = 4 400, one leader within the report budget), and
+    symmetric semigroups on three minimal generators, <4, 6, 7> among them."""
+    rng = random.Random(7117)
+    small = [(a, b) for a in range(2, 12) for b in range(a + 1, 30) if gcd(a, b) == 1]
+    large = [(a, b) for a in range(20, 70) for b in range(a + 1, 240)
+             if gcd(a, b) == 1 and 1000 <= (a - 1) * (b - 1) // 2 <= 2200]
+    triples = [(4, 6, 7)]
+    while len(triples) < 16:
+        gens = tuple(sorted(rng.sample(range(3, 40), 3)))
+        if gcd(*gens) != 1 or gens in triples:
+            continue
+        _, genus, frobenius = apery_membership(gens)
+        minimal = all(a not in naive_closure([b for b in gens if b != a], a) for a in gens)
+        if minimal and frobenius == 2 * genus - 1:
+            triples.append(gens)
+    return rng.sample(small, 8) + rng.sample(large, 4) + [(60, 61), (41, 111)] + triples
+
+
+@pytest.mark.parametrize("gens", _symmetric_generators())
+def test_symmetric_sweep_is_principal(gens):
+    """S symmetric: the leaders are F + s for s in S \\ {0}, and the ideal of
+    leader F + s is s + S, complement Ap(S, s), built from the Apery set."""
+    contains, genus, frobenius = apery_membership(gens)
+    S = NumericalSemigroup(gens)
+    assert (S.genus, S.frobenius) == (genus, frobenius) and frobenius == 2 * genus - 1
+    widest = (isqrt(8 * cli.MAX_REPORT_ELEMENTS + 1) - 1) // 2  # b(b + 1)/2 elements
+    bounds = (S.conductor, 2 * S.conductor, 3 * S.conductor) if 6 * genus <= widest else (widest,)
+    for bound in bounds:
+        ideals = maximum_sparse_ideals(S, bound)
+        shifts = [s for s in range(1, bound - frobenius + 1) if contains(s)]
+        assert [i.leader for i in ideals] == [frobenius + s for s in shifts]
+        assert [i.complement for i in ideals] == [apery_set(contains, s) for s in shifts]
 
 
 def test_gap_pair_counts_cover_odd_and_even_values():
