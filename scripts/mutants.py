@@ -106,6 +106,34 @@ MUTANTS = [
         "stop = S.conductor",
         ["tests/test_sparse_ideals.py"],
     ),
+    (
+        "ideal checks of the sweep read the mirrored membership mask",
+        "src/sparse_duals/sparse_ideals.py",
+        "low & (high >> 8 * (bound - lam)), lam, low)",
+        "low & (high >> 8 * (bound - lam)), lam, high)",
+        ["tests/test_sparse_ideals.py"],
+    ),
+    (
+        "joined JSON list laid out at its parent's indent",
+        "src/sparse_duals/cli.py",
+        'value.replace(", ", "," + inner)',
+        'value.replace(", ", ",\\n" + indent)',
+        ["tests/test_cli.py"],
+    ),
+    (
+        "carry table off by one: reduce[t] from t + 1",
+        "src/sparse_duals/gf.py",
+        "[t % p * u for t in range(1 << width)]",
+        "[t % p * u for t in range(1, (1 << width) + 1)]",
+        ["tests/test_gf.py"],
+    ),
+    (
+        "rho moved by 2q at the last point of a walk",
+        "src/sparse_duals/hermitian.py",
+        "            rho[s] += q\n        return gens, rho\n",
+        "            rho[s] += q\n        rho[s] += q\n        return gens, rho\n",
+        ["tests/test_hermitian.py"],
+    ),
 ]
 
 _IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")

@@ -193,20 +193,38 @@ def _print_set(prefix: str, values, suffix: str = "") -> None:
     write("}" + suffix + "\n")
 
 
+class _Joined(str):
+    """A list of plain ints as its `_join(", ", ...)` text: `semigroup` joins
+    each complement once, for its line and its JSON list."""
+
+
+def _piece(value, indent: str) -> Optional[str]:
+    """The JSON text of a plain int or a `_Joined` list at `indent`, else None."""
+    if type(value) is int:
+        return str(value)
+    if type(value) is not _Joined:
+        return None
+    inner = "\n" + indent + "  "
+    return "[" + inner + value.replace(", ", "," + inner) + "\n" + indent + "]" if value else "[]"
+
+
 def _report_json(value, write: Callable[[str], object], indent: str = "") -> None:
     """Pass the text of `json.dumps(value, indent=2, sort_keys=True)`, byte
-    for byte, to `write` in pieces. A list of plain ints is joined by
-    `_join` (`str.join` over the decimal table) instead of encoded item by
-    item, a slice at a time, so no piece and no list of str objects grows
-    with it.
+    for byte, to `write` in pieces, a `_Joined` string as the int list it
+    stands for. A list of plain ints is joined by `_join` (`str.join` over
+    the decimal table) instead of encoded item by item, a slice at a time,
+    so no piece and no list of str objects grows with it. A plain int or a
+    `_Joined` list, laid out by one `str.replace`, is one piece (`_piece`),
+    in a dict together with its key.
 
-    Plain ints, non-empty lists and tuples, and non-empty dicts with str
-    keys are laid out here; a key is quoted as `json.dumps` quotes it, and
-    any other value, bools and other int subclasses included, goes to
-    `json.dumps`.
+    Plain ints, `_Joined` lists, non-empty lists and tuples, and non-empty
+    dicts with str keys are laid out here; a key is quoted as `json.dumps`
+    quotes it, and any other value, bools and other int subclasses
+    included, goes to `json.dumps`.
     """
-    if type(value) is int:
-        write(str(value))
+    text = _piece(value, indent)
+    if text is not None:
+        write(text)
         return
     inner = indent + "  "
     sep = ",\n" + inner
@@ -224,8 +242,10 @@ def _report_json(value, write: Callable[[str], object], indent: str = "") -> Non
     elif isinstance(value, dict) and value and set(map(type, value)) == {str}:
         write("{\n" + inner)
         for k, key in enumerate(sorted(value)):
-            write(f"{sep if k else ''}{encode_basestring_ascii(key)}: ")
-            _report_json(value[key], write, inner)
+            text = _piece(value[key], inner)
+            write(f"{sep if k else ''}{encode_basestring_ascii(key)}: " + (text or ""))
+            if text is None:
+                _report_json(value[key], write, inner)
         write(f"\n{indent}}}")
     elif isinstance(value, (list, tuple, dict)):  # empty, or keys that are not all str
         write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent))
@@ -244,6 +264,8 @@ def _json_file(value) -> Callable[[Callable[[str], object]], None]:
 
 
 def cmd_semigroup(args: argparse.Namespace) -> int:
+    """Print S's gaps, leaders and maximum sparse ideals up to the bound;
+    each complement is joined once, for its line and its --json list."""
     bound = args.bound
     if bound is None:
         conductor = semigroup_conductor(args.generators)
@@ -262,15 +284,21 @@ def cmd_semigroup(args: argparse.Namespace) -> int:
     print(f"leader set (0 < element <= {bound}): "
           + (" ".join(map(str, leaders)) if leaders else "(empty)"))
     print(f"maximum sparse ideals with leader <= {bound}:")
-    for ideal in ideals:
-        _print_set(f"  leader {ideal.leader}: complement ", ideal.complement,
-                   f", frobenius {ideal.frobenius}")
+    write, complements = sys.stdout.write, []
+    for lam, ideal in zip(leaders, ideals):  # lam is both leader and frobenius
+        text = _join(", ", ideal.complement)
+        write(f"  leader {lam}: complement {{{text}}}, frobenius {lam}\n")
+        if args.json:
+            complements.append(_Joined(text))
     if args.json:
+        gens = _Joined(_join(", ", S.generators))
         payload = {
             "semigroup": S.to_json(),
             "bound": bound,
             "leaders": leaders,
-            "maximum_sparse_ideals": [ideal.to_json() for ideal in ideals],
+            "maximum_sparse_ideals": [  # `SemigroupIdeal.to_json`, with no list copied
+                {"complement": text, "frobenius": lam, "leader": lam, "parent_generators": gens}
+                for lam, text in zip(leaders, complements)],
         }
         _write(args.json, _json_file(payload))
     return 0

@@ -118,12 +118,16 @@ def _mask(values: Sequence[int]) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _check_ideal(S: NumericalSemigroup, comp: tuple[int, ...], T: int) -> None:
+def _check_ideal(S: NumericalSemigroup, comp: tuple[int, ...], T: int,
+                 members: Optional[int] = None) -> None:
     """Raise `NotAnIdeal` unless `comp`, strictly increasing with byte mask
     T of its non-negative part, is the complement of an ideal of S: all of
     it in S, and no t - a (t in comp, a a generator) an element of S
-    outside it. The message names the first witness in `comp` order."""
-    members = int.from_bytes(S.membership(comp[-1] if comp else -1), "little")
+    outside it. The message names the first witness in `comp` order.
+    `members`, S's membership mask up to max(comp) or beyond (no byte
+    above max(comp) is read), is built here when not given."""
+    if members is None:
+        members = int.from_bytes(S.membership(comp[-1] if comp else -1), "little")
     if (T & members) != T or (comp and comp[0] < 0):  # T & ~members makes 2 more masks
         t = next(t for t in comp if not S.contains(t))
         raise NotAnIdeal(f"complement element {t} is not in {S!r}")
@@ -212,24 +216,26 @@ def maximum_sparse_from_leader(S: NumericalSemigroup, i: int) -> SemigroupIdeal:
     lam, pairs = S.element(i), gap_pair_count(S, i)
     if pairs:
         raise NotALeader(f"element {lam} has {pairs} two-gap decomposition(s)")
-    return _leader_ideal(S, _divisor_mask(S, lam), lam)
+    return _leader_ideal(S, _divisor_mask(S, lam), lam, None)
 
 
 def maximum_sparse_ideals(S: NumericalSemigroup, bound: int) -> list[SemigroupIdeal]:
     """The maximum sparse ideals with leader <= bound, by increasing leader.
 
     One membership string up to `bound` serves every leader: shifted down
-    bound - lam bytes, its big-endian read has byte lam - y at byte y."""
+    bound - lam bytes, its big-endian read has byte lam - y at byte y. Its
+    little-endian read is the membership mask of every ideal check."""
     member = S.membership(bound)
     low, high = int.from_bytes(member, "little"), int.from_bytes(member, "big")
-    return [_leader_ideal(S, low & (high >> 8 * (bound - lam)), lam)
+    return [_leader_ideal(S, low & (high >> 8 * (bound - lam)), lam, low)
             for lam in leader_set(S, bound)]
 
 
-def _leader_ideal(S: NumericalSemigroup, T: int, lam: int) -> SemigroupIdeal:
+def _leader_ideal(S: NumericalSemigroup, T: int, lam: int,
+                  members: Optional[int]) -> SemigroupIdeal:
     """S \\ D(lam) from the mask T of D(lam), checked on T by `_check_ideal`."""
     comp = _mask_values(T, lam)
-    _check_ideal(S, comp, T)
+    _check_ideal(S, comp, T, members)
     ideal = object.__new__(SemigroupIdeal)  # checked above: no __post_init__
     object.__setattr__(ideal, "parent", S)
     object.__setattr__(ideal, "complement", comp)

@@ -22,9 +22,11 @@ from sparse_duals import (
     inclusion_report,
     leader_set,
     maximum_sparse_from_leader,
+    maximum_sparse_ideals,
     puncturing,
 )
 from sparse_duals.cli import main
+from test_sparse_ideals import MASK_CORPUS
 
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -226,6 +228,17 @@ def test_report_json_is_json_dumps_byte_for_byte(capsys):
         pieces: list[str] = []
         cli._report_json(value, pieces.append)
         assert "".join(pieces) == expected, value
+    # `_Joined` lists: empty, one int, the decimal table's edge, negatives,
+    # and each inside dicts and lists, against the int list they stand for
+    shapes = (lambda x: x, lambda x: {"k": x, "n": 1, "a": [x]},
+              lambda x: [x, {"d": [x, 2], "e": {"f": x}}, 3], lambda x: [[x], (x,)])
+    for ints in ((), (7,), (4471,), (4472,), (0, 4471), (4471, 4472), (4472, 0),
+                 (-1, 0, 4471, 4472, 10**7), (-5, -4), tuple(range(-2, 4475))):
+        joined = cli._Joined(cli._join(", ", ints))
+        for shape in shapes:
+            pieces = []
+            cli._report_json(shape(joined), pieces.append)
+            assert "".join(pieces) == json.dumps(shape(list(ints)), indent=2, sort_keys=True)
     long = tuple(range(2**17 + 3))
     edges = ((0, 4471), (4472, 0), (-1, 0, 4471, 4472, 10**7),
              tuple(range(4472 - 4096, 4472 + 5)), (4471,) * 4096 + (4472, -1))
@@ -233,6 +246,38 @@ def test_report_json_is_json_dumps_byte_for_byte(capsys):
         cli._print_set("set: ", values, ", end")
         text = "set: {" + ", ".join(map(str, values)) + "}, end\n"
         assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("gens", MASK_CORPUS)
+def test_semigroup_report_matches_the_library(capsys, tmp_path, gens):
+    """`semigroup` joins each complement once and calls no `to_json`: its
+    stdout and --json file, at the default bound and a seeded one, against
+    text and a payload built from `maximum_sparse_ideals` and `to_json`."""
+    S = NumericalSemigroup(gens)
+    target = tmp_path / "r.json"
+    seeded = random.Random(sum(gens)).randint(S.conductor, 3 * S.conductor + max(gens))
+    for bound, extra in ((2 * max(S.conductor, min(gens)), ()),
+                         (seeded, ("--bound", str(seeded)))):
+        code, out, _ = run(capsys, "semigroup", "--generators", ",".join(map(str, gens)),
+                           *extra, "--json", str(target))
+        assert code == 0
+        ideals = maximum_sparse_ideals(S, bound)
+        leaders = [ideal.leader for ideal in ideals]
+        payload = {"semigroup": S.to_json(), "bound": bound, "leaders": leaders,
+                   "maximum_sparse_ideals": [ideal.to_json() for ideal in ideals]}
+        assert target.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        lines = [
+            f"semigroup generated by {', '.join(map(str, S.generators))}",
+            f"gaps: {{{', '.join(map(str, S.gaps))}}}",
+            f"genus: {S.genus}",
+            f"conductor: {S.conductor}",
+            f"leader set (0 < element <= {bound}): "
+            + (" ".join(map(str, leaders)) if leaders else "(empty)"),
+            f"maximum sparse ideals with leader <= {bound}:",
+            *(f"  leader {ideal.leader}: complement {{{', '.join(map(str, ideal.complement))}}},"
+              f" frobenius {ideal.frobenius}" for ideal in ideals),
+        ]
+        assert out == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("gens", CORPUS_GENERATORS)
