@@ -17,7 +17,9 @@ set and on a union of 25 x-fibres at q = 8 (200 points; the last two have
 a vector, so the bilinear conditions are all checked),
 `compute_wstar_family` times, point steps and `tracemalloc` peaks on the
 93 subsets `verify --q 2` checks and on the 31 687 qualifying q = 3 sets
-above the boundary, `find_isometry_vectors` on the 93 subsets,
+above the boundary, `find_isometry_vectors` on the 93 subsets and
+`wstar_and_vectors` on them (the walk `verify --q 2` runs, the two
+states side by side),
 `qualifying_subsets` at q = 2 and 3,
 `sample_qualifying_subsets(3, 9, 30, 2)`, `(8, 2, 1, 0)` and
 `(4, 2, 64, 0)` (the draws of `hierarchy --q 3 --sample 30 --seed 2
@@ -74,6 +76,7 @@ from sparse_duals import (  # noqa: E402
     verify_inheritance,
     weierstrass_semigroup,
 )
+from sparse_duals.hermitian import wstar_and_vectors  # noqa: E402
 
 POINTS_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 FULL_SET_Q = (5, 7, 8, 9, 11, 13)
@@ -235,6 +238,8 @@ def measure(tmp: Path) -> dict:
             (lambda q=q, pts=pts, family=family: compute_wstar_family(pts, q, family)), k)
     entries["find_isometry_vectors", "verify_q2_n_gt_4"] = (
         lambda: find_isometry_vectors(q2_points, 2, verify_family), 30)
+    entries["wstar_and_vectors", "verify_q2_n_gt_4"] = (
+        lambda: wstar_and_vectors(q2_points, 2, verify_family), 30)
     q2_subsets = qualifying_subsets(2)
     q2_graph = build_hierarchy(q2_subsets, boundary=4)
     W2 = weierstrass_semigroup(2)
@@ -266,6 +271,7 @@ def measure(tmp: Path) -> dict:
     run["find_isometry_vectors"]["verify_q2_n_gt_4"].update(
         q=2, subsets=len(verify_family),
         found=sum(v is not None for v in find_isometry_vectors(q2_points, 2, verify_family)))
+    run["wstar_and_vectors"]["verify_q2_n_gt_4"].update(q=2, subsets=len(verify_family))
     for name, (q, pts, family, _) in wstar_families.items():
         # The walk makes one point step per distinct tail of a subset's
         # points outside whole x-fibres.

@@ -134,6 +134,27 @@ MUTANTS = [
         "            rho[s] += q\n        rho[s] += q\n        return gens, rho\n",
         ["tests/test_hermitian.py"],
     ),
+    (
+        "W* memo keyed by rho alone, without the key size",
+        "src/sparse_duals/hermitian.py",
+        "seen = (*rho, len(key))",
+        "seen = (*rho,)",
+        ["tests/test_hermitian.py"],
+    ),
+    (
+        "pair mask takes j up to n - i, not n - 1 - i",
+        "src/sparse_duals/hermitian.py",
+        "bisect_left(wstar, top - wi)):n - 1 - i]:",
+        "bisect_left(wstar, top - wi)):n - i]:",
+        ["tests/test_hermitian.py"],
+    ),
+    (
+        "a shared run advanced with alone=True",
+        "src/sparse_duals/hermitian.py",
+        "[*map(zero_based, key[depth:stop])], False)",
+        "[*map(zero_based, key[depth:stop])], True)",
+        ["tests/test_hermitian.py"],
+    ),
 ]
 
 _IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")

@@ -199,12 +199,18 @@ class _Joined(str):
 
 
 def _piece(value, indent: str) -> Optional[str]:
-    """The JSON text of a plain int or a `_Joined` list at `indent`, else None."""
+    """The JSON text at `indent` of a plain int, a bool, a `_Joined` list
+    or a non-empty list or tuple of at most `_SLICE` plain ints, else None."""
     if type(value) is int:
         return str(value)
+    if type(value) is bool:
+        return "true" if value else "false"
+    inner = "\n" + indent + "  "
+    if type(value) in (list, tuple) and 0 < len(value) <= _SLICE and (
+            set(map(type, value)) == {int}):
+        return "[" + inner + _join("," + inner, value) + "\n" + indent + "]"
     if type(value) is not _Joined:
         return None
-    inner = "\n" + indent + "  "
     return "[" + inner + value.replace(", ", "," + inner) + "\n" + indent + "]" if value else "[]"
 
 
@@ -213,14 +219,14 @@ def _report_json(value, write: Callable[[str], object], indent: str = "") -> Non
     for byte, to `write` in pieces, a `_Joined` string as the int list it
     stands for. A list of plain ints is joined by `_join` (`str.join` over
     the decimal table) instead of encoded item by item, a slice at a time,
-    so no piece and no list of str objects grows with it. A plain int or a
-    `_Joined` list, laid out by one `str.replace`, is one piece (`_piece`),
-    in a dict together with its key.
+    so no piece and no list of str objects grows with it. A plain int, a
+    bool, a `_Joined` list or a list of at most `_SLICE` plain ints is one
+    piece (`_piece`), in a dict together with its key.
 
-    Plain ints, `_Joined` lists, non-empty lists and tuples, and non-empty
-    dicts with str keys are laid out here; a key is quoted as `json.dumps`
-    quotes it, and any other value, bools and other int subclasses
-    included, goes to `json.dumps`.
+    Plain ints, bools, `_Joined` lists, non-empty lists and tuples, and
+    non-empty dicts with str keys are laid out here; a key is quoted as
+    `json.dumps` quotes it, and any other value, int subclasses other than
+    bool included, goes to `json.dumps`.
     """
     text = _piece(value, indent)
     if text is not None:

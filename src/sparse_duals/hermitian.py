@@ -31,7 +31,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
-from operator import gt, ne
+from operator import gt
 from typing import Iterator, Optional, Sequence
 
 from .errors import DuplicatePoints, FieldTooLarge, PointNotOnCurve
@@ -233,9 +233,10 @@ def compute_wstar(points: Sequence[CurvePoint], q: int) -> CodeSequence:
     more than one child, for the children to start from; a single subset
     saves none and holds no more than one walk. The vectors y^b of the root
     are evaluated by the first step from it, at the points that step needs.
-    W* is read off the rho_b at the end. A subset's tail that no other
-    subset shares, whose points fill less than half the positions below its
-    top, first cuts the vectors down to them. No generator row is built.
+    W* is read off the rho_b at the end, once per distinct rho_b and subset
+    size (6 times for the 93 subsets `verify --q 2` checks). A subset's
+    tail that no other subset shares, whose points fill less than half the
+    positions below its top, first cuts the vectors down to them.
     """
     points = tuple(points)
     [wstar] = _walk(points, q, [range(1, len(points) + 1)], _wstar_walk, _fibre_rest)
@@ -350,47 +351,54 @@ def _trie_walk(
     order: list[tuple[int, ...]], root, advance, finish
 ) -> Iterator[tuple[tuple[int, ...], object]]:
     """(key, finish(key, state)) for each key of `order`, by one walk over
-    their trie (see `compute_wstar`) from the state `root`. The keys are
-    distinct and sorted, a key being 1-based indices into the points from
-    the largest down, so a node's subtree is a run of keys; the empty key,
-    if there, comes first and finishes the root.
+    their trie (see `compute_wstar`) from the state `root`, one advance per
+    edge. The keys must be distinct and sorted, a key being 1-based indices
+    into the points from the largest down, so the keys below a node are a
+    run of `order`, its own key first; the empty key finishes the root.
 
     `advance(state, js, alone)` returns the state after the 0-based points
     `js` are added to `state`, in that order, and leaves `state` as it
     was: siblings start from one state. `alone` says that no other key
-    shares these points, so they end a key. `finish` reads the key's
-    state as it stands and must not modify it.
+    shares these points, so they end a key; the driver takes no Python
+    step per index of them. `finish` reads the key's state as it stands
+    and must not modify it.
     """
-    # The trie depth at which each key and the next part: their first
-    # difference, or the end of the first when it is a prefix of the next.
-    shared = [next(compress(count(), map(ne, u, v)), len(u)) for u, v in zip(order, order[1:])]
+    zero_based = (-1).__add__
     # Frames (lo, hi, depth, state): the keys order[lo:hi] share their
     # first `depth` indices, and state is the state there.
     frames = [(0, len(order), 0, root)] if order else []
     while frames:
         lo, hi, depth, state = frames.pop()
-        while True:
-            key = order[lo]
-            stop = min(shared[lo:hi - 1]) if hi - lo > 1 else len(key)
-            if stop > depth:
-                state = advance(state, [i - 1 for i in key[depth:stop]], hi - lo == 1)
-                depth = stop
-            if len(key) > depth:  # a branch node: one frame per child
-                cuts = [lo] + [k + 1 for k in range(lo, hi - 1) if shared[k] == depth] + [hi]
-                frames += [(a, b, depth, state) for a, b in zip(cuts, cuts[1:])]
-                break
+        key = order[lo]
+        if lo + 1 == hi:  # a lone key: one advance to its end
+            if len(key) > depth:
+                state = advance(state, [*map(zero_based, key[depth:])], True)
+            yield key, finish(key, state)
+            continue
+        # The run shares the indices on which its first and last key agree.
+        last, stop = order[hi - 1], depth
+        while len(key) > stop and key[stop] == last[stop]:
+            stop += 1
+        if stop > depth:
+            state = advance(state, [*map(zero_based, key[depth:stop])], False)
+        if len(key) == stop:
             yield key, finish(key, state)
             lo += 1
-            if lo == hi:
-                break
+        # One frame per child: a run of keys with one index at `stop`.
+        v = order[lo][stop]
+        for k in range(lo + 1, hi):
+            if order[k][stop] != v:
+                frames.append((lo, k, stop, state))
+                lo, v = k, order[k][stop]
+        frames.append((lo, hi, stop, state))
 
 
 def _wstar_walk(field: Field, xs: bytes, ys: bytes, q: int, n: int):
     """The Groebner update of `compute_wstar` on the points with encodings
     xs and ys, as the (root, advance, finish) of a `_trie_walk` whose
     finish is the key's W*, read off the state of the key's walked points:
-    all of them, or those outside its whole x-fibres (`_fibre_rest`). It
-    holds nothing per subset size, so n, the largest one, goes unused."""
+    all of them, or those outside its whole x-fibres (`_fibre_rest`), once
+    per distinct (rho_b, key size). n, the largest subset size, goes unused."""
     g = curve_genus(q)
     shift, eliminate, mul_lanes = field.add_rows, field.eliminate, field.mul_lanes
     neg, one = field.mul_table[field.p - 1], field.lanes[1]  # -a = neg[a]
@@ -431,8 +439,11 @@ def _wstar_walk(field: Field, xs: bytes, ys: bytes, q: int, n: int):
         return gens, rho
 
     def finish(key, state):
-        # Class b of W*: b(q+1), b(q+1) + q, ..., rho_b - q.
         rho = state[1]
+        seen = (*rho, len(key))  # all W* depends on, and many keys share it
+        if seen in found:
+            return found[seen]
+        # Class b of W*: b(q+1), b(q+1) + q, ..., rho_b - q.
         ws = list(chain.from_iterable(map(range, base, rho, repeat(q))))
         # The key's points the walk left out fill whole x-fibres, each of
         # which moves every rho_b up by q (see `compute_wstar`): in all, by
@@ -443,9 +454,10 @@ def _wstar_walk(field: Field, xs: bytes, ys: bytes, q: int, n: int):
         ws.sort()
         if ws[-1] > len(key) + 2 * g - 1:
             raise AssertionError("rank must reach n by pole order n + 2g - 1")
-        return tuple(ws)
+        return found.setdefault(seen, tuple(ws))
 
     base = [b * (q + 1) for b in range(q)]  # rho_b of y^b, which `advance` copies
+    found: dict[tuple[int, ...], tuple[int, ...]] = {}  # W* by (rho_b..., key size)
     return (None, base), advance, finish
 
 
@@ -502,8 +514,9 @@ def find_isometry_vectors(
     the largest pivot is zero on every monomial below W*[n-1], so its
     unit-vector part is the candidate x up to scale, and its monomial
     entries are x's inner products with the monomials. Each bilinear
-    condition is one of those entries (see `_meets_pairs`), and those below
-    W*[n-1] are 0 by construction. A point costs at most one vector
+    condition is one of those entries, and those below W*[n-1] are 0 by
+    construction; the others are read through one 0/1 mask per distinct
+    W* (`_pair_mask`). A point costs at most one vector
     operation per point before it, and no generator row is built. A
     repeated subset is computed once.
     """
@@ -543,7 +556,8 @@ def _isometry_walk(field: Field, xs: bytes, ys: bytes, q: int, n: int):
     a `_trie_walk` whose finish is the key's (W*, isometry vector or None);
     W* is the stored pivots as pole orders. The columns are held in the
     field's lane form (see `gf`), translated once, and the pivot entries
-    and the vector are read through `unlanes`."""
+    and the vector are read through `unlanes`; the bilinear conditions are
+    one `_pair_mask` per distinct W*, tested in one `compress` pass."""
     g = curve_genus(q)
     n_all, top = len(xs), n + 4 * g - 2
     mul, inv, unlanes = field.mul_table, field.inv_table, field.unlanes
@@ -581,24 +595,26 @@ def _isometry_walk(field: Field, xs: bytes, ys: bytes, q: int, n: int):
 
     def finish(key, stored):
         pivots = sorted(stored)
-        wstar = tuple([poles[k] for k in pivots])
+        wstar = tuple(map(poles.__getitem__, pivots))
         if wstar[-1] > len(key) + 2 * g - 1:
             raise AssertionError("rank must reach n by pole order n + 2g - 1")
         last = stored[pivots[-1]]
-        x = [unlanes[last[k_mono + i - 1]] for i in reversed(key)]
-        if 0 not in x and _meets_pairs(last, wstar, index):
-            scale = mul[inv[x[0]]]
-            return wstar, tuple([scale[v] for v in x])
-        return wstar, None
+        x = bytes(map(last[k_mono - 1:].__getitem__, key[::-1])).translate(unlanes)
+        if 0 not in x and wstar not in masks:
+            masks[wstar] = _pair_mask(wstar, index, k_mono)
+        if 0 in x or any(compress(last, masks[wstar])):
+            return wstar, None
+        return wstar, tuple(map(mul[inv[x[0]]].__getitem__, x))
 
+    masks: dict[tuple[int, ...], bytes] = {}  # `_pair_mask` by W*
     return {}, advance, finish
 
 
-def _meets_pairs(last: bytes, wstar: tuple[int, ...], index: dict[int, int]) -> bool:
-    """Whether x annihilates r_i * r_j for every pair of generators with
-    i <= j and i + j <= n - 2, given last[index[m]], x's inner product
-    with the monomial of pole order m in lane form (only whether it is 0
-    is read), which is 0 below top = wstar[-1].
+def _pair_mask(wstar: tuple[int, ...], index: dict[int, int], size: int) -> bytes:
+    """The 0/1 mask over `size` monomials in pole order, 1 at index[w_i + w_j]
+    for each pair i <= j, i + j <= n - 2, with w_i + w_j >= top = wstar[-1]:
+    x annihilates every such r_i * r_j iff the last column, x's inner
+    products with the monomials, is 0 there (below top it is 0 already).
 
     The n pole orders are distinct integers up to top, so w_i <= top -
     (n - 1 - i), and a pair has m = w_i + w_j <= 2 top - n <= top + 2g - 1,
@@ -606,12 +622,12 @@ def _meets_pairs(last: bytes, wstar: tuple[int, ...], index: dict[int, int]) -> 
     With b < q it is the monomial of pole order m; otherwise it is
     x^(a+q+1) y^(b-q) - x^a y^(b-q+1) on the curve, and the second term
     has pole order m - q^2 + 1 <= top - q, below top. So x annihilates
-    the product iff last[index[m]] is 0, as it is for every m below top.
+    the product iff the entry at index[m] is 0.
     """
     n, top = len(wstar), wstar[-1]
+    mask = bytearray(size)
     for i in range(n // 2):
         wi = wstar[i]
         for wj in wstar[max(i, bisect_left(wstar, top - wi)):n - 1 - i]:
-            if last[index[wi + wj]]:
-                return False
-    return True
+            mask[index[wi + wj]] = 1
+    return bytes(mask)

@@ -476,3 +476,29 @@ def naive_isometry_vector(cs):
         if any(_dot(xa, rb, field) for rb in rows[: n - a]):
             return None
     return tuple(x)
+
+
+def naive_trie_walk(keys):
+    """The advances and finishes a walk over the trie of `keys` (tuples of
+    1-based indices) must make, read off the set of all their prefixes: a
+    list of (state, js, alone), one per edge, and a dict key -> state at
+    its end, where a state is the tuple of 0-based points added from the
+    root. The walk stops at the root, at each key and at each prefix with
+    more than one child; an edge runs from one stop to the next below it,
+    and is alone when one key alone lies below its end."""
+    keys = set(keys)
+    prefixes = {k[:d] for k in keys for d in range(len(k) + 1)}
+    children = {p: 0 for p in prefixes}
+    for p in prefixes - {()}:
+        children[p[:-1]] += 1
+    stops = {p for p in prefixes if p in keys or children[p] > 1} | {()}
+
+    def zero_based(indices):
+        return tuple(i - 1 for i in indices)
+
+    advances = []
+    for stop in stops - {()}:
+        parent = max((stop[:d] for d in range(len(stop)) if stop[:d] in stops), key=len)
+        below = sum(k[:len(stop)] == stop for k in keys)
+        advances.append((zero_based(parent), zero_based(stop[len(parent):]), below == 1))
+    return advances, {k: zero_based(k) for k in keys}

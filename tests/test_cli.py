@@ -177,6 +177,8 @@ REPORT_JSON_CASES = [
     # slice, and a slice inside it followed by one past it
     [0, 4471], [4472, 0], [-1, 0, 4471, 4472, 10**7],
     list(range(4472 - 4096, 4472 + 5)), [4471] * 4096 + [4472, -1],
+    # a list of at most 4096 ints is one piece, a longer one is sliced
+    {"k": list(range(4096)), "m": tuple(range(4097)), "t": [True, [4471] * 4096]},
 ]
 
 
@@ -214,6 +216,17 @@ def _corpus_payloads():
             "compare": ideals[0].to_json(),
             "inclusion": inclusion_report(ideals[-1], ideals[0]).to_json(),
         }
+
+
+def test_report_json_writes_bools_and_short_int_lists_as_one_piece():
+    # One piece per key of a node dict, and one per two-int edge.
+    pieces: list[str] = []
+    cli._report_json({"qualifies": True, "set": [1, 2, 5], "size": 3}, pieces.append)
+    assert len(pieces) == 5
+    pieces.clear()
+    cli._report_json([[1, 2], [2, 5], (3, 4)], pieces.append)
+    assert pieces[1::2] == ["[\n    1,\n    2\n  ]", "[\n    2,\n    5\n  ]",
+                            "[\n    3,\n    4\n  ]"]
 
 
 def test_report_json_is_json_dumps_byte_for_byte(capsys):

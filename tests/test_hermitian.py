@@ -3,6 +3,7 @@ import random
 import re
 import tracemalloc
 import weakref
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from oracles import (
     complement_wstar,
     naive_curve_coords,
     naive_isometry_vector,
+    naive_trie_walk,
     naive_wstar,
     naive_wstar_q2,
     secant_lines,
@@ -383,6 +385,58 @@ def test_family_shares_the_steps_of_common_top_points(monkeypatch, q2_points):
     for subset in family:
         compute_wstar([q2_points[i - 1] for i in subset], 2)
     assert (walk, len(steps)) == (64, 176)
+
+
+def _check_trie_walk(keys):
+    """`_trie_walk` over the distinct keys, sorted as `_walk` passes them,
+    makes the advances and finishes of `naive_trie_walk`: its states are
+    the tuples of 0-based points added, so each advance and finish shows
+    where it started."""
+    advances = []
+
+    def advance(state, js, alone):
+        advances.append((state, tuple(js), alone))
+        return state + tuple(js)
+
+    order = sorted(set(keys))
+    finishes = list(hermitian._trie_walk(order, (), advance, lambda key, state: state))
+    naive_advances, naive_finishes = naive_trie_walk(keys)
+    assert Counter(advances) == Counter(naive_advances), order
+    assert sorted(finishes) == sorted(naive_finishes.items()), order
+    return advances
+
+
+def test_trie_walk_on_the_verify_family():
+    family = [c for k in range(8, 4, -1) for c in combinations(range(1, 9), k)]
+    keys = hermitian._subset_keys(8, family)
+    assert len(set(keys)) == 93
+    advances = _check_trie_walk(keys)
+    assert len(advances) == 127
+    # 64 of the keys are leaves, each ended by one advance of its own
+    assert sum(alone for _, _, alone in advances) == 64
+
+
+def test_trie_walk_on_random_families():
+    # Families on up to 9 points: an empty key (a subset of whole x-fibres
+    # only), keys that are prefixes of others and repeated keys.
+    rng = random.Random(3400)
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        keys = [tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n)), reverse=True))
+                for _ in range(rng.randint(1, 12))]
+        keys += [k[:rng.randint(0, len(k))] for k in rng.sample(keys, min(len(keys), rng.randint(0, 3)))]
+        keys += rng.sample(keys, min(len(keys), rng.randint(0, 2)))
+        _check_trie_walk(keys)
+        seen["empty"] += () in keys
+        seen["prefix"] += any(a != b and b[:len(a)] == a for a in keys for b in keys)
+        seen["repeat"] += len(set(keys)) < len(keys)
+    assert min(seen.values()) >= 30, seen
+
+
+def test_trie_walk_advances_one_long_key_once():
+    key = tuple(range(232, 0, -1))
+    assert _check_trie_walk([key]) == [((), tuple(range(231, -1, -1)), True)]
 
 
 # -- whole x-fibres: W* moves up by q per fibre, without a point step --
