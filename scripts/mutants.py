@@ -93,17 +93,31 @@ MUTANTS = [
         ["tests/test_sparse_ideals.py"],
     ),
     (
-        "_divisor_mask without its mirror",
+        "the sweep step's D(lam) mask without its mirror",
         "src/sparse_duals/sparse_ideals.py",
-        'return int.from_bytes(member, "little") & int.from_bytes(member, "big")',
-        'return int.from_bytes(member, "little") & int.from_bytes(member, "little")',
+        'low, high = int.from_bytes(member, "little"), int.from_bytes(member, "big")',
+        'low, high = int.from_bytes(member, "little"), int.from_bytes(member, "little")',
         ["tests/test_sparse_ideals.py"],
     ),
     (
         "enumeration stops at the conductor",
         "src/sparse_duals/sparse_ideals.py",
-        "stop = S.conductor + S.element(max(max_complement_size, 0))",
+        "stop = S.conductor + S.element(max(k, 0))",
         "stop = S.conductor",
+        ["tests/test_sparse_ideals.py"],
+    ),
+    (
+        "a complement grown by its own largest element",
+        "src/sparse_duals/sparse_ideals.py",
+        "candidates[bisect_right(candidates, t[-1]):]",
+        "candidates[bisect_right(candidates, t[-1]) - 1:]",
+        ["tests/test_sparse_ideals.py"],
+    ),
+    (
+        "a complement grown by an x whose D(x) it does not hold",
+        "src/sparse_duals/sparse_ideals.py",
+        "if held.issuperset(below[x])]",
+        "if held.issuperset(below[x][:1])]",
         ["tests/test_sparse_ideals.py"],
     ),
     (

@@ -272,14 +272,13 @@ def _json_file(value) -> Callable[[Callable[[str], object]], None]:
 def cmd_semigroup(args: argparse.Namespace) -> int:
     """Print S's gaps, leaders and maximum sparse ideals up to the bound;
     each complement is joined once, for its line and its --json list."""
-    bound = args.bound
+    conductor, bound = semigroup_conductor(args.generators), args.bound
     if bound is None:
-        conductor = semigroup_conductor(args.generators)
         bound = 2 * max(conductor, min(args.generators))
     _check_report_size(bound * (bound + 1) // 2, f"--bound {bound}")  # before the build
+    if bound < conductor:
+        raise ValueError(f"--bound must be at least the conductor {conductor}")
     S = NumericalSemigroup(args.generators)
-    if bound < S.conductor:
-        raise ValueError(f"--bound must be at least the conductor {S.conductor}")
     ideals = maximum_sparse_ideals(S, bound)
     leaders = [ideal.complement[-1] for ideal in ideals]  # lam is the top of D(lam)
 
@@ -311,13 +310,18 @@ def cmd_semigroup(args: argparse.Namespace) -> int:
 
 
 def cmd_sparse_ideals(args: argparse.Namespace) -> int:
-    for flag, value in (("--leader", args.leader), ("--compare", args.compare)):
-        if value is not None:
-            if value < 1:
-                raise ValueError(
-                    f"{flag} must be a positive element of the semigroup, got {value}"
-                )
-            _check_report_size(value + 1, f"{flag} {value}")
+    given = {"--leader": args.leader, "--compare": args.compare}
+    given = {flag: value for flag, value in given.items() if value is not None}
+    for flag, value in given.items():
+        if value < 1:
+            raise ValueError(f"{flag} must be a positive element of the semigroup, got {value}")
+    _check_report_size(sum(given.values()) + len(given),  # both complements: one report
+                       " ".join(f"{flag} {value}" for flag, value in given.items()))
+    if semigroup_conductor(args.generators) > MAX_REPORT_ELEMENTS:  # before the build
+        raise PreconditionViolated(
+            f"every leader is at least the conductor, which exceeds {MAX_REPORT_ELEMENTS};"
+            " refusing"
+        )
     S = NumericalSemigroup(args.generators)
     ideal = maximum_sparse_from_leader(S, S.index_of(args.leader))
     if args.compare is not None:  # built before any output, as it may be refused

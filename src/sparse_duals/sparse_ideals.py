@@ -15,12 +15,15 @@ Set-wide tests run on byte masks: a set of non-negative integers is a
 mirrors them, n -> top - n, so "y and lam - y both in the set" and
 "t - a for t in the set" are one `&` or one shift each, done in C.
 `maximum_sparse_ideals` reads the membership bytes up to its bound once
-each way and shifts the mirror to each leader. `enumerate_proper_ideals`
-takes no x >= c + s_k as a candidate: s_0, ..., s_k <= x - c lie in D(x).
+each way and shifts the mirror to each leader; `maximum_sparse_from_leader`
+is its step at bound lam. `enumerate_proper_ideals` grows each complement
+from the one without its largest element, and takes no x >= c + s_k as a
+candidate: s_0, ..., s_k <= x - c lie in D(x).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, islice
 from operator import lt
@@ -50,7 +53,8 @@ class SemigroupIdeal:
         if not _strictly_increasing_ints(comp):
             comp = tuple(sorted(set(int(t) for t in comp)))
             object.__setattr__(self, "complement", comp)
-        _check_ideal(self.parent, comp, _mask(comp))
+        members = self.parent.membership(comp[-1] if comp else -1)
+        _check_ideal(self.parent, comp, _mask(comp), int.from_bytes(members, "little"))
 
     @property
     def frobenius(self) -> int:
@@ -118,21 +122,17 @@ def _mask(values: Sequence[int]) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _check_ideal(S: NumericalSemigroup, comp: tuple[int, ...], T: int,
-                 members: Optional[int] = None) -> None:
+def _check_ideal(S: NumericalSemigroup, comp: tuple[int, ...], T: int, members: int) -> None:
     """Raise `NotAnIdeal` unless `comp`, strictly increasing with byte mask
     T of its non-negative part, is the complement of an ideal of S: all of
     it in S, and no t - a (t in comp, a a generator) an element of S
     outside it. The message names the first witness in `comp` order.
-    `members`, S's membership mask up to max(comp) or beyond (no byte
-    above max(comp) is read), is built here when not given."""
-    if members is None:
-        members = int.from_bytes(S.membership(comp[-1] if comp else -1), "little")
+    `members` is S's membership mask up to max(comp) or beyond (no byte
+    above max(comp) is read)."""
     if (T & members) != T or (comp and comp[0] < 0):  # T & ~members makes 2 more masks
         t = next(t for t in comp if not S.contains(t))
         raise NotAnIdeal(f"complement element {t} is not in {S!r}")
     outside = members ^ T  # the elements of S outside comp: T lies in members
-    del members  # each mask is megabytes at the edge of the report budget
     if _escapes(S, T, outside):
         t, a = _first_escape(S, comp)
         raise NotAnIdeal(
@@ -159,13 +159,6 @@ def _first_escape(S: NumericalSemigroup, complement: Sequence[int]) -> tuple[int
     )
 
 
-def _divisor_mask(S: NumericalSemigroup, lam: int) -> int:
-    """Byte mask of D(lam): the membership bytes up to lam `&` their mirror
-    image, so byte y is 1 iff y and lam - y are both elements of S."""
-    member = S.membership(lam)
-    return int.from_bytes(member, "little") & int.from_bytes(member, "big")
-
-
 def _mask_values(T: int, top: int) -> tuple[int, ...]:
     """The n <= top whose byte is 1 in the byte mask T, increasing."""
     return tuple(compress(range(top + 1), T.to_bytes(top + 1, "little")))
@@ -176,7 +169,8 @@ def divisor_set(S: NumericalSemigroup, i: int) -> tuple[int, ...]:
     if i < 0:
         raise ValueError("index must be non-negative")
     lam = S.element(i)
-    return _mask_values(_divisor_mask(S, lam), lam)
+    member = S.membership(lam)  # `&` its mirror: byte y is 1 iff y and lam - y are in S
+    return _mask_values(int.from_bytes(member, "little") & int.from_bytes(member, "big"), lam)
 
 
 def gap_pair_count(S: NumericalSemigroup, i: int) -> int:
@@ -210,29 +204,34 @@ def is_maximum_sparse(ideal: SemigroupIdeal) -> bool:
 
 
 def maximum_sparse_from_leader(S: NumericalSemigroup, i: int) -> SemigroupIdeal:
-    """The maximum sparse ideal S \\ D(i); requires i >= 1 and G(i) = 0."""
+    """The maximum sparse ideal S \\ D(i); requires i >= 1 and G(i) = 0.
+    The step of `maximum_sparse_ideals` at bound lam = element(i)."""
     if i < 1:
         raise ValueError("leader index must be >= 1")
     lam, pairs = S.element(i), gap_pair_count(S, i)
     if pairs:
         raise NotALeader(f"element {lam} has {pairs} two-gap decomposition(s)")
-    return _leader_ideal(S, _divisor_mask(S, lam), lam, None)
+    return _leader_ideals(S, lam, (lam,))[0]
 
 
 def maximum_sparse_ideals(S: NumericalSemigroup, bound: int) -> list[SemigroupIdeal]:
-    """The maximum sparse ideals with leader <= bound, by increasing leader.
+    """The maximum sparse ideals with leader <= bound, by increasing leader."""
+    return _leader_ideals(S, bound, leader_set(S, bound))
+
+
+def _leader_ideals(S: NumericalSemigroup, bound: int,
+                   leaders: Sequence[int]) -> list[SemigroupIdeal]:
+    """S \\ D(lam) for each of the `leaders`, all at most `bound`.
 
     One membership string up to `bound` serves every leader: shifted down
     bound - lam bytes, its big-endian read has byte lam - y at byte y. Its
     little-endian read is the membership mask of every ideal check."""
     member = S.membership(bound)
     low, high = int.from_bytes(member, "little"), int.from_bytes(member, "big")
-    return [_leader_ideal(S, low & (high >> 8 * (bound - lam)), lam, low)
-            for lam in leader_set(S, bound)]
+    return [_leader_ideal(S, low & (high >> 8 * (bound - lam)), lam, low) for lam in leaders]
 
 
-def _leader_ideal(S: NumericalSemigroup, T: int, lam: int,
-                  members: Optional[int]) -> SemigroupIdeal:
+def _leader_ideal(S: NumericalSemigroup, T: int, lam: int, members: int) -> SemigroupIdeal:
     """S \\ D(lam) from the mask T of D(lam), checked on T by `_check_ideal`."""
     comp = _mask_values(T, lam)
     _check_ideal(S, comp, T, members)
@@ -309,43 +308,39 @@ def inclusion_report(I: SemigroupIdeal, I2: SemigroupIdeal) -> InclusionReport:
 
 
 def enumerate_proper_ideals(
-    S: NumericalSemigroup,
-    max_complement_size: int,
-    max_frobenius: Optional[int] = None,
+    S: NumericalSemigroup, max_complement_size: int
 ) -> list[SemigroupIdeal]:
-    """All proper ideals with complement size and Frobenius number bounded.
+    """All proper ideals with at most `max_complement_size` complement
+    elements, by complement size, then by complement.
 
-    Every division-closed complement is a union of divisor sets of its
-    elements, so the enumeration walks distinct unions of D(x) over
-    candidate generators x whose own divisor sets are small enough.
+    A complement is division-closed exactly when it holds D(t) for each of
+    its elements t, and D(t) lies in [0, t]: without its largest element it
+    is division-closed still. So each complement of size n + 1 is one of
+    size n grown by a larger candidate x whose D(x) \\ {x} it holds, and
+    growing (0,) one size at a time yields each complement once, in order.
     """
-    if max_frobenius is None:
-        max_frobenius = 3 * S.conductor
-    elements = S.members(max_frobenius)
-    stop = S.conductor + S.element(max(max_complement_size, 0))  # from stop on, #D(x) is too big
-    divisors = {0: frozenset({0})}
-    for x in S.members(min(max_frobenius, stop - 1))[1:]:
+    k = max_complement_size
+    stop = S.conductor + S.element(max(k, 0))  # from stop on, #D(x) is too big
+    elements = S.members(stop - 1)
+    below = {}  # D(x) \ {x} of each candidate x: #D(x) <= k
+    for x in elements[1:]:
         d = []
         for y in elements:  # walk D(x) up from 0; stop once it is too big
-            if y > x or len(d) > max_complement_size:
+            if y == x or len(d) == k:
                 break
             if S.contains(x - y):
                 d.append(y)
-        if len(d) <= max_complement_size:
-            divisors[x] = frozenset(d)
-    candidates = sorted(divisors)
-    seen: set[frozenset[int]] = set()
-    frontier: list[frozenset[int]] = [frozenset()]
-    while frontier:
+        if len(d) < k:
+            below[x] = d
+    candidates = list(below)
+    level = [(0,)] if k > 0 else []
+    complements = list(level)
+    while level and len(level[0]) < k:
         grown = []
-        for base in frontier:
-            for x in candidates:
-                if x in base:
-                    continue
-                union = base | divisors[x]
-                if len(union) <= max_complement_size and union not in seen:
-                    seen.add(union)
-                    grown.append(union)
-        frontier = grown
-    complements = sorted(seen, key=lambda t: (len(t), sorted(t)))
-    return [SemigroupIdeal(S, tuple(sorted(t))) for t in complements]
+        for t in level:
+            held = set(t)
+            grown += [t + (x,) for x in candidates[bisect_right(candidates, t[-1]):]
+                      if held.issuperset(below[x])]
+        complements += grown
+        level = grown
+    return [SemigroupIdeal(S, t) for t in complements]

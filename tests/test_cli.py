@@ -336,6 +336,27 @@ def test_oversized_semigroup_report_is_refused(capsys, monkeypatch, tmp_path, ar
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("semigroup", "--generators", "4000,4001", "--bound", "10"),
+         "error: --bound must be at least the conductor 15996000\n"),
+        (("sparse-ideals", "--generators", "4000,4001", "--leader", "5"),
+         "error: every leader is at least the conductor, which exceeds 10000000; refusing\n"),
+    ],
+    ids=["semigroup-bound-below-conductor", "sparse-ideals-conductor-over-budget"],
+)
+def test_unreachable_report_is_refused_before_the_build(capsys, monkeypatch, argv, message):
+    # <4000, 4001> has conductor 15 996 000: building it takes about 0.7 GB.
+    # A bound below the conductor is refused as such, and with a conductor
+    # above the budget no leader (each at least the conductor) fits it.
+    def refuse_to_build(generators):
+        raise AssertionError("semigroup built before the conductor check")
+
+    monkeypatch.setattr(cli, "NumericalSemigroup", refuse_to_build)
+    assert run(capsys, *argv) == (2, "", message)
+
+
 def test_report_budget_boundary(capsys, monkeypatch):
     # Leaders up to bound 10 hold at most 10 * 11 / 2 = 55 complement elements.
     monkeypatch.setattr(cli, "MAX_REPORT_ELEMENTS", 55)
@@ -344,6 +365,10 @@ def test_report_budget_boundary(capsys, monkeypatch):
     argv = ("sparse-ideals", "--generators", "3,5", "--leader")
     assert run(capsys, *argv, "54")[0] == 0
     assert run(capsys, *argv, "55")[0] == 2
+    # --compare adds its complement to the same report: 31 + 24 elements.
+    assert run(capsys, *argv, "30", "--compare", "23")[0] == 0
+    code, out, err = run(capsys, *argv, "30", "--compare", "24")
+    assert (code, out) == (2, "") and "--leader 30 --compare 24 would hold up to 56" in err
 
 
 def test_hierarchy_files_and_determinism(capsys, tmp_path):

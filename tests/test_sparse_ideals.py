@@ -225,14 +225,19 @@ def test_inclusion_report_errors():
 
 
 def test_enumeration_matches_naive_subset_scan():
-    cases = [(S23, 3 * S23.conductor), (S35, 3 * S35.conductor),
-             (NumericalSemigroup([3, 4]), 24), (NumericalSemigroup([4, 5, 7]), 20)]
-    cases += [(S, 2 * S.conductor + 2) for S in map(NumericalSemigroup, NON_MINIMAL_GENERATORS)]
-    for S, bound in cases:
-        for k in (-1, 0, 1, 4):
-            fast = {frozenset(i.complement) for i in enumerate_proper_ideals(S, k, bound)}
-            naive = naive_ideal_complements(S.contains, S.members(bound), k)
-            assert fast == naive
+    """Every complement of size <= k lies below c + s_k (s_k the k-th
+    element): the scan over those elements is complete. The enumeration
+    lists each complement once, by size and then by elements, with no cap
+    on the Frobenius number."""
+    assert [i.complement for i in enumerate_proper_ideals(N0, 2)] == [(0,), (0, 1)]  # 3c = 0
+    cases = [S23, S35, N0, NumericalSemigroup([3, 4]), NumericalSemigroup([4, 5, 7])]
+    cases += [NumericalSemigroup(gens) for gens in NON_MINIMAL_GENERATORS]
+    for S in cases:
+        for k in (-1, 0, 1, 2, 4):
+            fast = [i.complement for i in enumerate_proper_ideals(S, k)]
+            scan = S.members(S.conductor + S.element(max(k, 0)) - 1)
+            naive = naive_ideal_complements(S.contains, scan, k)
+            assert fast == sorted((tuple(sorted(t)) for t in naive), key=lambda t: (len(t), t))
 
 
 def test_enumerated_ideals_are_division_closed(corpus):
@@ -425,18 +430,23 @@ def test_escape_and_ideal_checks_match_naive_first_witness(gens):
 
 @pytest.mark.parametrize("gens", CORPUS_GENERATORS)
 def test_mask_path_raises_the_public_messages_on_a_corrupted_mask(monkeypatch, gens):
-    """`maximum_sparse_from_leader` checks the D(i) mask it computed; fed a
-    mask with a gap added or an element dropped, it must raise the message
-    `SemigroupIdeal` raises on the same complement."""
+    """`maximum_sparse_from_leader` checks the D(i) mask its sweep step
+    computed; fed a mask with a gap added or an element dropped, it must
+    raise the message `SemigroupIdeal` raises on the same complement."""
     S = NumericalSemigroup(gens)
     lam = leader_set(S, 2 * S.conductor)[-1]
-    good = sparse_ideals._divisor_mask(S, lam)
     comp = divisor_set(S, S.index_of(lam))
+    good = sum(1 << 8 * t for t in comp)
     corrupted = [good | 1 << 8 * S.gaps[-1]]  # a gap added
     corrupted += [good & ~(1 << 8 * t) for t in comp[:-1]]  # one element dropped
+    step = sparse_ideals._leader_ideal
     seen = set()
     for T in corrupted:
-        monkeypatch.setattr(sparse_ideals, "_divisor_mask", lambda S, lam, T=T: T)
+        def corrupt(S, mask, lam, members, T=T):
+            assert mask == good  # the step's own D(lam) mask, replaced
+            return step(S, T, lam, members)
+
+        monkeypatch.setattr(sparse_ideals, "_leader_ideal", corrupt)
         with pytest.raises(NotAnIdeal) as from_mask:
             maximum_sparse_from_leader(S, S.index_of(lam))
         with pytest.raises(NotAnIdeal) as public:
